@@ -118,8 +118,13 @@ bench-compare:
 # tier1 is the merge gate: everything must pass before a change lands.
 tier1: lint build test race
 
+# bench is the benchmark's smoke test (~6 s): every bench/ workload in
+# process at smoke size, untraced and traced, with its correctness gates and
+# its metric names and units checked against BENCHMARK.json. bench/ is a
+# module of its own, so the root go test ./... does not run it. A real
+# measurement is bash bench/run.sh (see bench/README.md).
 bench:
-	$(GO) test -bench=. -benchmem -short ./...
+	cd bench && $(GO) test ./...
 
 # bench-json writes the BENCH_<date>.json performance trajectory file.
 bench-json:

@@ -54,9 +54,11 @@ const (
 	FlatLoops = pass.FlatLoops
 )
 
-// Options configures Compile. The zero value is the paper's recommended
-// configuration: RPMC ordering, SDPPO looping, first-fit-by-duration and
-// first-fit-by-start allocation with the better result selected.
+// Options configures Compile. The zero value orders by APGAN (the zero
+// OrderStrategy), loops by SDPPO and tries first-fit-by-duration and
+// first-fit-by-start allocation, keeping the better result. The paper's
+// recommended RPMC ordering must be asked for with Strategy: RPMC; the
+// service's wire options default to it.
 type Options = pass.Options
 
 // Result is the outcome of a compilation.

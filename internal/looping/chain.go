@@ -12,6 +12,7 @@ package looping
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/num"
 	"repro/internal/sched"
@@ -26,11 +27,10 @@ type chain struct {
 	pos   []int // pos[actor] = index in order
 	// gcd[i][j] = gcd of q over order[i..j].
 	gcd [][]int64
-	// outAt[i] lists edges whose lexically-earlier endpoint is at position i;
-	// edges are stored with their position span (lo < hi).
-	spans []edgeSpan
-	byLo  [][]int // indices into spans by lo position
-	byHi  [][]int // indices into spans by hi position
+	// spans holds every non-self-loop edge by its position span (lo < hi),
+	// sorted by hi: the spans ending at j are spans[hiStart[j]:hiStart[j+1]].
+	spans   []edgeSpan
+	hiStart []int
 }
 
 type edgeSpan struct {
@@ -45,17 +45,14 @@ func newChain(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID) (*chain, err
 	for i, a := range order {
 		c.pos[a] = i
 	}
-	c.gcd = make([][]int64, n)
+	c.gcd = square[int64](n)
 	for i := 0; i < n; i++ {
-		c.gcd[i] = make([]int64, n)
 		g := int64(0)
 		for j := i; j < n; j++ {
 			g = num.GCD(g, q[order[j]])
 			c.gcd[i][j] = g
 		}
 	}
-	c.byLo = make([][]int, n)
-	c.byHi = make([][]int, n)
 	for _, e := range g.Edges() {
 		lo, hi := c.pos[e.Src], c.pos[e.Dst]
 		if lo == hi {
@@ -68,16 +65,44 @@ func newChain(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID) (*chain, err
 		if err != nil {
 			return nil, err
 		}
-		idx := len(c.spans)
 		c.spans = append(c.spans, edgeSpan{
 			lo: lo, hi: hi,
 			tnse:  tnse,
 			delay: e.Delay,
 		})
-		c.byLo[lo] = append(c.byLo[lo], idx)
-		c.byHi[hi] = append(c.byHi[hi], idx)
+	}
+	// Every split cost, crossing sum and DP cell is bounded by the total
+	// TNSE + delay of the spans, so checking it once lets the DPs add
+	// unchecked.
+	var total int64
+	for _, sp := range c.spans {
+		w, err := num.CheckedAdd(sp.tnse, sp.delay)
+		if err == nil {
+			total, err = num.CheckedAdd(total, w)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("looping: total buffer cost of the order overflows: %w", num.ErrOverflow)
+		}
+	}
+	slices.SortStableFunc(c.spans, func(a, b edgeSpan) int { return a.hi - b.hi })
+	c.hiStart = make([]int, n+1)
+	for _, sp := range c.spans {
+		c.hiStart[sp.hi+1]++
+	}
+	for j := 0; j < n; j++ {
+		c.hiStart[j+1] += c.hiStart[j]
 	}
 	return c, nil
+}
+
+// square returns an n×n matrix whose rows share one backing array.
+func square[T any](n int) [][]T {
+	flat := make([]T, n*n)
+	m := make([][]T, n)
+	for i := range m {
+		m[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	return m
 }
 
 // crossing returns the summed TNSE and delay of edges crossing the split
@@ -94,32 +119,57 @@ func (c *chain) crossing(i, j, k int) (tnse, delay int64, count int) {
 	return
 }
 
-// forEachSplit visits every split position k in [i, j) of the window [i..j]
-// in ascending order, passing the split cost (EQ 3 extended with delays: sum
-// over crossing edges of TNSE(e)/gcd(i..j) + del(e)) and the number of
-// crossing edges. TNSE is always divisible by the gcd because the gcd
-// divides the producer's repetition count. The sweep is incremental, so a
-// full DP over all windows costs O(n^3 + n^2 * E/n) rather than O(n^3 * E).
-func (c *chain) forEachSplit(i, j int, fn func(k int, cost int64, count int)) {
-	g := c.gcd[i][j]
-	var tnse, delay int64
-	count := 0
-	for k := i; k < j; k++ {
-		for _, idx := range c.byLo[k] {
-			if sp := c.spans[idx]; sp.hi <= j {
-				tnse += sp.tnse
-				delay += sp.delay
-				count++
-			}
+// crossings holds the split costs of the windows [i..j] that share a start
+// i. The DPs fill their tables row by row, i descending and j ascending,
+// which finds every child cell ready; growing j adds the spans ending at j
+// to the costs of the splits they cross. A row costs O(n log q + total span
+// length), so a full DP costs O(n^3 + n * sum of span lengths), with no
+// per-split scan of edges and no division in the split loop.
+type crossings struct {
+	c *chain
+	i int
+	g int64 // gcd(i..j) of the current window [i..j]
+	// cost[k] is the split cost c_ij(k) of EQ 3 extended with delays: the
+	// sum over the spans inside the window that cross the split between
+	// positions k and k+1 of TNSE(e)/g + del(e). scaled[k] is its TNSE
+	// part. Each TNSE is divisible by g because g divides the producer's
+	// repetition count, so the sums of quotients are exact.
+	cost, scaled []int64
+}
+
+func (c *chain) newCrossings() *crossings {
+	n := len(c.order)
+	return &crossings{c: c, cost: make([]int64, n), scaled: make([]int64, n)}
+}
+
+// start empties the window to [i..i].
+func (x *crossings) start(i int) {
+	x.i, x.g = i, x.c.gcd[i][i]
+	clear(x.cost[i:])
+	clear(x.scaled[i:])
+}
+
+// extend grows the window from [i..j-1] to [i..j].
+func (x *crossings) extend(j int) {
+	c := x.c
+	if g := c.gcd[x.i][j]; g != x.g {
+		// The new gcd divides the old one, so rescaling is exact.
+		f := x.g / g
+		for k := x.i; k < j; k++ {
+			x.cost[k] += x.scaled[k] * (f - 1)
+			x.scaled[k] *= f
 		}
-		for _, idx := range c.byHi[k] {
-			if sp := c.spans[idx]; sp.lo >= i {
-				tnse -= sp.tnse
-				delay -= sp.delay
-				count--
-			}
+		x.g = g
+	}
+	for _, sp := range c.spans[c.hiStart[j]:c.hiStart[j+1]] {
+		if sp.lo < x.i {
+			continue
 		}
-		fn(k, tnse/g+delay, count)
+		t := sp.tnse / x.g
+		for k := sp.lo; k < j; k++ {
+			x.cost[k] += t + sp.delay
+			x.scaled[k] += t
+		}
 	}
 }
 
@@ -171,92 +221,81 @@ type Result struct {
 	Schedule *sched.Schedule
 }
 
+// splitDP fills the interval DP table over the order and returns the
+// optimal cost of the full window and the split table: split[i][j] is the
+// first k in [i, j) minimizing the cell for window [i..j]. The cell is
+// b[i][k] + b[k+1][j] + c_ij(k) for the non-shared model (EQ 2/3) and
+// max(b[i][k], b[k+1][j]) + c_ij(k) for the shared model (EQ 5). Needs
+// n >= 2.
+func (c *chain) splitDP(shared bool) (int64, [][]int) {
+	n := len(c.order)
+	b := square[int64](n)
+	split := square[int](n)
+	x := c.newCrossings()
+	for i := n - 2; i >= 0; i-- {
+		x.start(i)
+		bi := b[i]
+		for j := i + 1; j < n; j++ {
+			x.extend(j)
+			best, bestK := int64(-1), i
+			for k := i; k < j; k++ {
+				l, r := bi[k], b[k+1][j]
+				if shared {
+					l = max(l, r)
+				} else {
+					l += r
+				}
+				if v := l + x.cost[k]; best < 0 || v < best {
+					best, bestK = v, k
+				}
+			}
+			bi[j] = best
+			split[i][j] = bestK
+		}
+	}
+	return b[0][n-1], split
+}
+
 // DPPO computes an order-optimal nested SAS under the non-shared buffer
 // model (EQ 2/3). The returned cost is the buffer memory requirement
 // bufmem(S) of the schedule for delayless graphs; with delays it is an upper
 // bound (delay tokens are charged on every crossing edge). A typed overflow
-// error (wrapping num.ErrOverflow) is returned when an edge's TNSE exceeds
-// int64.
+// error (wrapping num.ErrOverflow) is returned when an edge's TNSE, or the
+// total TNSE + delay over all edges, exceeds int64.
 func DPPO(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID) (*Result, error) {
 	c, err := newChain(g, q, order)
 	if err != nil {
 		return nil, err
 	}
-	n := len(order)
-	if n == 0 {
+	switch len(order) {
+	case 0:
 		return &Result{Schedule: &sched.Schedule{Graph: g}}, nil
-	}
-	b := make([][]int64, n)
-	split := make([][]int, n)
-	for i := range b {
-		b[i] = make([]int64, n)
-		split[i] = make([]int, n)
-	}
-	for span := 1; span < n; span++ {
-		for i := 0; i+span < n; i++ {
-			j := i + span
-			best := int64(-1)
-			bestK := i
-			c.forEachSplit(i, j, func(k int, cost int64, _ int) {
-				v := b[i][k] + b[k+1][j] + cost
-				if best < 0 || v < best {
-					best, bestK = v, k
-				}
-			})
-			b[i][j] = best
-			split[i][j] = bestK
-		}
-	}
-	if n == 1 {
+	case 1:
 		return &Result{Cost: 0, Schedule: sched.FlatSAS(g, q, order)}, nil
 	}
-	return &Result{Cost: b[0][n-1], Schedule: c.buildSchedule(split, c.alwaysFactor)}, nil
+	cost, split := c.splitDP(false)
+	return &Result{Cost: cost, Schedule: c.buildSchedule(split, c.alwaysFactor)}, nil
 }
 
 // SDPPO computes a nested SAS under the shared (coarse-grained) buffer model
 // using the heuristic DP of EQ 5: the two halves of a split are assumed to
 // overlay perfectly (max instead of sum) and the crossing buffers are charged
 // in full. Loop factors follow the Sec. 5.1 internal-edge heuristic. A typed
-// overflow error (wrapping num.ErrOverflow) is returned when an edge's TNSE
-// exceeds int64.
+// overflow error (wrapping num.ErrOverflow) is returned when an edge's TNSE,
+// or the total TNSE + delay over all edges, exceeds int64.
 func SDPPO(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID) (*Result, error) {
 	c, err := newChain(g, q, order)
 	if err != nil {
 		return nil, err
 	}
-	n := len(order)
-	if n == 0 {
+	switch len(order) {
+	case 0:
 		return &Result{Schedule: &sched.Schedule{Graph: g}}, nil
-	}
-	if n == 1 {
+	case 1:
 		return &Result{Cost: 0, Schedule: sched.FlatSAS(g, q, order)}, nil
 	}
-	b := make([][]int64, n)
-	split := make([][]int, n)
-	for i := range b {
-		b[i] = make([]int64, n)
-		split[i] = make([]int, n)
-	}
-	for span := 1; span < n; span++ {
-		for i := 0; i+span < n; i++ {
-			j := i + span
-			best := int64(-1)
-			bestK := i
-			c.forEachSplit(i, j, func(k int, cost int64, _ int) {
-				m := b[i][k]
-				if r := b[k+1][j]; r > m {
-					m = r
-				}
-				v := m + cost
-				if best < 0 || v < best {
-					best, bestK = v, k
-				}
-			})
-			b[i][j] = best
-			split[i][j] = bestK
-		}
-	}
-	return &Result{Cost: b[0][n-1], Schedule: c.buildSchedule(split, c.factorIfInternalEdges(split))}, nil
+	cost, split := c.splitDP(true)
+	return &Result{Cost: cost, Schedule: c.buildSchedule(split, c.factorIfInternalEdges(split))}, nil
 }
 
 // ErrNotChain reports that the precise DP was applied to a lexical ordering

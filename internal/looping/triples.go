@@ -111,6 +111,38 @@ func insertPareto(cell []entry, e entry) []entry {
 	return kept
 }
 
+// tripleCells fills the precise DP's table: cells[i][j] holds the Pareto
+// frontier for the window [i..j]. Needs n >= 2.
+func (c *chain) tripleCells() [][][]entry {
+	n := len(c.order)
+	cells := square[[]entry](n)
+	for i := range cells {
+		cells[i][i] = []entry{{t: Triple{0, 0, 0}}}
+	}
+	x := c.newCrossings()
+	for i := n - 2; i >= 0; i-- {
+		x.start(i)
+		for j := i + 1; j < n; j++ {
+			x.extend(j)
+			g := c.gcd[i][j]
+			var cell []entry
+			for k := i; k < j; k++ {
+				cost := x.cost[k]
+				rL := c.gcd[i][k] / g
+				rR := c.gcd[k+1][j] / g
+				for li, le := range cells[i][k] {
+					for ri, re := range cells[k+1][j] {
+						t := combineTriples(le.t, re.t, cost, rL, rR)
+						cell = insertPareto(cell, entry{t: t, k: k, left: li, rght: ri})
+					}
+				}
+			}
+			cells[i][j] = cell
+		}
+	}
+	return cells
+}
+
 // ChainSDPPO runs the precise shared-model DP for chain-structured graphs
 // (Sec. 6), carrying Pareto-incomparable cost triples. It returns ErrNotChain
 // if some edge connects non-adjacent positions of the order.
@@ -129,29 +161,7 @@ func ChainSDPPO(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID) (*Result, 
 	if n == 1 {
 		return &Result{Cost: 0, Schedule: sched.FlatSAS(g, q, order)}, nil
 	}
-	// cells[i][j] holds the Pareto frontier for the window [i..j].
-	cells := make([][][]entry, n)
-	for i := range cells {
-		cells[i] = make([][]entry, n)
-		cells[i][i] = []entry{{t: Triple{0, 0, 0}}}
-	}
-	for span := 1; span < n; span++ {
-		for i := 0; i+span < n; i++ {
-			j := i + span
-			var cell []entry
-			c.forEachSplit(i, j, func(k int, cost int64, _ int) {
-				rL := c.gcd[i][k] / c.gcd[i][j]
-				rR := c.gcd[k+1][j] / c.gcd[i][j]
-				for li, le := range cells[i][k] {
-					for ri, re := range cells[k+1][j] {
-						t := combineTriples(le.t, re.t, cost, rL, rR)
-						cell = insertPareto(cell, entry{t: t, k: k, left: li, rght: ri})
-					}
-				}
-			})
-			cells[i][j] = cell
-		}
-	}
+	cells := c.tripleCells()
 	// Choose the minimum total cost in the full window.
 	full := cells[0][n-1]
 	bestIdx := 0
@@ -161,10 +171,7 @@ func ChainSDPPO(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID) (*Result, 
 		}
 	}
 	// Reconstruct the split table implied by the chosen entry chain.
-	split := make([][]int, n)
-	for i := range split {
-		split[i] = make([]int, n)
-	}
+	split := square[int](n)
 	var mark func(i, j, idx int)
 	mark = func(i, j, idx int) {
 		if i == j {

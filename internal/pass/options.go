@@ -70,10 +70,11 @@ func (l LoopAlg) String() string {
 	}
 }
 
-// Options configures a compilation (one grid point). The zero value is the
-// paper's recommended configuration: RPMC ordering, SDPPO looping,
-// first-fit-by-duration and first-fit-by-start allocation with the better
-// result selected.
+// Options configures a compilation (one grid point). The zero value orders
+// by APGAN (the zero OrderStrategy), loops by SDPPO and tries
+// first-fit-by-duration and first-fit-by-start allocation, keeping the
+// better result. The paper's recommended RPMC ordering must be asked for
+// with Strategy: RPMC; the service's wire options default to it.
 type Options struct {
 	Strategy OrderStrategy
 	Order    []sdf.ActorID // used only with CustomOrder

@@ -21,189 +21,194 @@ import (
 // was cyclic, which cannot happen for consistent acyclic inputs.
 var ErrCyclic = errors.New("rpmc: cyclic precedence subgraph")
 
-// Order returns the RPMC lexical ordering of the graph's actors.
+// Order returns the RPMC lexical ordering of the graph's actors. A typed
+// overflow error (wrapping num.ErrOverflow) is returned when an edge's TNSE,
+// or the summed TNSE + delay of all edges that can cross a cut, exceeds
+// int64.
 func Order(g *sdf.Graph, q sdf.Repetitions) ([]sdf.ActorID, error) {
-	all := make([]sdf.ActorID, g.NumActors())
-	for i := range all {
-		all[i] = sdf.ActorID(i)
-	}
 	p, err := newPartitioner(g, q)
 	if err != nil {
 		return nil, err
 	}
-	return p.recurse(all)
+	all := make([]sdf.ActorID, g.NumActors())
+	for i := range all {
+		all[i] = sdf.ActorID(i)
+	}
+	if err := p.recurse(all); err != nil {
+		return nil, err
+	}
+	return all, nil
+}
+
+// incEdge is a non-self-loop edge seen from one of its endpoints.
+type incEdge struct {
+	other sdf.ActorID // the far endpoint
+	w     int64       // TNSE + delay: the cost of the edge crossing a cut
+	tnse  int64       // token traffic, for the affinity order
+	prec  bool        // a precedence edge may only cross left to right
+	out   bool        // the near endpoint is the source
+}
+
+// partitioner holds the per-graph edge data and the actor-indexed scratch
+// the cut search reuses at every level of the recursion. Each level is done
+// with the scratch before the next one starts, so one copy suffices.
+type partitioner struct {
+	// inc[a] lists a's incident edges in edge-ID order, self-loops excluded
+	// (no cut separates them); an edge between a and b is in both lists.
+	inc [][]incEdge
+	// An actor belongs to the set being cut iff mark[a] == stamp.
+	mark  []int
+	stamp int
+	// side[a] is true if a is left of the cut.
+	side    []bool
+	indeg   []int
+	traffic []int64
+	// Candidate topological orders and the Kahn ready list, capacity |V|.
+	order, affinity, ready []sdf.ActorID
 }
 
 func newPartitioner(g *sdf.Graph, q sdf.Repetitions) (*partitioner, error) {
-	p := &partitioner{g: g, q: q, tnse: make([]int64, g.NumEdges())}
+	tnse := make([]int64, g.NumEdges())
 	for _, e := range g.Edges() {
 		t, err := sdf.TNSE(g, q, e.ID)
 		if err != nil {
 			return nil, err
 		}
-		p.tnse[e.ID] = t
+		tnse[e.ID] = t
+	}
+	// Every cut cost, partial sum and affinity traffic is bounded by the
+	// total weight, so checking it once lets the cut search add unchecked.
+	n := g.NumActors()
+	deg := make([]int, n)
+	var total int64
+	for _, e := range g.Edges() {
+		if e.Src == e.Dst {
+			continue
+		}
+		w, err := num.CheckedAdd(tnse[e.ID], e.Delay)
+		if err == nil {
+			total, err = num.CheckedAdd(total, w)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rpmc: total cut weight overflows at edge %d: %w", e.ID, num.ErrOverflow)
+		}
+		deg[e.Src]++
+		deg[e.Dst]++
+	}
+	p := &partitioner{
+		inc:      make([][]incEdge, n),
+		mark:     make([]int, n),
+		side:     make([]bool, n),
+		indeg:    make([]int, n),
+		traffic:  make([]int64, n),
+		order:    make([]sdf.ActorID, 0, n),
+		affinity: make([]sdf.ActorID, 0, n),
+		ready:    make([]sdf.ActorID, 0, n),
+	}
+	flat := make([]incEdge, 2*len(g.Edges()))
+	off := 0
+	for a, d := range deg {
+		p.inc[a] = flat[off : off : off+d]
+		off += d
+	}
+	for _, e := range g.Edges() {
+		if e.Src == e.Dst {
+			continue
+		}
+		w := tnse[e.ID] + e.Delay
+		prec := sdf.PrecedenceEdge(g, q, e.ID)
+		p.inc[e.Src] = append(p.inc[e.Src], incEdge{other: e.Dst, w: w, tnse: tnse[e.ID], prec: prec, out: true})
+		p.inc[e.Dst] = append(p.inc[e.Dst], incEdge{other: e.Src, w: w, tnse: tnse[e.ID], prec: prec})
 	}
 	return p, nil
 }
 
-type partitioner struct {
-	g *sdf.Graph
-	q sdf.Repetitions
-	// tnse[e] caches TNSE(e) so the cut search never recomputes (or re-checks)
-	// the product.
-	tnse []int64
-}
-
-func (p *partitioner) recurse(actors []sdf.ActorID) ([]sdf.ActorID, error) {
+// recurse orders actors in place: the left part of the cut, ordered
+// recursively, followed by the right part.
+func (p *partitioner) recurse(actors []sdf.ActorID) error {
 	if len(actors) <= 1 {
-		return actors, nil
+		return nil
 	}
 	left, right, err := p.minLegalCut(actors)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	lo, err := p.recurse(left)
-	if err != nil {
-		return nil, err
+	if err := p.recurse(left); err != nil {
+		return err
 	}
-	ro, err := p.recurse(right)
-	if err != nil {
-		return nil, err
-	}
-	return append(lo, ro...), nil
+	return p.recurse(right)
 }
 
+func (p *partitioner) in(a sdf.ActorID) bool { return p.mark[a] == p.stamp }
+
 // minLegalCut splits actors into (left, right) such that every precedence
-// edge between the parts runs left to right, minimizing the total TNSE of
-// crossing edges. Balance bounds |V|/3 <= |left| <= 2|V|/3 are enforced when
-// satisfiable and relaxed otherwise.
+// edge between the parts runs left to right, minimizing the total TNSE +
+// delay of crossing edges, subject to balance bounds |V|/3 <= |left| <=
+// 2|V|/3 (clamped to [1, |V|-1]). It permutes actors in place into left
+// followed by right, each part in plain topological order, and returns the
+// two parts.
 func (p *partitioner) minLegalCut(actors []sdf.ActorID) (left, right []sdf.ActorID, err error) {
 	n := len(actors)
-	inSet := make(map[sdf.ActorID]bool, n)
+	p.stamp++
 	for _, a := range actors {
-		inSet[a] = true
+		p.mark[a] = p.stamp
 	}
 	// Candidate topological orders over precedence edges within the set:
 	// plain Kahn, and an affinity order that keeps heavily-communicating
 	// actors adjacent so prefix cuts cross cheap edges.
-	order, err := p.localTopo(actors, inSet, false)
+	order, err := p.localTopo(actors, p.order[:0], false)
 	if err != nil {
 		return nil, nil, err
 	}
-	affinity, err := p.localTopo(actors, inSet, true)
+	affinity, err := p.localTopo(actors, p.affinity[:0], true)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Edge weights for crossing cost: TNSE + delay of edges internal to the
-	// set (either direction crossing the cut is charged; precedence edges
-	// must run forward for legality).
-	type localEdge struct {
-		src, dst sdf.ActorID
-		w        int64
-		prec     bool
-	}
-	var edges []localEdge
-	for _, e := range p.g.Edges() {
-		if !inSet[e.Src] || !inSet[e.Dst] || e.Src == e.Dst {
-			continue
-		}
-		w, werr := num.CheckedAdd(p.tnse[e.ID], e.Delay)
-		if werr != nil {
-			return nil, nil, fmt.Errorf("rpmc: cut weight of edge %d overflows: %w", e.ID, num.ErrOverflow)
-		}
-		edges = append(edges, localEdge{
-			src: e.Src, dst: e.Dst,
-			w:    w,
-			prec: sdf.PrecedenceEdge(p.g, p.q, e.ID),
-		})
-	}
-	lowBound, highBound := n/3, (2*n+2)/3
-	if lowBound < 1 {
-		lowBound = 1
-	}
-	if highBound >= n {
-		highBound = n - 1
-	}
-	if lowBound > highBound {
-		lowBound, highBound = 1, n-1
-	}
+	lowBound, highBound := max(n/3, 1), min((2*n+2)/3, n-1)
 
-	// side[a]: true if on the left.
-	side := make(map[sdf.ActorID]bool, n)
-	cost := func() int64 {
+	// Prefix sweep: moving cand[cut-1] to the left changes the cost only
+	// through that actor's edges. The first minimal cut wins.
+	cands := [2][]sdf.ActorID{order, affinity}
+	bestCost, bestCand, bestCut := int64(-1), 0, 0
+	for ci, cand := range cands {
+		for _, a := range cand {
+			p.side[a] = false
+		}
 		var c int64
-		for _, e := range edges {
-			if side[e.src] != side[e.dst] {
-				c += e.w
+		for cut := 1; cut <= highBound; cut++ {
+			a := cand[cut-1]
+			d, _ := p.flip(a)
+			c += d
+			p.side[a] = true
+			if cut >= lowBound && (bestCost < 0 || c < bestCost) {
+				bestCost, bestCand, bestCut = c, ci, cut
 			}
 		}
-		return c
 	}
-	legal := func() bool {
-		for _, e := range edges {
-			if e.prec && !side[e.src] && side[e.dst] {
-				return false
-			}
-		}
-		return true
+	for i, a := range cands[bestCand] {
+		p.side[a] = i < bestCut
 	}
 
-	bestCost := int64(-1)
-	var bestLeftSize int
-	var bestSide map[sdf.ActorID]bool
-	// Candidate prefixes of each topological order.
-	for _, cand := range [][]sdf.ActorID{order, affinity} {
-		for cut := 1; cut < n; cut++ {
-			for i, a := range cand {
-				side[a] = i < cut
-			}
-			if cut < lowBound || cut > highBound {
-				continue
-			}
-			if c := cost(); bestCost < 0 || c < bestCost {
-				bestCost, bestLeftSize = c, cut
-				bestSide = copySide(side)
-			}
-		}
-	}
-	if bestSide == nil {
-		// Bounds filtered everything (tiny sets): fall back to the most
-		// balanced prefix.
-		cut := n / 2
-		if cut == 0 {
-			cut = 1
-		}
-		for i, a := range order {
-			side[a] = i < cut
-		}
-		bestCost, bestLeftSize = cost(), cut
-		bestSide = copySide(side)
-	}
-
-	// Greedy refinement: move single actors across the cut while legality,
-	// balance and cost all improve or hold.
-	side = bestSide
-	leftSize := bestLeftSize
+	// Greedy refinement: move single actors across the cut while legality
+	// and balance hold and the cost falls. The starting prefix cut is legal
+	// and every accepted move keeps it so, hence a move can break legality
+	// only through the moved actor's own edges.
+	leftSize := bestCut
 	for pass := 0; pass < n; pass++ {
 		improved := false
 		for _, a := range order {
-			side[a] = !side[a]
-			newLeft := leftSize
-			if side[a] {
-				newLeft++
-			} else {
-				newLeft--
+			newLeft := leftSize + 1
+			if p.side[a] {
+				newLeft = leftSize - 1
 			}
-			if newLeft < lowBound || newLeft > highBound || !legal() {
-				side[a] = !side[a]
+			if newLeft < lowBound || newLeft > highBound {
 				continue
 			}
-			if c := cost(); c < bestCost {
-				bestCost = c
+			if d, legal := p.flip(a); legal && d < 0 {
+				p.side[a] = !p.side[a]
+				bestCost += d
 				leftSize = newLeft
 				improved = true
-			} else {
-				side[a] = !side[a]
 			}
 		}
 		if !improved {
@@ -211,73 +216,72 @@ func (p *partitioner) minLegalCut(actors []sdf.ActorID) (left, right []sdf.Actor
 		}
 	}
 
-	for _, a := range order {
-		if side[a] {
-			left = append(left, a)
+	k := 0
+	for _, onLeft := range [2]bool{true, false} {
+		for _, a := range order {
+			if p.side[a] == onLeft {
+				actors[k] = a
+				k++
+			}
+		}
+	}
+	return actors[:leftSize:leftSize], actors[leftSize:], nil
+}
+
+// flip reports the change in cut cost if actor a switched sides, and
+// whether the cut would stay legal, given that it is legal now.
+func (p *partitioner) flip(a sdf.ActorID) (delta int64, legal bool) {
+	s := p.side[a]
+	legal = true
+	for _, e := range p.inc[a] {
+		if !p.in(e.other) {
+			continue
+		}
+		o := p.side[e.other]
+		if o != s {
+			delta -= e.w
 		} else {
-			right = append(right, a)
+			delta += e.w
+		}
+		// A precedence edge whose ends share a side ends up running right
+		// to left when a is its source leaving the left or its sink
+		// leaving the right.
+		if e.prec && o == s && s == e.out {
+			legal = false
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		// Cannot happen with the bounds above, but guard anyway.
-		mid := n / 2
-		return order[:mid], order[mid:], nil
-	}
-	return left, right, nil
+	return delta, legal
 }
 
-func copySide(m map[sdf.ActorID]bool) map[sdf.ActorID]bool {
-	c := make(map[sdf.ActorID]bool, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// localTopo topologically sorts the actors of the set over precedence edges
-// internal to the set. With affinity false ties break by smallest ID; with
-// affinity true the ready actor with the largest token traffic to already
-// placed actors is chosen, keeping heavy edges away from prefix cuts.
-func (p *partitioner) localTopo(actors []sdf.ActorID, inSet map[sdf.ActorID]bool, affinity bool) ([]sdf.ActorID, error) {
-	indeg := make(map[sdf.ActorID]int, len(actors))
+// localTopo appends to order a topological sort of the actors of the set
+// over precedence edges internal to the set. With affinity false ties break
+// by smallest ID; with affinity true the ready actor with the largest token
+// traffic to already placed actors is chosen, keeping heavy edges away from
+// prefix cuts.
+func (p *partitioner) localTopo(actors, order []sdf.ActorID, affinity bool) ([]sdf.ActorID, error) {
 	for _, a := range actors {
-		indeg[a] = 0
+		p.indeg[a] = 0
+		p.traffic[a] = 0
 	}
-	for _, e := range p.g.Edges() {
-		if inSet[e.Src] && inSet[e.Dst] && e.Src != e.Dst && sdf.PrecedenceEdge(p.g, p.q, e.ID) {
-			indeg[e.Dst]++
-		}
-	}
-	placed := make(map[sdf.ActorID]bool, len(actors))
-	traffic := func(a sdf.ActorID) int64 {
-		var t int64
-		for _, eid := range p.g.In(a) {
-			e := p.g.Edge(eid)
-			if placed[e.Src] {
-				t += p.tnse[eid]
+	for _, a := range actors {
+		for _, e := range p.inc[a] {
+			if e.out && e.prec && p.in(e.other) {
+				p.indeg[e.other]++
 			}
 		}
-		for _, eid := range p.g.Out(a) {
-			e := p.g.Edge(eid)
-			if placed[e.Dst] {
-				t += p.tnse[eid]
-			}
-		}
-		return t
 	}
-	var ready []sdf.ActorID
+	ready := p.ready[:0]
 	for _, a := range actors {
-		if indeg[a] == 0 {
+		if p.indeg[a] == 0 {
 			ready = append(ready, a)
 		}
 	}
-	var order []sdf.ActorID
 	for len(ready) > 0 {
 		mi := 0
 		if affinity {
-			bt := traffic(ready[0])
+			bt := p.traffic[ready[0]]
 			for i := 1; i < len(ready); i++ {
-				if t := traffic(ready[i]); t > bt || (t == bt && ready[i] < ready[mi]) {
+				if t := p.traffic[ready[i]]; t > bt || (t == bt && ready[i] < ready[mi]) {
 					mi, bt = i, t
 				}
 			}
@@ -289,16 +293,18 @@ func (p *partitioner) localTopo(actors []sdf.ActorID, inSet map[sdf.ActorID]bool
 			}
 		}
 		a := ready[mi]
-		placed[a] = true
 		ready[mi] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		order = append(order, a)
-		for _, eid := range p.g.Out(a) {
-			e := p.g.Edge(eid)
-			if inSet[e.Dst] && e.Dst != a && sdf.PrecedenceEdge(p.g, p.q, eid) {
-				indeg[e.Dst]--
-				if indeg[e.Dst] == 0 {
-					ready = append(ready, e.Dst)
+		for _, e := range p.inc[a] {
+			if !p.in(e.other) {
+				continue
+			}
+			p.traffic[e.other] += e.tnse
+			if e.out && e.prec {
+				p.indeg[e.other]--
+				if p.indeg[e.other] == 0 {
+					ready = append(ready, e.other)
 				}
 			}
 		}
