@@ -121,10 +121,12 @@ tier1: lint build test race
 # bench is the benchmark's smoke test (~6 s): every bench/ workload in
 # process at smoke size, untraced and traced, with its correctness gates and
 # its metric names and units checked against BENCHMARK.json. bench/ is a
-# module of its own, so the root go test ./... does not run it. A real
-# measurement is bash bench/run.sh (see bench/README.md).
+# module of its own, so the root go test ./... does not run it. Then one
+# short real pass of bench/run.sh, so its build and the benchmark's
+# correctness gates run as a measurement would (see bench/README.md).
 bench:
 	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload compile-cold --seconds 2 --trace 0
 
 # bench-json writes the BENCH_<date>.json performance trajectory file.
 bench-json:
@@ -136,3 +138,4 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sdfio
 	$(GO) test -run='^$$' -fuzz=FuzzPipeline -fuzztime=$(FUZZTIME) ./internal/check
+	$(GO) test -run='^$$' -fuzz=FuzzIntersects -fuzztime=$(FUZZTIME) ./internal/lifetime

@@ -50,10 +50,11 @@ type Placement struct {
 type Allocation struct {
 	Placements []Placement
 	Total      int64
-	// wig is the intersection graph of the enumerated instance, indexed like
-	// Placements; Verify walks its adjacency instead of re-deriving the
-	// pairwise intersection tests.
+	// wig is the intersection graph the allocation was packed over and
+	// ids[k] is the node of Placements[k]; Verify walks its adjacency instead
+	// of re-deriving the pairwise intersection tests.
 	wig *lifetime.WIG
+	ids []int32
 }
 
 // OffsetOf returns the assigned offset of the given interval.
@@ -72,54 +73,53 @@ type memRange struct{ lo, hi int64 }
 // Allocate packs the intervals into shared memory with the given strategy.
 // The input slice is not modified.
 func Allocate(intervals []*lifetime.Interval, strat Strategy) *Allocation {
-	order := Enumerate(intervals, strat)
-	return AllocateEnumerated(order, lifetime.BuildWIG(order), strat)
+	return AllocateWIG(lifetime.BuildWIG(intervals), strat)
 }
 
-// Enumerate returns a copy of intervals in strat's enumeration order
-// (decreasing duration for ffdur/bfdur, increasing start time for ffstart).
-func Enumerate(intervals []*lifetime.Interval, strat Strategy) []*lifetime.Interval {
-	order := append([]*lifetime.Interval(nil), intervals...)
+// enumerate returns the indices of intervals in strat's enumeration order
+// (decreasing duration for ffdur/bfdur, increasing start time for ffstart);
+// ties keep index order.
+func enumerate(intervals []*lifetime.Interval, strat Strategy) []int32 {
 	switch strat {
 	case FirstFitStart:
-		lifetime.SortByStart(order)
+		return lifetime.ByStart(intervals)
 	case FirstFitDuration, BestFitDuration:
-		lifetime.SortByDuration(order)
+		return lifetime.ByDuration(intervals)
 	}
-	return order
+	ids := make([]int32, len(intervals))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
 }
 
-// AllocateEnumerated packs an already-enumerated instance over its
-// intersection graph. Both order and w are only read, so callers compiling a
-// grid may share one (order, WIG) pair across every strategy with the same
-// enumeration — ffdur and bfdur both enumerate by decreasing duration.
-func AllocateEnumerated(order []*lifetime.Interval, w *lifetime.WIG, strat Strategy) *Allocation {
-	offsets := make([]int64, len(order))
-	placed := make([]bool, len(order))
+// AllocateWIG packs the intervals of w in strat's enumeration order. The
+// graph is only read, so callers compiling a grid may share one WIG across
+// every strategy: intersection does not depend on the enumeration.
+// Placements are in enumeration order.
+func AllocateWIG(w *lifetime.WIG, strat Strategy) *Allocation {
+	ivs := w.Intervals
+	ids := enumerate(ivs, strat)
+	// Offsets are indexed by node, like the graph. byAddr lists the placed
+	// nodes by ascending offset, and mark[j] == k+1 flags j as a neighbour
+	// of the k-th placed interval, so one scan of byAddr yields the address
+	// ranges first fit must avoid, already sorted.
+	offsets := make([]int64, len(ivs))
+	byAddr := make([]int32, 0, len(ivs))
+	mark := make([]int32, len(ivs))
+	busy := make([]memRange, 0, len(ivs))
 	var total int64
-	// One scratch list reused across intervals; each placed neighbor is
-	// inserted at its sorted position, so no per-interval allocation or
-	// comparison-sort pass is needed.
-	busy := make([]memRange, 0, len(order))
-	for i, iv := range order {
+	for k, i := range ids {
+		iv := ivs[i]
+		stamp := int32(k + 1)
+		for _, j := range w.Neighbors(int(i)) {
+			mark[j] = stamp
+		}
 		busy = busy[:0]
-		for _, j := range w.Adj[i] {
-			if !placed[j] {
-				continue
+		for _, j := range byAddr {
+			if mark[j] == stamp {
+				busy = append(busy, memRange{offsets[j], offsets[j] + ivs[j].Size})
 			}
-			r := memRange{offsets[j], offsets[j] + order[j].Size}
-			lo, hi := 0, len(busy)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if busy[mid].lo <= r.lo {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			busy = append(busy, memRange{})
-			copy(busy[lo+1:], busy[lo:])
-			busy[lo] = r
 		}
 		var off int64
 		if strat == BestFitDuration {
@@ -128,14 +128,26 @@ func AllocateEnumerated(order []*lifetime.Interval, w *lifetime.WIG, strat Strat
 			off = firstFit(busy, iv.Size)
 		}
 		offsets[i] = off
-		placed[i] = true
 		if off+iv.Size > total {
 			total = off + iv.Size
 		}
+		// Insert i after every placed node at an offset <= off.
+		lo, hi := 0, len(byAddr)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if offsets[byAddr[mid]] <= off {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		byAddr = append(byAddr, 0)
+		copy(byAddr[lo+1:], byAddr[lo:])
+		byAddr[lo] = i
 	}
-	res := &Allocation{Total: total, Placements: make([]Placement, len(order)), wig: w}
-	for i, iv := range order {
-		res.Placements[i] = Placement{Interval: iv, Offset: offsets[i]}
+	res := &Allocation{Total: total, Placements: make([]Placement, len(ids)), wig: w, ids: ids}
+	for k, i := range ids {
+		res.Placements[k] = Placement{Interval: ivs[i], Offset: offsets[i]}
 	}
 	return res
 }
@@ -189,17 +201,20 @@ func bestFit(busy []memRange, size int64) int64 {
 
 // Verify checks that no two time-intersecting intervals overlap in memory.
 // It returns nil for a feasible allocation. When the allocation carries its
-// intersection graph the intersecting pairs are read off the adjacency lists
-// (same pairs, same scan order); re-deriving them is the fallback for
-// allocations assembled without one.
+// intersection graph the intersecting pairs are read off the adjacency lists;
+// re-deriving them is the fallback for allocations assembled without one.
 func (a *Allocation) Verify() error {
-	if a.wig != nil && len(a.wig.Intervals) == len(a.Placements) {
-		for i := range a.Placements {
-			for _, j := range a.wig.Adj[i] {
-				if j <= i {
+	if a.wig != nil && len(a.ids) == len(a.Placements) {
+		at := make([]int32, len(a.ids)) // placement index of each node
+		for k, i := range a.ids {
+			at[i] = int32(k)
+		}
+		for i := range at {
+			for _, j := range a.wig.Neighbors(i) {
+				if int(j) <= i {
 					continue
 				}
-				if err := a.checkPair(i, j); err != nil {
+				if err := a.checkPair(int(at[i]), int(at[j])); err != nil {
 					return err
 				}
 			}

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,7 +106,7 @@ func TestAllocationNeverBelowMCW(t *testing.T) {
 			ivs = append(ivs, solid(string(rune('a'+i)), 1+int64(rng.Intn(9)),
 				int64(rng.Intn(20)), 1+int64(rng.Intn(10))))
 		}
-		mcw := lifetime.MCWOptimistic(ivs)
+		mcw, _ := lifetime.CliqueWeights(ivs)
 		for _, strat := range []Strategy{FirstFitDuration, FirstFitStart, BestFitDuration} {
 			res := Allocate(ivs, strat)
 			if err := res.Verify(); err != nil {
@@ -163,5 +164,45 @@ func TestOffsetOf(t *testing.T) {
 	}
 	if _, ok := res.OffsetOf(solid("x", 1, 0, 1)); ok {
 		t.Error("OffsetOf found an interval that was never allocated")
+	}
+}
+
+// TestAllocateMatchesScanQuick: on random periodic instances the shared-WIG
+// allocator places every interval where the per-enumeration oracle does.
+func TestAllocateMatchesScanQuick(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		var ivs []*lifetime.Interval
+		for len(ivs) < 1+trial%40 {
+			iv := solid("r", 1+rng.Int63n(9), rng.Int63n(30), 1+rng.Int63n(6))
+			if rng.Intn(2) == 0 {
+				iv.Periods = []lifetime.Period{{A: iv.Dur + rng.Int63n(4), Count: 2 + rng.Int63n(3)}}
+			}
+			ivs = append(ivs, iv)
+		}
+		for _, strat := range []Strategy{FirstFitDuration, FirstFitStart, BestFitDuration} {
+			got, want := Allocate(ivs, strat), allocateScan(ivs, strat)
+			if got.Total != want.Total || !slices.Equal(got.Placements, want.Placements) {
+				t.Fatalf("trial %d %v: total %d, oracle %d; placements differ", trial, strat, got.Total, want.Total)
+			}
+		}
+	}
+}
+
+// TestVerifyCatchesOverlap: Verify reads the shared WIG through the
+// enumeration and reports a moved placement that collides in memory.
+func TestVerifyCatchesOverlap(t *testing.T) {
+	a, b, c := solid("a", 4, 0, 10), solid("b", 4, 5, 10), solid("c", 4, 20, 5)
+	for _, strat := range []Strategy{FirstFitDuration, FirstFitStart} {
+		res := Allocate([]*lifetime.Interval{a, b, c}, strat)
+		if err := res.Verify(); err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		for k := range res.Placements {
+			res.Placements[k].Offset = 0
+		}
+		if err := res.Verify(); err == nil {
+			t.Errorf("%v: Verify accepted a and b at one address", strat)
+		}
 	}
 }

@@ -2,12 +2,13 @@ package lifetime
 
 import "testing"
 
-// TestIntersectsConservativeCap: when both intervals have more occurrences
-// than the enumeration cap, Intersects must fall back to a conservative true
-// on envelope overlap (never a false negative).
-func TestIntersectsConservativeCap(t *testing.T) {
-	big := func(start int64) *Interval {
-		iv := &Interval{Name: "big", Size: 1, Start: start, Dur: 1}
+// TestIntersectsBeyondCap: intervals with more occurrences than the
+// enumeration oracle's cap (2^17 each) are decided exactly. The giants at
+// starts 0 and 1 live on even and odd steps respectively, so they never
+// meet although their envelopes overlap almost entirely.
+func TestIntersectsBeyondCap(t *testing.T) {
+	big := func(start, dur int64) *Interval {
+		iv := &Interval{Name: "big", Size: 1, Start: start, Dur: dur}
 		// 2^17 occurrences via 17 binary period levels.
 		a := int64(1)
 		for i := 0; i < 17; i++ {
@@ -19,16 +20,28 @@ func TestIntersectsConservativeCap(t *testing.T) {
 		}
 		return iv
 	}
-	x, y := big(0), big(1)
-	if x.Occurrences() <= maxEnumeration {
-		t.Fatalf("test interval too small: %d occurrences", x.Occurrences())
+	even, odd := big(0, 1), big(1, 1)
+	if even.Occurrences() <= maxEnumeration {
+		t.Fatalf("test interval too small: %d occurrences", even.Occurrences())
 	}
-	if !Intersects(x, y) {
-		t.Error("conservative path returned false for overlapping envelopes")
+	if _, ok := enumIntersects(even, odd); ok {
+		t.Fatal("oracle decided a pair beyond its cap")
 	}
-	// Disjoint envelopes stay exact even beyond the cap.
-	z := big(10_000_000)
-	if Intersects(x, z) {
+	if Intersects(even, odd) || Intersects(odd, even) {
+		t.Error("even- and odd-step giants reported intersecting")
+	}
+	// Two steps long, the odd giant covers the next even step: they meet at
+	// time 2 (and every even step after it).
+	wide := big(1, 2)
+	if !even.LiveAt(2) || !wide.LiveAt(2) {
+		t.Fatal("witness step 2 not live in both")
+	}
+	if !Intersects(even, wide) || !Intersects(wide, even) {
+		t.Error("overlapping giants reported disjoint")
+	}
+	// Disjoint envelopes stay disjoint.
+	far := big(10_000_000, 1)
+	if Intersects(even, far) {
 		t.Error("envelope-disjoint giants reported intersecting")
 	}
 }
@@ -89,10 +102,10 @@ func TestOverlapsWindowBoundaries(t *testing.T) {
 // TestMCWSingleInterval trivial bounds.
 func TestMCWSingleInterval(t *testing.T) {
 	iv := &Interval{Name: "s", Size: 7, Start: 3, Dur: 4}
-	if MCWOptimistic([]*Interval{iv}) != 7 || MCWPessimistic([]*Interval{iv}) != 7 {
+	if o, p := CliqueWeights([]*Interval{iv}); o != 7 || p != 7 {
 		t.Error("single-interval clique weight should be its size")
 	}
-	if MCWOptimistic(nil) != 0 || MCWPessimistic(nil) != 0 {
+	if o, p := CliqueWeights(nil); o != 0 || p != 0 {
 		t.Error("empty instance should have zero clique weight")
 	}
 }

@@ -1,13 +1,14 @@
 // Package lifetime implements periodic buffer-lifetime intervals and the
 // analyses the paper builds on them: the mixed-radix liveness test (Fig. 18),
-// next-occurrence stepping, pairwise intersection of periodic intervals, the
-// weighted intersection graph (Fig. 19), and the optimistic and pessimistic
+// exact structural intersection of periodic intervals, the weighted
+// intersection graph (Fig. 19), and the optimistic and pessimistic
 // maximum-clique-weight estimates of Sec. 9.1.
 package lifetime
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Period is one periodicity component of a buffer lifetime: the enclosing
@@ -105,138 +106,91 @@ func (iv *Interval) LiveAt(T int64) bool {
 	return t < iv.Dur
 }
 
-// prevStart returns the start time of the occurrence with the largest start
-// <= T, and false if T precedes the first occurrence.
-func (iv *Interval) prevStart(T int64) (int64, bool) {
-	t := T - iv.Start
-	if t < 0 {
-		return 0, false
-	}
-	s := iv.Start
-	for i := len(iv.Periods) - 1; i >= 0; i-- {
-		p := iv.Periods[i]
-		k := t / p.A
-		if k > p.Count-1 {
-			k = p.Count - 1
-		}
-		t -= k * p.A
-		s += k * p.A
-	}
-	return s, true
-}
-
-// NextStart returns the start time of the first occurrence with start > T,
-// and false if none exists. It implements the mixed-radix increment of
-// Sec. 8.4.
-func (iv *Interval) NextStart(T int64) (int64, bool) {
-	if T < iv.Start {
-		return iv.Start, true
-	}
-	// Decompose to digits k_i (outermost last), then increment.
-	t := T - iv.Start
-	n := len(iv.Periods)
-	k := make([]int64, n)
-	for i := n - 1; i >= 0; i-- {
-		p := iv.Periods[i]
-		k[i] = t / p.A
-		if k[i] > p.Count-1 {
-			k[i] = p.Count - 1
-		}
-		t -= k[i] * p.A
-	}
-	// Increment the mixed-radix number (index 0 is least significant).
-	for i := 0; i < n; i++ {
-		if k[i] < iv.Periods[i].Count-1 {
-			k[i]++
-			for j := 0; j < i; j++ {
-				k[j] = 0
-			}
-			s := iv.Start
-			for x, p := range iv.Periods {
-				s += k[x] * p.A
-			}
-			if s > T {
-				return s, true
-			}
-			// s <= T can happen when the decomposition clamped digits; retry
-			// from the incremented position.
-			return iv.NextStart(s)
-		}
-	}
-	return 0, false
-}
-
-// overlapsWindow reports whether any occurrence of iv intersects the
-// half-open window [s, s+d).
-func (iv *Interval) overlapsWindow(s, d int64) bool {
-	if s+d <= iv.Start || s >= iv.End() {
-		return false
-	}
-	if prev, ok := iv.prevStart(s); ok && prev+iv.Dur > s {
-		return true
-	}
-	next, ok := iv.NextStart(s)
-	return ok && next < s+d
-}
-
-// maxEnumeration caps how many occurrences Intersects will enumerate before
-// falling back to a conservative (envelope-based) answer.
-const maxEnumeration = 1 << 16
-
 // Intersects reports whether two periodic intervals are ever live at the
-// same instant. It enumerates occurrences of the interval with fewer
-// occurrences and window-tests each against the other; if both intervals
-// have more than maxEnumeration occurrences it conservatively returns true
-// whenever the envelopes overlap.
+// same instant. It decides the question on the periodicity triples, without
+// enumerating occurrences; see intersects.
 func Intersects(a, b *Interval) bool {
-	if a.Start >= b.End() || b.Start >= a.End() {
-		return false
-	}
-	if len(a.Periods) == 0 && len(b.Periods) == 0 {
-		return true // envelopes overlap and both are solid
-	}
-	if a.Occurrences() > b.Occurrences() {
-		a, b = b, a
-	}
-	if a.Occurrences() > maxEnumeration {
-		return true // conservative
-	}
-	hit := false
-	a.forEachOccurrence(func(s int64) bool {
-		if b.overlapsWindow(s, a.Dur) {
-			hit = true
-			return false
-		}
-		return true
-	})
-	return hit
+	return intersects(a.Start, a.End()-a.Start, a.Periods, b.Start, b.End()-b.Start, b.Periods)
 }
 
-// forEachOccurrence calls fn with each occurrence start in increasing order;
-// fn returning false stops the walk.
-func (iv *Interval) forEachOccurrence(fn func(start int64) bool) {
-	n := len(iv.Periods)
-	k := make([]int64, n)
-	for {
-		s := iv.Start
-		for i, p := range iv.Periods {
-			s += k[i] * p.A
-		}
-		if !fn(s) {
-			return
-		}
-		i := 0
-		for ; i < n; i++ {
-			k[i]++
-			if k[i] < iv.Periods[i].Count {
-				break
+// intersects is the structural test behind Intersects. Each operand is an
+// occurrence set given by its first start s, its envelope length e (first
+// start to end of the last occurrence) and its periods, outermost last. The
+// recursion strips outermost periods:
+//
+//   - disjoint envelopes never intersect, and two solid intervals (no
+//     periods left) with overlapping envelopes always do;
+//   - when both outermost periods shift by the same A, iteration i of a
+//     meets iteration j of b exactly when the inner pair meets under the
+//     relative shift (i-j)*A, so only the shifts d in [-(Cb-1), Ca-1] whose
+//     envelopes overlap are visited — by the nesting property an inner
+//     envelope is at most A long, so that is at most two;
+//   - otherwise the operand with the larger outermost A (a solid operand
+//     has none) is split into its iterations that overlap the other's
+//     envelope, and each is tested against the whole other operand.
+//
+// Every step partitions the occurrence sets, so the answer is exact for any
+// valid pair; the nesting property only bounds the work. The recursion
+// allocates nothing and its depth is at most the total number of periods.
+func intersects(sa, ea int64, pa []Period, sb, eb int64, pb []Period) bool {
+	if sa >= sb+eb || sb >= sa+ea {
+		return false
+	}
+	if len(pa) == 0 && len(pb) == 0 {
+		return true
+	}
+	var oa, ob Period
+	if len(pa) > 0 {
+		oa = pa[len(pa)-1]
+	}
+	if len(pb) > 0 {
+		ob = pb[len(pb)-1]
+	}
+	if oa.A == ob.A {
+		// Both periodic with one shift: relative shifts d = i-j.
+		A := oa.A
+		ia, ib := ea-A*(oa.Count-1), eb-A*(ob.Count-1)
+		lo := max(-(ob.Count - 1), floorDiv(sb-sa-ia, A)+1)
+		hi := min(oa.Count-1, ceilDiv(sb-sa+ib, A)-1)
+		for d := lo; d <= hi; d++ {
+			if intersects(sa+d*A, ia, pa[:len(pa)-1], sb, ib, pb[:len(pb)-1]) {
+				return true
 			}
-			k[i] = 0
 		}
-		if i == n {
-			return
+		return false
+	}
+	if oa.A < ob.A {
+		sa, ea, pa, oa, sb, eb, pb = sb, eb, pb, ob, sa, ea, pa
+	}
+	// Split a into the iterations whose envelopes overlap b's envelope.
+	A := oa.A
+	ia := ea - A*(oa.Count-1)
+	lo := max(0, floorDiv(sb-sa-ia, A)+1)
+	hi := min(oa.Count-1, ceilDiv(sb+eb-sa, A)-1)
+	for i := lo; i <= hi; i++ {
+		if intersects(sa+i*A, ia, pa[:len(pa)-1], sb, eb, pb) {
+			return true
 		}
 	}
+	return false
+}
+
+// floorDiv returns floor(x/y) for y > 0.
+func floorDiv(x, y int64) int64 {
+	q := x / y
+	if x%y != 0 && x < 0 {
+		q--
+	}
+	return q
+}
+
+// ceilDiv returns ceil(x/y) for y > 0.
+func ceilDiv(x, y int64) int64 {
+	q := x / y
+	if x%y != 0 && x > 0 {
+		q++
+	}
+	return q
 }
 
 // String renders the interval compactly for diagnostics.
@@ -245,34 +199,48 @@ func (iv *Interval) String() string {
 		iv.Name, iv.Size, iv.Start, iv.Dur, iv.Periods)
 }
 
-// SortByStart sorts intervals by ascending start time (ties: longer duration
-// first). The sort is stable, so remaining ties keep the caller's slice
-// order — every caller enumerates intervals in edge-ID order, which makes
-// the result deterministic without consulting interval names. Keeping names
-// out of the comparison is deliberate: it makes allocation invariant under
-// actor renames, which the persistent pass-node store relies on (renaming
-// an actor must not invalidate stored allocations).
-func SortByStart(ivs []*Interval) {
-	sort.SliceStable(ivs, func(i, j int) bool {
-		a, b := ivs[i], ivs[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Dur > b.Dur
-	})
+// ByStart returns the indices of ivs ordered by ascending start time,
+// longer duration first on ties: the "ffstart" enumeration. Remaining ties
+// keep index order. Every caller passes intervals in edge-ID order, which
+// makes the result deterministic without consulting interval names. Keeping
+// names out of the comparison is deliberate: it makes allocation invariant
+// under actor renames, which the persistent pass-node store relies on
+// (renaming an actor must not invalidate stored allocations).
+func ByStart(ivs []*Interval) []int32 {
+	return orderBy(ivs, func(iv *Interval) (int64, int64) { return iv.Start, -iv.Dur })
 }
 
-// SortByDuration sorts intervals by descending total live span (envelope
-// length), the "ffdur" ordering; ties broken by ascending start, then by
-// the caller's slice order (stable sort; see SortByStart on why names are
-// excluded from the comparison).
-func SortByDuration(ivs []*Interval) {
-	sort.SliceStable(ivs, func(i, j int) bool {
-		a, b := ivs[i], ivs[j]
-		da, db := a.End()-a.Start, b.End()-b.Start
-		if da != db {
-			return da > db
+// ByDuration returns the indices of ivs ordered by descending total live
+// span (envelope length), then by ascending start, then by index: the
+// "ffdur" enumeration (see ByStart on why names are excluded).
+func ByDuration(ivs []*Interval) []int32 {
+	return orderBy(ivs, func(iv *Interval) (int64, int64) { return iv.Start - iv.End(), iv.Start })
+}
+
+// orderBy returns the indices of ivs sorted by ascending key, then index.
+// Keys are computed once per interval rather than once per comparison.
+func orderBy(ivs []*Interval, key func(*Interval) (int64, int64)) []int32 {
+	type sortKey struct {
+		major, minor int64
+		id           int32
+	}
+	keys := make([]sortKey, len(ivs))
+	for i, iv := range ivs {
+		a, b := key(iv)
+		keys[i] = sortKey{a, b, int32(i)}
+	}
+	slices.SortFunc(keys, func(x, y sortKey) int {
+		if c := cmp.Compare(x.major, y.major); c != 0 {
+			return c
 		}
-		return a.Start < b.Start
+		if c := cmp.Compare(x.minor, y.minor); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.id, y.id)
 	})
+	ids := make([]int32, len(ivs))
+	for i, k := range keys {
+		ids[i] = k.id
+	}
+	return ids
 }

@@ -2,6 +2,7 @@ package lifetime
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -230,15 +231,19 @@ func TestSortOrders(t *testing.T) {
 	a := &Interval{Name: "a", Size: 1, Start: 5, Dur: 2}
 	b := &Interval{Name: "b", Size: 1, Start: 0, Dur: 10}
 	c := &Interval{Name: "c", Size: 1, Start: 0, Dur: 3}
-	ivs := []*Interval{a, b, c}
-	SortByStart(ivs)
-	if ivs[0] != b || ivs[1] != c || ivs[2] != a {
-		t.Errorf("SortByStart order: %v %v %v", ivs[0].Name, ivs[1].Name, ivs[2].Name)
+	if got := ByStart([]*Interval{a, b, c}); !slices.Equal(got, []int32{1, 2, 0}) {
+		t.Errorf("ByStart order = %v, want [1 2 0] (b c a)", got)
 	}
-	ivs = []*Interval{a, c, b}
-	SortByDuration(ivs)
-	if ivs[0] != b || ivs[1] != c || ivs[2] != a {
-		t.Errorf("SortByDuration order: %v %v %v", ivs[0].Name, ivs[1].Name, ivs[2].Name)
+	if got := ByDuration([]*Interval{a, c, b}); !slices.Equal(got, []int32{2, 1, 0}) {
+		t.Errorf("ByDuration order = %v, want [2 1 0] (b c a)", got)
+	}
+	// Full ties keep index order.
+	d := &Interval{Name: "d", Size: 9, Start: 0, Dur: 3}
+	if got := ByStart([]*Interval{d, c, d}); !slices.Equal(got, []int32{0, 1, 2}) {
+		t.Errorf("ByStart ties = %v, want [0 1 2]", got)
+	}
+	if got := ByDuration([]*Interval{d, c, d}); !slices.Equal(got, []int32{0, 1, 2}) {
+		t.Errorf("ByDuration ties = %v, want [0 1 2]", got)
 	}
 }
 
@@ -247,10 +252,10 @@ func TestMCWEstimates(t *testing.T) {
 	a := &Interval{Name: "a", Size: 3, Start: 0, Dur: 4}
 	b := &Interval{Name: "b", Size: 5, Start: 2, Dur: 4}
 	ivs := []*Interval{a, b}
-	if got := MCWOptimistic(ivs); got != 8 {
+	if got, _ := CliqueWeights(ivs); got != 8 {
 		t.Errorf("mco = %d, want 8", got)
 	}
-	if got := MCWPessimistic(ivs); got != 8 {
+	if _, got := CliqueWeights(ivs); got != 8 {
 		t.Errorf("mcp = %d, want 8", got)
 	}
 	// A periodic interval that interleaves with a solid one: optimistic sees
@@ -258,10 +263,10 @@ func TestMCWEstimates(t *testing.T) {
 	p := &Interval{Name: "p", Size: 2, Start: 0, Dur: 1, Periods: []Period{{A: 4, Count: 3}}}
 	s := &Interval{Name: "s", Size: 7, Start: 2, Dur: 1}
 	ivs = []*Interval{p, s}
-	if got := MCWOptimistic(ivs); got != 7 {
+	if got, _ := CliqueWeights(ivs); got != 7 {
 		t.Errorf("mco = %d, want 7 (no simultaneous liveness at starts)", got)
 	}
-	if got := MCWPessimistic(ivs); got != 9 {
+	if _, got := CliqueWeights(ivs); got != 9 {
 		t.Errorf("mcp = %d, want 9 (envelopes overlap)", got)
 	}
 }
@@ -271,11 +276,14 @@ func TestBuildWIG(t *testing.T) {
 	b := &Interval{Name: "b", Size: 1, Start: 2, Dur: 4}
 	c := &Interval{Name: "c", Size: 1, Start: 10, Dur: 1}
 	w := BuildWIG([]*Interval{a, b, c})
-	if len(w.Adj[0]) != 1 || w.Adj[0][0] != 1 {
-		t.Errorf("Adj[a] = %v, want [1]", w.Adj[0])
+	if nb := w.Neighbors(0); len(nb) != 1 || nb[0] != 1 {
+		t.Errorf("Neighbors(a) = %v, want [1]", nb)
 	}
-	if len(w.Adj[2]) != 0 {
-		t.Errorf("Adj[c] = %v, want empty", w.Adj[2])
+	if nb := w.Neighbors(1); len(nb) != 1 || nb[0] != 0 {
+		t.Errorf("Neighbors(b) = %v, want [0]", nb)
+	}
+	if nb := w.Neighbors(2); len(nb) != 0 {
+		t.Errorf("Neighbors(c) = %v, want empty", nb)
 	}
 }
 
@@ -288,10 +296,10 @@ func TestMCWExampleFromFig20(t *testing.T) {
 	s := &Interval{Name: "s", Size: 1, Start: 3, Dur: 3}
 	// Optimistic: at p.Start=0 weight 1; at s.Start=3 weight 1 (p dead). The
 	// true MCW is 2 at t=4; optimistic underestimates as the paper warns.
-	if got := MCWOptimistic([]*Interval{p, s}); got != 1 {
+	if got, _ := CliqueWeights([]*Interval{p, s}); got != 1 {
 		t.Errorf("mco = %d, want 1 (documented underestimate)", got)
 	}
-	if got := MCWPessimistic([]*Interval{p, s}); got != 2 {
+	if _, got := CliqueWeights([]*Interval{p, s}); got != 2 {
 		t.Errorf("mcp = %d, want 2", got)
 	}
 }

@@ -1,6 +1,7 @@
 package looping
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -330,6 +331,28 @@ func TestInsertParetoBound(t *testing.T) {
 	}
 	if len(cell) > maxTriples {
 		t.Errorf("frontier grew to %d > %d", len(cell), maxTriples)
+	}
+}
+
+// TestInsertParetoSumAboveMaxInt64: the frontier trim ranks equal-cost
+// triples by Left+Right without wrapping, so a triple whose sum exceeds
+// MaxInt64 ranks last and is the one dropped.
+func TestInsertParetoSumAboveMaxInt64(t *testing.T) {
+	const m = math.MaxInt64/2 + 10
+	var cell []entry
+	for i := int64(0); i < maxTriples; i++ {
+		// Pairwise incomparable (Left rises as Right falls); sums m+maxTriples.
+		cell = insertPareto(cell, entry{t: Triple{Left: m + 1 + i, Cost: math.MaxInt64, Right: maxTriples - 1 - i}})
+	}
+	big := Triple{Left: m, Cost: math.MaxInt64, Right: m} // sum 2m > MaxInt64
+	cell = insertPareto(cell, entry{t: big})
+	if len(cell) != maxTriples {
+		t.Fatalf("frontier holds %d entries, want %d", len(cell), maxTriples)
+	}
+	for _, e := range cell {
+		if e.t == big {
+			t.Fatalf("triple with Left+Right above MaxInt64 kept over smaller sums: %+v", cell)
+		}
 	}
 }
 

@@ -104,7 +104,11 @@ func insertPareto(cell []entry, e entry) []entry {
 			if kept[a].t.Cost != kept[b].t.Cost {
 				return kept[a].t.Cost < kept[b].t.Cost
 			}
-			return kept[a].t.Left+kept[a].t.Right < kept[b].t.Left+kept[b].t.Right
+			// Left and Right are >= 0, so their sum fits a uint64 even
+			// when it would wrap an int64.
+			sa := uint64(kept[a].t.Left) + uint64(kept[a].t.Right)
+			sb := uint64(kept[b].t.Left) + uint64(kept[b].t.Right)
+			return sa < sb
 		})
 		kept = kept[:maxTriples]
 	}

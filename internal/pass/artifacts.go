@@ -37,51 +37,31 @@ type LoopedSchedule struct {
 type Lifetimes struct {
 	Tree      *schedtree.Tree
 	Intervals []*lifetime.Interval
-	// packs lazily caches the enumerated instance (sorted order + weighted
-	// intersection graph) per enumeration, so allocator leaves sharing this
-	// artifact build each WIG once instead of once per strategy.
-	packs *packCache
+	// wig lazily caches the weighted intersection graph over Intervals, so
+	// the allocator leaves sharing this artifact build it once instead of
+	// once per strategy.
+	wig *wigOnce
 }
 
-// packCache holds one lazily-built enumerated instance per enumeration order.
-// The alloc package defines two: decreasing duration (ffdur, bfdur) and
-// increasing start time (ffstart).
-type packCache struct {
-	dur, start packOnce
+type wigOnce struct {
+	once sync.Once
+	w    *lifetime.WIG
 }
 
-type packOnce struct {
-	once  sync.Once
-	order []*lifetime.Interval
-	wig   *lifetime.WIG
-}
-
-// enumerated returns the cached (order, WIG) pair for strat, building it on
-// first use. ok is false when the artifact carries no cache or the strategy's
-// enumeration is unknown; callers then fall back to alloc.Allocate.
-func (lf Lifetimes) enumerated(strat alloc.Strategy) (order []*lifetime.Interval, w *lifetime.WIG, ok bool) {
-	if lf.packs == nil {
-		return nil, nil, false
+// intersectionGraph returns the cached WIG over the intervals, building it
+// on first use; an artifact without a cache builds a private one.
+func (lf Lifetimes) intersectionGraph() *lifetime.WIG {
+	if lf.wig == nil {
+		return lifetime.BuildWIG(lf.Intervals)
 	}
-	var p *packOnce
-	switch strat {
-	case alloc.FirstFitDuration, alloc.BestFitDuration:
-		p = &lf.packs.dur
-	case alloc.FirstFitStart:
-		p = &lf.packs.start
-	default:
-		return nil, nil, false
-	}
-	p.once.Do(func() {
-		// The packs cache is the one sanctioned artifact-interior write: a
+	lf.wig.once.Do(func() {
+		// The WIG cache is the one sanctioned artifact-interior write: a
 		// sync.Once-guarded, deterministic, idempotent lazy initialization
 		// whose value is a pure function of the (immutable) intervals.
-		//lint:ignore artifactmut packOnce lazy init is Once-guarded and deterministic
-		p.order = alloc.Enumerate(lf.Intervals, strat)
-		//lint:ignore artifactmut packOnce lazy init is Once-guarded and deterministic
-		p.wig = lifetime.BuildWIG(p.order)
+		//lint:ignore artifactmut wigOnce lazy init is Once-guarded and deterministic
+		lf.wig.w = lifetime.BuildWIG(lf.Intervals)
 	})
-	return p.order, p.wig, true
+	return lf.wig.w
 }
 
 // Allocation is the artifact of one allocator leaf: the packed shared

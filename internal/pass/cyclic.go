@@ -216,8 +216,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	}
 	res.Metrics.DPCost = condRes.Metrics.DPCost
 	res.Metrics.SharedTotal = res.Best.Total
-	res.Metrics.MCO = lifetime.MCWOptimistic(intervals)
-	res.Metrics.MCP = lifetime.MCWPessimistic(intervals)
+	res.Metrics.MCO, res.Metrics.MCP = lifetime.CliqueWeights(intervals)
 	bmlb, err := g.BMLB()
 	if err != nil {
 		return nil, err

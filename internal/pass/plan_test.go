@@ -135,6 +135,41 @@ func TestPlanSharedAllocatorLeaves(t *testing.T) {
 	}
 }
 
+// TestRunAllocSharesOneWIG: allocator leaves reading one Lifetimes artifact
+// from several goroutines at once share its lazily built WIG and pack
+// exactly what a private graph packs.
+func TestRunAllocSharesOneWIG(t *testing.T) {
+	g := systems.SatelliteReceiver()
+	rep, _ := RunRepetitions(g)
+	ord, _ := RunOrder(g, rep, RPMC, nil)
+	ls, _ := RunSchedule(g, rep, ord, SDPPOLoops)
+	lf, err := RunLifetimes(rep, ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strats := []alloc.Strategy{alloc.FirstFitDuration, alloc.FirstFitStart, alloc.BestFitDuration}
+	got := make([]Allocation, 4*len(strats))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			got[k], errs[k] = RunAlloc(lf, strats[k%len(strats)])
+		}(k)
+	}
+	wg.Wait()
+	for k, a := range got {
+		if errs[k] != nil {
+			t.Fatalf("%v: %v", strats[k%len(strats)], errs[k])
+		}
+		want := alloc.Allocate(lf.Intervals, a.Strategy)
+		if a.Alloc.Total != want.Total || !reflect.DeepEqual(a.Alloc.Placements, want.Placements) {
+			t.Errorf("%v: shared-WIG allocation differs from a private one", a.Strategy)
+		}
+	}
+}
+
 func must2(outs []Outcome, t *testing.T) []*Result {
 	t.Helper()
 	res := make([]*Result, len(outs))

@@ -120,20 +120,15 @@ func RunLifetimes(rep Repetitions, ls LoopedSchedule) (Lifetimes, error) {
 	if err != nil {
 		return Lifetimes{}, err
 	}
-	return Lifetimes{Tree: tree, Intervals: intervals, packs: &packCache{}}, nil
+	return Lifetimes{Tree: tree, Intervals: intervals, wig: &wigOnce{}}, nil
 }
 
 // RunAlloc packs one allocator's shared memory image over the extracted
 // lifetimes. The artifact is read, never written — the interval slice and the
-// cached enumerated instances — so many allocator nodes may share one
+// cached intersection graph — so many allocator nodes may share one
 // Lifetimes artifact concurrently.
 func RunAlloc(lf Lifetimes, strat alloc.Strategy) (Allocation, error) {
-	var a *alloc.Allocation
-	if order, w, ok := lf.enumerated(strat); ok {
-		a = alloc.AllocateEnumerated(order, w, strat)
-	} else {
-		a = alloc.Allocate(lf.Intervals, strat)
-	}
+	a := alloc.AllocateWIG(lf.intersectionGraph(), strat)
 	if err := a.Verify(); err != nil {
 		return Allocation{}, fmt.Errorf("core: %v allocation infeasible: %w", strat, err)
 	}
@@ -224,8 +219,7 @@ func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitio
 		}
 	}
 	res.Metrics.SharedTotal = res.Best.Total
-	res.Metrics.MCO = lifetime.MCWOptimistic(lf.Intervals)
-	res.Metrics.MCP = lifetime.MCWPessimistic(lf.Intervals)
+	res.Metrics.MCO, res.Metrics.MCP = lifetime.CliqueWeights(lf.Intervals)
 	bmlb, err := g.BMLB()
 	if err != nil {
 		return nil, err

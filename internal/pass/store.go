@@ -178,8 +178,8 @@ func (sk *storeKeys) lifeKey(schedHash []byte) string {
 
 // allocStoreKey needs no graph projection at all: allocation reads nothing
 // but the lifetime intervals, whose bytes the chained hash pins, and the
-// interval enumeration is name-free (lifetime.SortByStart/SortByDuration
-// tie-break by stable input order, never by name).
+// interval enumeration is name-free (lifetime.ByStart/ByDuration tie-break
+// by input order, never by name).
 func allocStoreKey(lifeHash []byte, strat alloc.Strategy) string {
 	var extra []byte
 	extra = binary.AppendVarint(extra, int64(strat))
@@ -423,7 +423,8 @@ func encodeLife(lf Lifetimes) []byte {
 // stored), the schedule tree recomputed from the schedule artifact
 // (FromSchedule is deterministic and linear; the expensive part of the
 // lifetimes pass is the per-edge peak simulation, which the payload spares),
-// and a fresh enumeration cache.
+// and a fresh intersection-graph cache. Every interval must pass Validate:
+// the intersection test and the liveness test divide by its shifts.
 func decodeLife(g *sdf.Graph, ls LoopedSchedule, data []byte) (Lifetimes, error) {
 	d := &decoder{data: data}
 	n := d.count(g.NumEdges())
@@ -446,6 +447,9 @@ func decodeLife(g *sdf.Graph, ls LoopedSchedule, data []byte) (Lifetimes, error)
 				iv.Periods[j] = lifetime.Period{A: d.int64(), Count: d.int64()}
 			}
 		}
+		if err := iv.Validate(); d.err == nil && err != nil {
+			return Lifetimes{}, fmt.Errorf("pass: stored lifetimes: %w", err)
+		}
 		intervals[i] = iv
 	}
 	if err := d.finish(); err != nil {
@@ -455,7 +459,7 @@ func decodeLife(g *sdf.Graph, ls LoopedSchedule, data []byte) (Lifetimes, error)
 	if err != nil {
 		return Lifetimes{}, err
 	}
-	return Lifetimes{Tree: tree, Intervals: intervals, packs: &packCache{}}, nil
+	return Lifetimes{Tree: tree, Intervals: intervals, wig: &wigOnce{}}, nil
 }
 
 // maxPeriods bounds the nested-period count of one decoded interval; real

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/lifetime"
 	"repro/internal/sdf"
 	"repro/internal/systems"
 )
@@ -290,6 +292,22 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 	if _, err := decodeLife(g, ls, encodeLife(lf)[:3]); err == nil {
 		t.Error("decodeLife accepted a truncated payload")
+	}
+	// A well-formed payload carrying an invalid interval: a zero shift
+	// would divide by zero in the intersection and liveness tests.
+	bad := Lifetimes{Intervals: make([]*lifetime.Interval, len(lf.Intervals))}
+	for i, iv := range lf.Intervals {
+		c := *iv
+		c.Periods = slices.Clone(iv.Periods)
+		bad.Intervals[i] = &c
+	}
+	i := slices.IndexFunc(bad.Intervals, func(iv *lifetime.Interval) bool { return len(iv.Periods) > 0 })
+	if i < 0 {
+		t.Fatal("no periodic interval to corrupt")
+	}
+	bad.Intervals[i].Periods[0].A = 0
+	if _, err := decodeLife(g, ls, encodeLife(bad)); err == nil {
+		t.Error("decodeLife accepted an interval with a zero shift")
 	}
 	al, _ := RunAlloc(lf, alloc.FirstFitStart)
 	data, err := encodeAlloc(lf, al)
