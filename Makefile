@@ -42,10 +42,11 @@ race-service:
 	$(GO) test -race -count=2 ./internal/service/...
 
 # grid validates the prefix-sharing plan executor: the planner-vs-direct
-# differential property test under the race detector, plus the fuzzer's
-# planner-path grid sweep over random graphs and the crasher corpus.
+# differential property test and the direct-vs-plan cancellation parity
+# tests under the race detector, plus the fuzzer's planner-path grid sweep
+# over random graphs and the crasher corpus.
 grid:
-	$(GO) test -race -run 'TestPlan|TestPlannerDifferential|TestGrid' ./internal/pass/... ./internal/service/...
+	$(GO) test -race -run 'TestPlan|TestPlannerDifferential|TestGrid|TestCompile.*Context' ./internal/pass/... ./internal/service/... ./internal/core/...
 	$(GO) run ./cmd/sdffuzz -n 50 -seed 1
 	cd cmd/sdffuzz && $(GO) run . -corpus
 

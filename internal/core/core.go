@@ -10,9 +10,9 @@
 // phases remain available in their own packages.
 //
 // Since the pass-graph refactor the pipeline body lives in internal/pass:
-// each Fig. 21 stage is a typed pass with an explicit artifact struct and a
-// content key, and pass.Plan executes whole configuration grids with
-// memoized prefix sharing. This package re-exports the option/result types
+// each Fig. 21 stage is a typed pass, named by its pass.Kind, with an
+// explicit artifact struct, and pass.Plan executes whole configuration grids
+// with memoized prefix sharing. This package re-exports the option/result types
 // as aliases and keeps Compile as the thin sequential assembly, so existing
 // callers are untouched. See docs/PIPELINE.md.
 package core
@@ -67,32 +67,15 @@ type Result = pass.Result
 // Metrics gathers every number the paper's tables report for one run.
 type Metrics = pass.Metrics
 
-// Pipeline stage names reported through Options.OnStage and used in
-// deadline-exceeded errors. They follow the Fig. 21 flow: the schedule stage
-// covers the repetitions vector and the topological sort, loopdp is the
-// loop-hierarchy DP, then lifetime extraction and storage allocation;
-// verify and merge fire only when the corresponding option is set.
-const (
-	StageSchedule  = pass.StageSchedule
-	StageLoopDP    = pass.StageLoopDP
-	StageLifetime  = pass.StageLifetime
-	StageAlloc     = pass.StageAlloc
-	StagePartition = pass.StagePartition
-	StageSegments  = pass.StageSegments
-	StageVerify    = pass.StageVerify
-	StageMerge     = pass.StageMerge
-	StageDone      = pass.StageDone
-)
-
 // Compile runs the full flow on a consistent SDF graph.
 func Compile(g *sdf.Graph, opts Options) (*Result, error) {
 	return pass.Compile(g, opts)
 }
 
 // CompileContext is Compile with cooperative cancellation: the deadline or
-// cancellation of ctx is observed at every stage boundary, and the OnStage
-// hook (if any) sees each stage begin. A cancelled compilation returns an
-// error wrapping ctx.Err() and no Result.
+// cancellation of ctx is observed at a checkpoint before every pass, and a
+// cancelled compilation returns a "core: aborted before <kind> pass" error
+// wrapping ctx.Err() and no Result.
 func CompileContext(ctx context.Context, g *sdf.Graph, opts Options) (*Result, error) {
 	return pass.CompileContext(ctx, g, opts)
 }

@@ -16,9 +16,9 @@ func CompileGeneral(g *sdf.Graph, opts Options) (*Result, error) {
 }
 
 // CompileGeneralContext is CompileGeneral with cooperative cancellation, on
-// the same contract as CompileContext: ctx is checked at stage boundaries
-// (and between per-component demand-driven scheduling runs on the cyclic
-// path), and the OnStage hook sees the coarse stage sequence.
+// the same contract as CompileContext: ctx is checked at a checkpoint before
+// each pass (and between per-component demand-driven scheduling runs on the
+// cyclic path).
 func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Result, error) {
 	return pass.CompileGeneralContext(ctx, g, opts)
 }

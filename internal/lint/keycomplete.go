@@ -7,8 +7,8 @@ package lint
 // A key-mirror struct declares what it mirrors with a directive comment:
 //
 //	//lint:keymap Options
-//	type optionsKeyMap struct {
-//		Strategy OrderStrategy // order key
+//	type storeKeyMap struct {
+//		Strategy OrderStrategy // orderOpts
 //		...
 //	}
 //
@@ -22,7 +22,7 @@ package lint
 //   - every mirror field carries a comment documenting which content key
 //     carries it (or why it is deliberately key-exempt).
 //
-// This replaces the old `var _ = optionsKeyMap(Options{})` struct-conversion
+// This replaces the old `var _ = keyMap(Options{})` struct-conversion
 // guards: the conversion only failed on type-shape drift and could not name
 // the missing field, and it forced the mirror to stay conversion-compatible
 // (same field order) even when a clearer grouping existed.

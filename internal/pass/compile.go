@@ -13,41 +13,46 @@ func Compile(g *sdf.Graph, opts Options) (*Result, error) {
 }
 
 // CompileContext is Compile with cooperative cancellation: the deadline or
-// cancellation of ctx is observed at every stage boundary, and the OnStage
-// hook (if any) sees each stage begin. A cancelled compilation returns an
-// error wrapping ctx.Err() and no Result.
+// cancellation of ctx is observed at a checkpoint before every pass — one
+// per allocator, as the Plan executor has one alloc node per allocator — so
+// a cancelled compilation aborts before the same pass kind, with the same
+// error, as a single-point Plan would. The error wraps ctx.Err(); no Result
+// is returned.
 func CompileContext(ctx context.Context, g *sdf.Graph, opts Options) (*Result, error) {
-	if err := stageStart(ctx, opts, StageSchedule); err != nil {
+	if err := checkpoint(ctx, KindRepetitions); err != nil {
 		return nil, err
 	}
 	rep, err := RunRepetitions(g)
 	if err != nil {
 		return nil, err
 	}
+	if err := checkpoint(ctx, KindOrder); err != nil {
+		return nil, err
+	}
 	ord, err := RunOrder(g, rep, opts.Strategy, opts.Order)
 	if err != nil {
 		return nil, err
 	}
-	if err := stageStart(ctx, opts, StageLoopDP); err != nil {
+	if err := checkpoint(ctx, KindSchedule); err != nil {
 		return nil, err
 	}
 	ls, err := RunSchedule(g, rep, ord, opts.Looping)
 	if err != nil {
 		return nil, err
 	}
-	if err := stageStart(ctx, opts, StageLifetime); err != nil {
+	if err := checkpoint(ctx, KindLifetimes); err != nil {
 		return nil, err
 	}
 	lf, err := RunLifetimes(rep, ls)
 	if err != nil {
 		return nil, err
 	}
-	if err := stageStart(ctx, opts, StageAlloc); err != nil {
-		return nil, err
-	}
 	allocators := defaultAllocators(opts.Allocators)
 	allocs := make([]Allocation, 0, len(allocators))
 	for _, strat := range allocators {
+		if err := checkpoint(ctx, KindAlloc); err != nil {
+			return nil, err
+		}
 		a, err := RunAlloc(lf, strat)
 		if err != nil {
 			return nil, err
@@ -57,13 +62,13 @@ func CompileContext(ctx context.Context, g *sdf.Graph, opts Options) (*Result, e
 	var part Partition
 	var seg SegmentedAllocation
 	if opts.Partitions >= 2 {
-		if err := stageStart(ctx, opts, StagePartition); err != nil {
+		if err := checkpoint(ctx, KindPartition); err != nil {
 			return nil, err
 		}
 		if part, err = RunPartition(g, rep, ord, opts.Partitions); err != nil {
 			return nil, err
 		}
-		if err := stageStart(ctx, opts, StageSegments); err != nil {
+		if err := checkpoint(ctx, KindSegalloc); err != nil {
 			return nil, err
 		}
 		if seg, err = RunSegAlloc(g, rep, part); err != nil {

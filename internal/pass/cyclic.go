@@ -38,11 +38,13 @@ func CompileGeneral(g *sdf.Graph, opts Options) (*Result, error) {
 }
 
 // CompileGeneralContext is CompileGeneral with cooperative cancellation, on
-// the same contract as CompileContext: ctx is checked at stage boundaries
-// (and between per-component demand-driven scheduling runs on the cyclic
-// path), and the OnStage hook sees the coarse stage sequence. On the cyclic
-// path the condensation's internal sub-compilation reports no stages of its
-// own; the outer call attributes its work to the schedule stage.
+// the same contract as CompileContext: ctx is checked at a checkpoint before
+// each pass. The cyclic path has coarser passes: the SCC condensation stands
+// in for the order pass (its sub-compilation checks ctx too, and its abort
+// errors carry a "core: condensation:" prefix), per-component scheduling and
+// expansion for the schedule pass, then lifetimes, allocation and the
+// optional verification under the assemble kind. ctx is also checked between
+// per-component demand-driven scheduling runs.
 func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Result, error) {
 	q, err := g.Repetitions()
 	if err != nil {
@@ -51,7 +53,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	if g.IsAcyclic(q) {
 		return CompileContext(ctx, g, opts)
 	}
-	if err := stageStart(ctx, opts, StageSchedule); err != nil {
+	if err := checkpoint(ctx, KindOrder); err != nil {
 		return nil, err
 	}
 	if opts.Strategy == CustomOrder {
@@ -106,11 +108,9 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	}
 
 	// Compile the acyclic condensation; verification happens below on the
-	// expanded schedule instead. The sub-compilation shares ctx but keeps
-	// its stage reporting quiet — this outer call owns the stage sequence.
+	// expanded schedule instead. The sub-compilation shares ctx.
 	sub := opts
 	sub.Verify = false
-	sub.OnStage = nil
 	// Partitioned schedules are defined over the acyclic precedence levels of
 	// the original actors, not over the SCC condensation; cyclic graphs always
 	// compile sequentially.
@@ -121,7 +121,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	}
 
 	// Internal schedules for nontrivial components.
-	if err := stageStart(ctx, opts, StageLoopDP); err != nil {
+	if err := checkpoint(ctx, KindSchedule); err != nil {
 		return nil, err
 	}
 	bodies := make([][]*sched.Node, len(sccs))
@@ -168,7 +168,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	// Intervals per original edge: inter-component edges inherit the
 	// condensed lifetimes; intra-component edges become dedicated
 	// whole-period buffers sized at their simulated peak.
-	if err := stageStart(ctx, opts, StageLifetime); err != nil {
+	if err := checkpoint(ctx, KindLifetimes); err != nil {
 		return nil, err
 	}
 	intervals := make([]*lifetime.Interval, g.NumEdges())
@@ -190,7 +190,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 		}
 	}
 
-	if err := stageStart(ctx, opts, StageAlloc); err != nil {
+	if err := checkpoint(ctx, KindAlloc); err != nil {
 		return nil, err
 	}
 	allocators := defaultAllocators(opts.Allocators)
@@ -233,7 +233,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	res.Metrics.NonSharedBufMem = bm
 
 	if opts.Verify {
-		if err := stageStart(ctx, opts, StageVerify); err != nil {
+		if err := checkpoint(ctx, KindAssemble); err != nil {
 			return nil, err
 		}
 		periods := opts.VerifyPeriods
@@ -243,9 +243,6 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 		if err := sim.Run(full, q, intervals, res.Best, periods); err != nil {
 			return nil, fmt.Errorf("core: cyclic verification failed: %w", err)
 		}
-	}
-	if err := stageStart(ctx, opts, StageDone); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

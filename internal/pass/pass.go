@@ -6,12 +6,14 @@
 //	chain DP) -> schedule tree -> buffer lifetime extraction -> dynamic
 //	storage allocation (first-fit) -> verified shared memory image.
 //
-// Each stage is a pure pass with an explicit input/output artifact struct
-// (Repetitions, Order, LoopedSchedule, Lifetimes, Allocation) and a
-// deterministic content key derived from the graph digest plus the option
-// fields that pass actually reads. internal/core re-exports the public
-// compiler API (Options, Result, Compile, ...) as thin assemblies over
-// these passes.
+// Each stage is a pure pass, named by its Kind, with an explicit
+// input/output artifact struct (Repetitions, Order, LoopedSchedule,
+// Lifetimes, Allocation). Each kind has one option projection (store.go):
+// the bytes of exactly the Options fields that pass reads. A plan node is
+// identified by its parent node plus that projection, and the persistent
+// store key hashes the same bytes, so the two cannot disagree about which
+// option fields a pass reads. internal/core re-exports the public compiler
+// API (Options, Result, Compile, ...) as thin assemblies over these passes.
 //
 // The point of the decomposition is the Plan executor: grid consumers —
 // the experiment drivers, the sdffuzz configuration sweep, and the sdfd
@@ -59,7 +61,8 @@ const (
 	KindAssemble
 )
 
-// String names the pass kind as used in keys, metrics labels, and events.
+// String names the pass kind as used in metrics labels, abort errors and
+// events.
 func (k Kind) String() string {
 	switch k {
 	case KindRepetitions:
@@ -88,18 +91,14 @@ func Kinds() []Kind {
 	return []Kind{KindRepetitions, KindOrder, KindSchedule, KindLifetimes, KindAlloc, KindPartition, KindSegalloc, KindAssemble}
 }
 
-// Key is the deterministic content key of one pass node: the graph key plus
-// exactly the option fields the pass reads (see the optionsKeyMap guard in
-// options.go). Two nodes with equal keys compute identical artifacts, which
-// is what makes plan-level deduplication and external caching sound.
-type Key string
-
 // Event reports one pass node starting (Enter true) or completing (Enter
-// false) during plan execution. Events for independent branches are emitted
-// concurrently; handlers must be safe for concurrent use and must not
-// influence compilation.
+// false) during plan execution. Node is the node's index among the plan's
+// nodes of its Kind (for KindAssemble, the grid point's index), so an
+// Enter and its Leave pair on (Kind, Node). Events for independent
+// branches are emitted concurrently; handlers must be safe for concurrent
+// use and must not influence compilation.
 type Event struct {
 	Kind  Kind
-	Key   Key
+	Node  int
 	Enter bool
 }

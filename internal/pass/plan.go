@@ -11,11 +11,6 @@ import (
 
 // PlanConfig parameterizes plan construction and observation.
 type PlanConfig struct {
-	// GraphKey is the content identity of the graph embedded in node keys
-	// (the service passes its canonical digest). It is observability only —
-	// deduplication happens within one plan over one graph, so any stable
-	// string works; empty defaults to the graph name.
-	GraphKey string
 	// OnEvent, when non-nil, receives an Enter and a Leave event for every
 	// pass node the executor actually runs. Nodes at one level run in
 	// parallel, so the handler must be safe for concurrent use. Nodes whose
@@ -65,13 +60,14 @@ type KindCount struct {
 }
 
 // Plan is a memoized pass graph over one SDF graph and a grid of option
-// points. Construction dedups grid points into a prefix-sharing DAG — the
-// repetitions vector once per graph, each lexical order once per strategy,
-// each looped schedule once per (order, looping), lifetimes once per
-// schedule, and each allocator leaf once per (lifetimes, strategy) — so a
-// full strategy × looping × allocator sweep executes O(distinct nodes)
-// passes instead of O(points × pipeline length). A Plan is single-use:
-// build with NewPlan, execute with Run once.
+// points. Construction dedups grid points into a prefix-sharing DAG: a node
+// is identified by its parent node plus its kind's option projection
+// (store.go), so the repetitions vector is computed once per graph, each
+// lexical order once per strategy, each looped schedule once per (order,
+// looping), lifetimes once per schedule, and each allocator leaf once per
+// (lifetimes, strategy). A full strategy × looping × allocator sweep thus
+// executes O(distinct nodes) passes instead of O(points × pipeline length).
+// A Plan is single-use: build with NewPlan, execute with Run once.
 //
 // Graphs whose precedence relation is cyclic take a fallback: every point
 // runs CompileGeneralContext independently (the SCC condensation path has no
@@ -83,7 +79,7 @@ type Plan struct {
 	points []Options
 	cyclic bool
 
-	rep        repNode
+	rep        *repNode
 	orders     []*orderNode
 	scheds     []*schedNode
 	lifes      []*lifeNode
@@ -93,104 +89,119 @@ type Plan struct {
 	assemblies []*assembleNode
 }
 
-// nodeState tracks how one pass node was satisfied: ran is set around the
-// actual pass execution, loaded when the artifact came from the persistent
-// store. At most one of the two is set; neither on upstream failure.
-type nodeState struct {
+// node is the state every pass node carries, whatever its artifact: its
+// kind and index among the plan's nodes of that kind (the Event identity),
+// the parent whose failure it inherits, its error, the payload hash that
+// chains into its children's store keys, and how it was satisfied — ran is
+// set around the actual pass execution, loaded when the artifact came from
+// the persistent store. At most one of the two is set; neither on upstream
+// failure.
+type node struct {
+	kind   Kind
+	id     int
+	parent *node // nil for repetitions and assemble nodes
+	err    error
+	hash   []byte
 	ran    bool
 	loaded bool
 }
 
-func (ns nodeState) counts() (executed, loaded int) {
-	if ns.ran {
+func (n *node) head() *node { return n }
+
+func (n *node) counts() (executed, loaded int) {
+	if n.ran {
 		return 1, 0
 	}
-	if ns.loaded {
+	if n.loaded {
 		return 0, 1
 	}
 	return 0, 0
 }
 
 type repNode struct {
-	key Key
+	node
 	out Repetitions
-	err error
-	nodeState
 }
 
 type orderNode struct {
-	key      Key
+	node
 	strategy OrderStrategy
 	custom   []sdf.ActorID
 	out      Order
-	err      error
-	hash     []byte // payload hash chaining into the schedule store key
-	nodeState
 }
 
 type schedNode struct {
-	key     Key
+	node
 	order   *orderNode
 	looping LoopAlg
 	out     LoopedSchedule
-	err     error
-	hash    []byte // payload hash chaining into the lifetimes store key
-	nodeState
 }
 
 type lifeNode struct {
-	key   Key
+	node
 	sched *schedNode
 	out   Lifetimes
-	err   error
-	hash  []byte // payload hash chaining into the allocator store keys
-	nodeState
 }
 
 type allocNode struct {
-	key   Key
+	node
 	life  *lifeNode
 	strat alloc.Strategy
 	out   Allocation
-	err   error
-	nodeState
 }
 
 // partNode is the P-way phased schedule node: it depends only on the lexical
 // order (and the repetitions vector), so points sharing an order and a worker
 // count share the partition regardless of looping/allocator choices.
 type partNode struct {
-	key        Key
+	node
 	order      *orderNode
 	partitions int
 	out        Partition
-	err        error
-	hash       []byte // payload hash chaining into the segalloc store key
-	nodeState
 }
 
 // segNode packs the segmented parallel memory image; 1:1 with its partition.
 type segNode struct {
-	key  Key
+	node
 	part *partNode
 	out  SegmentedAllocation
-	err  error
-	nodeState
 }
 
 // assembleNode is one grid point's leaf: verify/merge/metrics assembly over
 // the shared artifacts. Never shared — Verify, VerifyPeriods, Merging and
-// MergePolicy are per-point.
+// MergePolicy are per-point. Its id is the point's index.
 type assembleNode struct {
-	key    Key
+	node
 	opts   Options
 	life   *lifeNode // nil on the cyclic fallback
 	allocs []*allocNode
 	part   *partNode // nil unless the point requested Partitions >= 2
 	seg    *segNode  // 1:1 with part
 	out    *Result
-	err    error
-	nodeState
+}
+
+// passNode is any typed node, seen through its shared state.
+type passNode interface{ head() *node }
+
+// nodeID identifies a node among its kind: its parent plus the kind's
+// option projection.
+type nodeID struct {
+	parent *node
+	opts   string
+}
+
+// intern returns the node of the kind indexed by idx under (parent, opts),
+// creating it with mk and appending it to list on first use.
+func intern[N passNode](idx map[nodeID]N, list *[]N, kind Kind, parent *node, opts []byte, mk func() N) N {
+	id := nodeID{parent, string(opts)}
+	n, ok := idx[id]
+	if !ok {
+		n = mk()
+		*n.head() = node{kind: kind, id: len(*list), parent: parent}
+		idx[id] = n
+		*list = append(*list, n)
+	}
+	return n
 }
 
 // NewPlan builds the deduplicated pass graph for compiling g at every point
@@ -200,16 +211,8 @@ func NewPlan(g *sdf.Graph, points []Options, cfg PlanConfig) (*Plan, error) {
 	if g == nil {
 		return nil, fmt.Errorf("pass: plan needs a graph")
 	}
-	if cfg.GraphKey == "" {
-		cfg.GraphKey = g.Name
-	}
 	p := &Plan{g: g, cfg: cfg, points: make([]Options, len(points))}
 	copy(p.points, points)
-	// The Plan executor owns sequencing; per-point stage hooks are
-	// meaningless on shared nodes (see Options.OnStage).
-	for i := range p.points {
-		p.points[i].OnStage = nil
-	}
 
 	q, err := g.Repetitions()
 	if err != nil {
@@ -217,75 +220,58 @@ func NewPlan(g *sdf.Graph, points []Options, cfg PlanConfig) (*Plan, error) {
 		// point; surface it once at plan time.
 		return nil, err
 	}
-	if !g.IsAcyclic(q) {
-		p.cyclic = true
-		for i, pt := range p.points {
-			p.assemblies = append(p.assemblies, &assembleNode{
-				key:  Key(fmt.Sprintf("assemble|g:%s|cyclic|pt:%d", cfg.GraphKey, i)),
-				opts: pt,
-			})
-		}
-		return p, nil
+	p.cyclic = !g.IsAcyclic(q)
+	if !p.cyclic {
+		p.rep = &repNode{node: node{kind: KindRepetitions}}
 	}
-
-	p.rep = repNode{key: repetitionsKey(cfg.GraphKey)}
-	orderIdx := map[Key]*orderNode{}
-	schedIdx := map[Key]*schedNode{}
-	lifeOf := map[*schedNode]*lifeNode{}
-	allocIdx := map[Key]*allocNode{}
-	partIdx := map[Key]*partNode{}
-	segOf := map[*partNode]*segNode{}
+	orders := map[nodeID]*orderNode{}
+	scheds := map[nodeID]*schedNode{}
+	lifes := map[nodeID]*lifeNode{}
+	allocs := map[nodeID]*allocNode{}
+	parts := map[nodeID]*partNode{}
+	segs := map[nodeID]*segNode{}
 	for i, pt := range p.points {
-		ok := orderKey(cfg.GraphKey, pt.Strategy, pt.Order)
-		on := orderIdx[ok]
-		if on == nil {
-			on = &orderNode{key: ok, strategy: pt.Strategy, custom: pt.Order}
-			orderIdx[ok] = on
-			p.orders = append(p.orders, on)
+		as := &assembleNode{node: node{kind: KindAssemble, id: i}, opts: pt}
+		p.assemblies = append(p.assemblies, as)
+		if p.cyclic {
+			continue
 		}
-		sk := scheduleKey(ok, pt.Looping)
-		sn := schedIdx[sk]
-		if sn == nil {
-			sn = &schedNode{key: sk, order: on, looping: pt.Looping}
-			schedIdx[sk] = sn
-			p.scheds = append(p.scheds, sn)
-			ln := &lifeNode{key: lifetimesKey(sk), sched: sn}
-			lifeOf[sn] = ln
-			p.lifes = append(p.lifes, ln)
-		}
-		ln := lifeOf[sn]
-		as := &assembleNode{
-			key:  Key(fmt.Sprintf("assemble|%s|pt:%d", ln.key, i)),
-			opts: pt,
-			life: ln,
-		}
+		on := intern(orders, &p.orders, KindOrder, &p.rep.node, orderOpts(pt.Strategy, pt.Order), func() *orderNode {
+			return &orderNode{strategy: pt.Strategy, custom: pt.Order}
+		})
+		sn := intern(scheds, &p.scheds, KindSchedule, &on.node, schedOpts(pt.Looping), func() *schedNode {
+			return &schedNode{order: on, looping: pt.Looping}
+		})
+		as.life = intern(lifes, &p.lifes, KindLifetimes, &sn.node, nil, func() *lifeNode {
+			return &lifeNode{sched: sn}
+		})
 		for _, strat := range defaultAllocators(pt.Allocators) {
-			ak := allocKey(ln.key, strat)
-			an := allocIdx[ak]
-			if an == nil {
-				an = &allocNode{key: ak, life: ln, strat: strat}
-				allocIdx[ak] = an
-				p.allocs = append(p.allocs, an)
-			}
-			as.allocs = append(as.allocs, an)
+			as.allocs = append(as.allocs, intern(allocs, &p.allocs, KindAlloc, &as.life.node, allocOpts(strat), func() *allocNode {
+				return &allocNode{life: as.life, strat: strat}
+			}))
 		}
 		if pt.Partitions >= 2 {
-			pk := partitionKey(ok, pt.Partitions)
-			pn := partIdx[pk]
-			if pn == nil {
-				pn = &partNode{key: pk, order: on, partitions: pt.Partitions}
-				partIdx[pk] = pn
-				p.parts = append(p.parts, pn)
-				gn := &segNode{key: segallocKey(pk), part: pn}
-				segOf[pn] = gn
-				p.segs = append(p.segs, gn)
-			}
-			as.part = pn
-			as.seg = segOf[pn]
+			as.part = intern(parts, &p.parts, KindPartition, &on.node, partitionOpts(pt.Partitions), func() *partNode {
+				return &partNode{order: on, partitions: pt.Partitions}
+			})
+			as.seg = intern(segs, &p.segs, KindSegalloc, &as.part.node, nil, func() *segNode {
+				return &segNode{part: as.part}
+			})
 		}
-		p.assemblies = append(p.assemblies, as)
 	}
 	return p, nil
+}
+
+// count reports one kind's node count against its naive execution count,
+// and how its nodes were satisfied.
+func count[N passNode](k Kind, naive int, nodes []N) KindCount {
+	kc := KindCount{Kind: k, Nodes: len(nodes), Naive: naive}
+	for _, n := range nodes {
+		e, l := n.head().counts()
+		kc.Executed += e
+		kc.Loaded += l
+	}
+	return kc
 }
 
 // Stats reports, per pass kind, how many nodes the plan executes versus how
@@ -295,16 +281,8 @@ func NewPlan(g *sdf.Graph, points []Options, cfg PlanConfig) (*Plan, error) {
 // sharing: only Assemble nodes exist and Nodes == Naive.
 func (p *Plan) Stats() []KindCount {
 	n := len(p.points)
-	asmState := func() (executed, loaded int) {
-		for _, as := range p.assemblies {
-			e, l := as.counts()
-			executed, loaded = executed+e, loaded+l
-		}
-		return
-	}
 	if p.cyclic {
-		e, l := asmState()
-		return []KindCount{{Kind: KindAssemble, Nodes: n, Naive: n, Executed: e, Loaded: l}}
+		return []KindCount{count(KindAssemble, n, p.assemblies)}
 	}
 	naiveAllocs, naiveParts := 0, 0
 	for _, pt := range p.points {
@@ -313,42 +291,16 @@ func (p *Plan) Stats() []KindCount {
 			naiveParts++
 		}
 	}
-	out := []KindCount{
-		{Kind: KindRepetitions, Nodes: 1, Naive: n},
-		{Kind: KindOrder, Nodes: len(p.orders), Naive: n},
-		{Kind: KindSchedule, Nodes: len(p.scheds), Naive: n},
-		{Kind: KindLifetimes, Nodes: len(p.lifes), Naive: n},
-		{Kind: KindAlloc, Nodes: len(p.allocs), Naive: naiveAllocs},
-		{Kind: KindPartition, Nodes: len(p.parts), Naive: naiveParts},
-		{Kind: KindSegalloc, Nodes: len(p.segs), Naive: naiveParts},
-		{Kind: KindAssemble, Nodes: n, Naive: n},
+	return []KindCount{
+		count(KindRepetitions, n, []*repNode{p.rep}),
+		count(KindOrder, n, p.orders),
+		count(KindSchedule, n, p.scheds),
+		count(KindLifetimes, n, p.lifes),
+		count(KindAlloc, naiveAllocs, p.allocs),
+		count(KindPartition, naiveParts, p.parts),
+		count(KindSegalloc, naiveParts, p.segs),
+		count(KindAssemble, n, p.assemblies),
 	}
-	tally := func(kc *KindCount, ns nodeState) {
-		e, l := ns.counts()
-		kc.Executed += e
-		kc.Loaded += l
-	}
-	tally(&out[0], p.rep.nodeState)
-	for _, nd := range p.orders {
-		tally(&out[1], nd.nodeState)
-	}
-	for _, nd := range p.scheds {
-		tally(&out[2], nd.nodeState)
-	}
-	for _, nd := range p.lifes {
-		tally(&out[3], nd.nodeState)
-	}
-	for _, nd := range p.allocs {
-		tally(&out[4], nd.nodeState)
-	}
-	for _, nd := range p.parts {
-		tally(&out[5], nd.nodeState)
-	}
-	for _, nd := range p.segs {
-		tally(&out[6], nd.nodeState)
-	}
-	out[7].Executed, out[7].Loaded = asmState()
-	return out
 }
 
 // NodeCount returns total executed nodes and the naive execution count,
@@ -361,33 +313,70 @@ func (p *Plan) NodeCount() (nodes, naive int) {
 	return nodes, naive
 }
 
-func (p *Plan) emit(k Kind, key Key, enter bool) {
+func (p *Plan) emit(n *node, enter bool) {
 	if p.cfg.OnEvent != nil {
-		p.cfg.OnEvent(Event{Kind: k, Key: key, Enter: enter})
+		p.cfg.OnEvent(Event{Kind: n.kind, Node: n.id, Enter: enter})
 	}
 }
 
-// abortErr mirrors the stage-boundary cancellation message of the direct
-// pipeline for a node of kind k.
-func abortErr(ctx context.Context, k Kind) error {
-	stage := ""
-	switch k {
-	case KindRepetitions, KindOrder:
-		stage = StageSchedule
-	case KindSchedule:
-		stage = StageLoopDP
-	case KindLifetimes:
-		stage = StageLifetime
-	case KindAlloc, KindAssemble:
-		stage = StageAlloc
-	case KindPartition:
-		stage = StagePartition
-	case KindSegalloc:
-		stage = StageSegments
-	default:
-		panic(fmt.Sprintf("pass: abortErr: unknown kind %d", int(k)))
+// nodeStep is one node's kind-specific half of step: its store key, its
+// pass, and its artifact codec.
+type nodeStep[T any] struct {
+	key    func() string
+	run    func() (T, error)
+	decode func(data []byte) (T, error)
+	encode func(T) ([]byte, error)
+}
+
+// infallible adapts an artifact encoder that cannot fail to nodeStep.encode.
+func infallible[T any](enc func(T) []byte) func(T) ([]byte, error) {
+	return func(v T) ([]byte, error) { return enc(v), nil }
+}
+
+// step is the one store-aware node step every pass level runs: it
+// propagates the parent's error, checks the context, loads the artifact
+// from the store when a decodable payload is published under the node's
+// key, and otherwise runs the pass between an Enter and a Leave event and
+// publishes the encoded artifact. It returns the node's artifact (the zero
+// value on failure); sk is nil without a store.
+func step[T any](ctx context.Context, p *Plan, sk *storeKeys, n *node, s nodeStep[T]) (out T) {
+	if n.parent != nil && n.parent.err != nil {
+		n.err = n.parent.err
+		return out
 	}
-	return fmt.Errorf("core: aborted before %s stage: %w", stage, ctx.Err())
+	if n.err = checkpoint(ctx, n.kind); n.err != nil {
+		return out
+	}
+	var key string
+	if sk != nil {
+		key = s.key()
+		if data, ok := p.cfg.Store.Get(key); ok {
+			if v, err := s.decode(data); err == nil {
+				n.loaded, n.hash = true, payloadHash(data)
+				return v
+			}
+		}
+	}
+	p.emit(n, true)
+	n.ran = true
+	out, n.err = s.run()
+	p.emit(n, false)
+	if sk != nil && n.err == nil {
+		if data, err := s.encode(out); err == nil {
+			n.hash = payloadHash(data)
+			p.cfg.Store.Put(key, data)
+		}
+	}
+	return out
+}
+
+// level runs fn on every node of one DAG level in parallel on the
+// deterministic par pool.
+func level[N any](nodes []N, fn func(N)) {
+	_ = par.ForEach(len(nodes), func(i int) error {
+		fn(nodes[i])
+		return nil
+	})
 }
 
 // Run executes the plan: level by level down the DAG, independent nodes of a
@@ -400,14 +389,8 @@ func (p *Plan) Run(ctx context.Context) []Outcome {
 	if p.cyclic {
 		// The SCC condensation path has no shareable prefix structure, so the
 		// store is not consulted: every point compiles directly.
-		_ = par.ForEach(len(p.assemblies), func(i int) error {
-			as := p.assemblies[i]
-			defer p.emitOutcome(i, as)
-			p.emit(KindAssemble, as.key, true)
-			as.ran = true
-			as.out, as.err = CompileGeneralContext(ctx, p.g, as.opts)
-			p.emit(KindAssemble, as.key, false)
-			return nil
+		level(p.assemblies, func(as *assembleNode) {
+			p.assemble(as, func() (*Result, error) { return CompileGeneralContext(ctx, p.g, as.opts) })
 		})
 		return p.outcomes()
 	}
@@ -418,275 +401,128 @@ func (p *Plan) Run(ctx context.Context) []Outcome {
 	if p.cfg.Store != nil {
 		sk = newStoreKeys(p.g)
 	}
-
-	// Level 0: repetitions (single node).
-	if err := ctx.Err(); err != nil {
-		p.rep.err = abortErr(ctx, KindRepetitions)
-	} else {
-		if sk != nil {
-			if data, ok := p.cfg.Store.Get(sk.repKey()); ok {
-				if out, err := decodeRep(p.g, data); err == nil {
-					p.rep.out, p.rep.loaded = out, true
-				}
-			}
-		}
-		if !p.rep.loaded {
-			p.emit(KindRepetitions, p.rep.key, true)
-			p.rep.ran = true
-			p.rep.out, p.rep.err = RunRepetitions(p.g)
-			p.emit(KindRepetitions, p.rep.key, false)
-			if sk != nil && p.rep.err == nil {
-				p.cfg.Store.Put(sk.repKey(), encodeRep(p.rep.out))
-			}
-		}
-	}
-
-	// Level 1: lexical orders.
-	_ = par.ForEach(len(p.orders), func(i int) error {
-		n := p.orders[i]
-		if p.rep.err != nil {
-			n.err = p.rep.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindOrder)
-			return nil
-		}
-		if sk != nil {
-			key := sk.orderKey(n.strategy, n.custom)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeOrder(p.g, data); err == nil {
-					n.out, n.loaded = out, true
-					n.hash = payloadHash(data)
-					return nil
-				}
-			}
-		}
-		p.emit(KindOrder, n.key, true)
-		n.ran = true
-		n.out, n.err = RunOrder(p.g, p.rep.out, n.strategy, n.custom)
-		p.emit(KindOrder, n.key, false)
-		if sk != nil && n.err == nil {
-			data := encodeOrder(n.out)
-			n.hash = payloadHash(data)
-			p.cfg.Store.Put(sk.orderKey(n.strategy, n.custom), data)
-		}
-		return nil
+	g, rep := p.g, p.rep
+	rep.out = step(ctx, p, sk, &rep.node, nodeStep[Repetitions]{
+		key:    func() string { return sk.repKey() },
+		run:    func() (Repetitions, error) { return RunRepetitions(g) },
+		decode: func(data []byte) (Repetitions, error) { return decodeRep(g, data) },
+		encode: infallible(encodeRep),
+	})
+	level(p.orders, func(n *orderNode) {
+		n.out = step(ctx, p, sk, &n.node, nodeStep[Order]{
+			key:    func() string { return sk.orderKey(n.strategy, n.custom) },
+			run:    func() (Order, error) { return RunOrder(g, rep.out, n.strategy, n.custom) },
+			decode: func(data []byte) (Order, error) { return decodeOrder(g, data) },
+			encode: infallible(encodeOrder),
+		})
+	})
+	level(p.scheds, func(n *schedNode) {
+		n.out = step(ctx, p, sk, &n.node, nodeStep[LoopedSchedule]{
+			key:    func() string { return sk.schedKey(n.order.hash, n.looping) },
+			run:    func() (LoopedSchedule, error) { return RunSchedule(g, rep.out, n.order.out, n.looping) },
+			decode: func(data []byte) (LoopedSchedule, error) { return decodeSched(g, data) },
+			encode: infallible(encodeSched),
+		})
+	})
+	level(p.lifes, func(n *lifeNode) {
+		n.out = step(ctx, p, sk, &n.node, nodeStep[Lifetimes]{
+			key:    func() string { return sk.lifeKey(n.sched.hash) },
+			run:    func() (Lifetimes, error) { return RunLifetimes(rep.out, n.sched.out) },
+			decode: func(data []byte) (Lifetimes, error) { return decodeLife(g, n.sched.out, data) },
+			encode: infallible(encodeLife),
+		})
+	})
+	// Many allocator leaves read one Lifetimes artifact concurrently;
+	// RunAlloc never writes it.
+	level(p.allocs, func(n *allocNode) {
+		n.out = step(ctx, p, sk, &n.node, nodeStep[Allocation]{
+			key:    func() string { return allocStoreKey(n.life.hash, n.strat) },
+			run:    func() (Allocation, error) { return RunAlloc(n.life.out, n.strat) },
+			decode: func(data []byte) (Allocation, error) { return decodeAlloc(n.life.out, n.strat, data) },
+			encode: func(a Allocation) ([]byte, error) { return encodeAlloc(n.life.out, a) },
+		})
+	})
+	// Partitions depend only on the lexical order, like schedules; they run
+	// after the allocator leaves to keep the sequential pipeline's
+	// first-error order (alloc failures win).
+	level(p.parts, func(n *partNode) {
+		n.out = step(ctx, p, sk, &n.node, nodeStep[Partition]{
+			key:    func() string { return partitionStoreKey(sk, n.order.hash, n.partitions) },
+			run:    func() (Partition, error) { return RunPartition(g, rep.out, n.order.out, n.partitions) },
+			decode: func(data []byte) (Partition, error) { return decodePartition(g, rep.out, n.order.out, data) },
+			encode: infallible(encodePartition),
+		})
+	})
+	level(p.segs, func(n *segNode) {
+		n.out = step(ctx, p, sk, &n.node, nodeStep[SegmentedAllocation]{
+			key:    func() string { return segallocStoreKey(sk, n.part.hash) },
+			run:    func() (SegmentedAllocation, error) { return RunSegAlloc(g, rep.out, n.part.out) },
+			decode: func(data []byte) (SegmentedAllocation, error) { return decodeSegalloc(g, rep.out, n.part.out, data) },
+			encode: infallible(encodeSegalloc),
+		})
 	})
 
-	// Level 2: looped schedules.
-	_ = par.ForEach(len(p.scheds), func(i int) error {
-		n := p.scheds[i]
-		if n.order.err != nil {
-			n.err = n.order.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindSchedule)
-			return nil
-		}
-		if sk != nil {
-			key := sk.schedKey(n.order.hash, n.looping)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeSched(p.g, data); err == nil {
-					n.out, n.loaded = out, true
-					n.hash = payloadHash(data)
-					return nil
-				}
-			}
-		}
-		p.emit(KindSchedule, n.key, true)
-		n.ran = true
-		n.out, n.err = RunSchedule(p.g, p.rep.out, n.order.out, n.looping)
-		p.emit(KindSchedule, n.key, false)
-		if sk != nil && n.err == nil {
-			data := encodeSched(n.out)
-			n.hash = payloadHash(data)
-			p.cfg.Store.Put(sk.schedKey(n.order.hash, n.looping), data)
-		}
-		return nil
-	})
-
-	// Level 3: lifetimes (1:1 with schedules).
-	_ = par.ForEach(len(p.lifes), func(i int) error {
-		n := p.lifes[i]
-		if n.sched.err != nil {
-			n.err = n.sched.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindLifetimes)
-			return nil
-		}
-		if sk != nil {
-			key := sk.lifeKey(n.sched.hash)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeLife(p.g, n.sched.out, data); err == nil {
-					n.out, n.loaded = out, true
-					n.hash = payloadHash(data)
-					return nil
-				}
-			}
-		}
-		p.emit(KindLifetimes, n.key, true)
-		n.ran = true
-		n.out, n.err = RunLifetimes(p.rep.out, n.sched.out)
-		p.emit(KindLifetimes, n.key, false)
-		if sk != nil && n.err == nil {
-			data := encodeLife(n.out)
-			n.hash = payloadHash(data)
-			p.cfg.Store.Put(sk.lifeKey(n.sched.hash), data)
-		}
-		return nil
-	})
-
-	// Level 4: allocator leaves. Many leaves read one Lifetimes artifact
-	// concurrently; RunAlloc never writes it.
-	_ = par.ForEach(len(p.allocs), func(i int) error {
-		n := p.allocs[i]
-		if n.life.err != nil {
-			n.err = n.life.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindAlloc)
-			return nil
-		}
-		if sk != nil {
-			key := allocStoreKey(n.life.hash, n.strat)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeAlloc(n.life.out, n.strat, data); err == nil {
-					n.out, n.loaded = out, true
-					return nil
-				}
-			}
-		}
-		p.emit(KindAlloc, n.key, true)
-		n.ran = true
-		n.out, n.err = RunAlloc(n.life.out, n.strat)
-		p.emit(KindAlloc, n.key, false)
-		if sk != nil && n.err == nil {
-			if data, err := encodeAlloc(n.life.out, n.out); err == nil {
-				p.cfg.Store.Put(allocStoreKey(n.life.hash, n.strat), data)
-			}
-		}
-		return nil
-	})
-
-	// Level 4a: P-way partitions. Like schedules they depend only on the
-	// lexical order; they run after the allocator leaves to keep the
-	// sequential pipeline's first-error order (alloc failures win).
-	_ = par.ForEach(len(p.parts), func(i int) error {
-		n := p.parts[i]
-		if n.order.err != nil {
-			n.err = n.order.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindPartition)
-			return nil
-		}
-		if sk != nil {
-			key := partitionStoreKey(sk, n.order.hash, n.partitions)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodePartition(p.g, p.rep.out, n.order.out, data); err == nil {
-					n.out, n.loaded = out, true
-					n.hash = payloadHash(data)
-					return nil
-				}
-			}
-		}
-		p.emit(KindPartition, n.key, true)
-		n.ran = true
-		n.out, n.err = RunPartition(p.g, p.rep.out, n.order.out, n.partitions)
-		p.emit(KindPartition, n.key, false)
-		if sk != nil && n.err == nil {
-			data := encodePartition(n.out)
-			n.hash = payloadHash(data)
-			p.cfg.Store.Put(partitionStoreKey(sk, n.order.hash, n.partitions), data)
-		}
-		return nil
-	})
-
-	// Level 4b: segmented allocations (1:1 with partitions).
-	_ = par.ForEach(len(p.segs), func(i int) error {
-		n := p.segs[i]
-		if n.part.err != nil {
-			n.err = n.part.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindSegalloc)
-			return nil
-		}
-		if sk != nil {
-			key := segallocStoreKey(sk, n.part.hash)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeSegalloc(p.g, p.rep.out, n.part.out, data); err == nil {
-					n.out, n.loaded = out, true
-					return nil
-				}
-			}
-		}
-		p.emit(KindSegalloc, n.key, true)
-		n.ran = true
-		n.out, n.err = RunSegAlloc(p.g, p.rep.out, n.part.out)
-		p.emit(KindSegalloc, n.key, false)
-		if sk != nil && n.err == nil {
-			p.cfg.Store.Put(segallocStoreKey(sk, n.part.hash), encodeSegalloc(n.out))
-		}
-		return nil
-	})
-
-	// Level 5: per-point assembly (verify, merge, metrics). Allocator errors
-	// are reported in the point's allocator order, matching the first-error
+	// Per-point assembly (verify, merge, metrics). Upstream errors are
+	// reported in the point's allocator order, matching the first-error
 	// behavior of the sequential pipeline. Assembly is never stored: its
 	// inputs include per-point options (verify, merging) and its output
 	// includes the graph pointer itself.
-	_ = par.ForEach(len(p.assemblies), func(i int) error {
-		as := p.assemblies[i]
-		// Every point reaches this body — upstream failures propagate into
-		// as.err here — so the deferred hook fires exactly once per point.
-		defer p.emitOutcome(i, as)
-		if as.life.err != nil {
-			as.err = as.life.err
-			return nil
-		}
+	level(p.assemblies, func(as *assembleNode) {
 		allocs := make([]Allocation, 0, len(as.allocs))
 		for _, an := range as.allocs {
-			if an.err != nil {
-				as.err = an.err
-				return nil
-			}
 			allocs = append(allocs, an.out)
 		}
 		var part Partition
 		var seg SegmentedAllocation
 		if as.part != nil {
-			if as.part.err != nil {
-				as.err = as.part.err
-				return nil
-			}
-			if as.seg.err != nil {
-				as.err = as.seg.err
-				return nil
-			}
 			part, seg = as.part.out, as.seg.out
 		}
-		p.emit(KindAssemble, as.key, true)
-		as.ran = true
-		as.out, as.err = finishResult(ctx, p.g, as.opts, p.rep.out,
-			as.life.sched.order.out.Actors, as.life.sched.out, as.life.out, allocs, part, seg)
-		p.emit(KindAssemble, as.key, false)
-		return nil
+		p.assemble(as, func() (*Result, error) {
+			return finishResult(ctx, g, as.opts, rep.out, as.life.sched.order.out.Actors,
+				as.life.sched.out, as.life.out, allocs, part, seg)
+		})
 	})
 	return p.outcomes()
 }
 
-func (p *Plan) emitOutcome(i int, as *assembleNode) {
-	if p.cfg.OnOutcome != nil {
-		p.cfg.OnOutcome(i, Outcome{Result: as.out, Err: as.err})
+// assemble runs one point's assembly unless an upstream node failed, then
+// reports the point's outcome. Every point passes through here exactly once,
+// so OnOutcome fires exactly once per point.
+func (p *Plan) assemble(as *assembleNode, run func() (*Result, error)) {
+	if as.err = as.upstreamErr(); as.err == nil {
+		p.emit(&as.node, true)
+		as.ran = true
+		as.out, as.err = run()
+		p.emit(&as.node, false)
 	}
+	if p.cfg.OnOutcome != nil {
+		p.cfg.OnOutcome(as.id, Outcome{Result: as.out, Err: as.err})
+	}
+}
+
+// upstreamErr is the first failure among the point's inputs, in the
+// sequential pipeline's order: lifetimes (which carries any order or
+// schedule failure), each allocator, then the partition and its segmented
+// allocation.
+func (as *assembleNode) upstreamErr() error {
+	if as.life == nil {
+		return nil
+	}
+	if as.life.err != nil {
+		return as.life.err
+	}
+	for _, an := range as.allocs {
+		if an.err != nil {
+			return an.err
+		}
+	}
+	if as.part != nil {
+		if as.part.err != nil {
+			return as.part.err
+		}
+		return as.seg.err
+	}
+	return nil
 }
 
 func (p *Plan) outcomes() []Outcome {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +97,51 @@ func TestPlanStatsDedup(t *testing.T) {
 	nodes, naive := p.NodeCount()
 	if nodes != 1+2+8+8+24+24 || naive != 6*24 {
 		t.Errorf("NodeCount = %d/%d", nodes, naive)
+	}
+
+	// Node identity, field by field: every Options field storeKeyMap
+	// carries into an option projection splits the nodes of its kind and of
+	// every kind below it, and nothing else; identical points share every
+	// node but their assembly.
+	order := make([]sdf.ActorID, g.NumActors())
+	for i := range order {
+		order[i] = sdf.ActorID(i)
+	}
+	reversed := slices.Clone(order)
+	slices.Reverse(reversed)
+	base := Options{Strategy: APGAN, Looping: SDPPOLoops, Allocators: []alloc.Strategy{alloc.FirstFitDuration}, Partitions: 2}
+	custom := base
+	custom.Strategy, custom.Order = CustomOrder, order
+	orderSplit := []Kind{KindOrder, KindSchedule, KindLifetimes, KindAlloc, KindPartition, KindSegalloc}
+	for _, tc := range []struct {
+		field string
+		a     Options
+		edit  func(*Options)
+		split []Kind
+	}{
+		{"Strategy", base, func(o *Options) { o.Strategy = RPMC }, orderSplit},
+		{"Order", custom, func(o *Options) { o.Order = reversed }, orderSplit},
+		{"Looping", base, func(o *Options) { o.Looping = DPPOLoops }, []Kind{KindSchedule, KindLifetimes, KindAlloc}},
+		{"Allocators", base, func(o *Options) { o.Allocators = []alloc.Strategy{alloc.FirstFitStart} }, []Kind{KindAlloc}},
+		{"Partitions", base, func(o *Options) { o.Partitions = 3 }, []Kind{KindPartition, KindSegalloc}},
+		{"identical", base, func(*Options) {}, nil},
+		{"Verify", base, func(o *Options) { o.Verify = true }, nil},
+	} {
+		b := tc.a
+		tc.edit(&b)
+		p, err := NewPlan(g, []Options{tc.a, b}, PlanConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kc := range p.Stats() {
+			want := 1
+			if kc.Kind == KindAssemble || slices.Contains(tc.split, kc.Kind) {
+				want = 2
+			}
+			if kc.Nodes != want {
+				t.Errorf("%s: %v has %d nodes, want %d", tc.field, kc.Kind, kc.Nodes, want)
+			}
+		}
 	}
 }
 
@@ -315,20 +361,28 @@ func TestPlanCancellation(t *testing.T) {
 }
 
 func TestPlanEvents(t *testing.T) {
+	type nodeRef struct {
+		kind Kind
+		node int
+	}
 	var (
 		mu     sync.Mutex
-		enters = map[Key]int{}
-		leaves = map[Key]int{}
+		enters = map[nodeRef]int{}
+		leaves = map[nodeRef]int{}
 		kinds  = map[Kind]int{}
 	)
-	cfg := PlanConfig{GraphKey: "satrec", OnEvent: func(e Event) {
+	cfg := PlanConfig{OnEvent: func(e Event) {
 		mu.Lock()
 		defer mu.Unlock()
+		ref := nodeRef{e.Kind, e.Node}
 		if e.Enter {
-			enters[e.Key]++
+			if enters[ref] != leaves[ref] {
+				t.Errorf("node %v entered again before it left", ref)
+			}
+			enters[ref]++
 			kinds[e.Kind]++
 		} else {
-			leaves[e.Key]++
+			leaves[ref]++
 		}
 	}}
 	p, err := NewPlan(systems.SatelliteReceiver(), fullGrid(), cfg)
@@ -336,24 +390,26 @@ func TestPlanEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	must2(p.Run(context.Background()), t)
-	for k, n := range enters {
+	for ref, n := range enters {
 		if n != 1 {
-			t.Errorf("node %s entered %d times, want exactly 1", k, n)
+			t.Errorf("node %v entered %d times, want exactly 1", ref, n)
 		}
-		if leaves[k] != 1 {
-			t.Errorf("node %s: %d leave events, want 1", k, leaves[k])
+		if leaves[ref] != 1 {
+			t.Errorf("node %v: %d leave events, want 1", ref, leaves[ref])
 		}
+	}
+	if len(leaves) != len(enters) {
+		t.Errorf("%d nodes left, %d entered", len(leaves), len(enters))
 	}
 	for _, kc := range p.Stats() {
 		if kinds[kc.Kind] != kc.Nodes {
 			t.Errorf("%v: %d enter events, stats say %d nodes", kc.Kind, kinds[kc.Kind], kc.Nodes)
 		}
-	}
-	for k := range enters {
-		if !strings.Contains(string(k), "satrec") && !strings.Contains(string(k), "|g:satrec") {
-			// Only repetitions/order keys embed the graph key directly; the
-			// rest inherit it through their parent prefix.
-			t.Errorf("node key %q does not carry the configured graph key", k)
+		// Node indexes are dense per kind: 0..Nodes-1.
+		for i := 0; i < kc.Nodes; i++ {
+			if enters[nodeRef{kc.Kind, i}] != 1 {
+				t.Errorf("%v node %d: no enter event", kc.Kind, i)
+			}
 		}
 	}
 }

@@ -174,26 +174,24 @@ func betterAlloc(cand Allocation, best *alloc.Allocation, bestBy alloc.Strategy)
 	return cand.Alloc.Total == best.Total && cand.Strategy.String() < bestBy.String()
 }
 
-// stageStart is the per-stage checkpoint of the context-aware entry points:
-// it aborts promptly once ctx is cancelled or past its deadline (wrapping
-// the context error so callers can errors.Is on it) and notifies the
-// OnStage hook. Cancellation is checked between stages, not inside them —
-// the individual passes stay pure functions with no context plumbing.
-func stageStart(ctx context.Context, opts Options, stage string) error {
+// checkpoint is the cancellation point before every pass, on the direct
+// pipelines and the Plan executor alike: it aborts once ctx is cancelled or
+// past its deadline, naming the pass kind it would have run and wrapping
+// the context error so callers can errors.Is on it. Cancellation is
+// checked between passes, not inside them — the passes stay pure functions
+// with no context plumbing.
+func checkpoint(ctx context.Context, k Kind) error {
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: aborted before %s stage: %w", stage, err)
-	}
-	if opts.OnStage != nil {
-		opts.OnStage(stage)
+		return fmt.Errorf("core: aborted before %s pass: %w", k, err)
 	}
 	return nil
 }
 
 // finishResult assembles one grid point's Result from its pass artifacts:
 // allocation bookkeeping with the name tie-break, the metrics block, and
-// the optional verify and merge stages. It is the single assembly shared by
-// the sequential CompileContext and the Plan executor, which is what keeps
-// the two paths byte-identical.
+// the optional verify and merge steps, each behind an assemble checkpoint.
+// It is the single assembly shared by the sequential CompileContext and the
+// Plan executor, which is what keeps the two paths byte-identical.
 func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitions,
 	order []sdf.ActorID, ls LoopedSchedule, lf Lifetimes, allocs []Allocation,
 	part Partition, seg SegmentedAllocation) (*Result, error) {
@@ -235,7 +233,7 @@ func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitio
 	}
 
 	if opts.Verify {
-		if err := stageStart(ctx, opts, StageVerify); err != nil {
+		if err := checkpoint(ctx, KindAssemble); err != nil {
 			return nil, err
 		}
 		periods := opts.VerifyPeriods
@@ -254,7 +252,7 @@ func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitio
 
 	res.Metrics.MergedTotal = res.Metrics.SharedTotal
 	if opts.Merging {
-		if err := stageStart(ctx, opts, StageMerge); err != nil {
+		if err := checkpoint(ctx, KindAssemble); err != nil {
 			return nil, err
 		}
 		total, merges, err := applyMerging(res, opts, defaultAllocators(opts.Allocators))
@@ -263,9 +261,6 @@ func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitio
 		}
 		res.Metrics.MergedTotal = total
 		res.Metrics.Merges = merges
-	}
-	if err := stageStart(ctx, opts, StageDone); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

@@ -33,29 +33,60 @@ type Store interface {
 // to the Options shape the keys cover.
 const StoreVersion = "pass-node/v1"
 
-// storeKeyMap is the completeness mirror for the persistent store keys, the
-// cross-process sibling of optionsKeyMap (options.go): sdflint's keycomplete
-// analyzer checks it mirrors Options field for field, and each field is
-// annotated with the store key that carries it, or with the reason it needs
-// none. Adding an Options knob therefore forces TWO decisions: which in-plan
-// node key carries it (optionsKeyMap) and which persistent key carries it
-// (here). Forgetting the latter would let two configurations silently alias
-// one store entry across daemon restarts — much worse than an in-memory
-// aliasing bug, which at least dies with the process. Changing how an
-// existing field is keyed requires bumping StoreVersion.
+// storeKeyMap keeps node identities and store keys complete: sdflint's
+// keycomplete analyzer checks it mirrors Options field for field, and each
+// field is annotated with the option projection that carries it, or with
+// the reason it needs none. A projection's bytes are both half of the plan
+// node identity (NewPlan interns on parent node + projection) and part of
+// the persistent store key, so adding an Options knob forces one decision
+// that covers both. Forgetting it would let two configurations silently
+// alias one deduplicated node, and one store entry across daemon restarts.
+// Changing how an existing field is projected requires bumping
+// StoreVersion.
 //
 //lint:keymap Options
 type storeKeyMap struct {
-	Strategy      OrderStrategy                  // orderStoreKey (and every chained downstream key)
-	Order         []sdf.ActorID                  // orderStoreKey, custom strategies only
-	Looping       LoopAlg                        // schedStoreKey; FlatLoops additionally pulls the words projection in (its DP cost reads Words)
-	Allocators    []alloc.Strategy               // allocStoreKey, one key per allocator
-	Verify        bool                           // assemble-only: assembled Results are never stored
-	VerifyPeriods int                            // assemble-only: assembled Results are never stored
-	Merging       bool                           // assemble-only: assembled Results are never stored
-	MergePolicy   func(sdf.ActorID) merge.Policy // assemble-only: assembled Results are never stored
-	OnStage       func(stage string)             // observability hook, not a compilation input
-	Partitions    int                            // partitionStoreKey (segallocStoreKey inherits it through the chained partition hash)
+	Strategy      OrderStrategy                  // orderOpts (and every node and key chained below the order)
+	Order         []sdf.ActorID                  // orderOpts, custom strategies only
+	Looping       LoopAlg                        // schedOpts; FlatLoops additionally pulls the words projection into the store key (its DP cost reads Words)
+	Allocators    []alloc.Strategy               // allocOpts, one alloc node and key per allocator
+	Verify        bool                           // assemble-only: per-point leaf, never shared or stored
+	VerifyPeriods int                            // assemble-only: per-point leaf, never shared or stored
+	Merging       bool                           // assemble-only: per-point leaf, never shared or stored
+	MergePolicy   func(sdf.ActorID) merge.Policy // assemble-only: per-point leaf, never shared or stored
+	Partitions    int                            // partitionOpts (segalloc inherits it through its parent partition node and chained hash)
+}
+
+// Option projections: one function per pass kind that reads options, each
+// returning the bytes of exactly the Options fields that pass reads. The
+// repetitions, lifetimes and segalloc passes read none; their nodes are
+// identified by their parent alone.
+
+// orderOpts projects the ordering fields: the strategy, plus the explicit
+// actor list for custom orders.
+func orderOpts(strategy OrderStrategy, custom []sdf.ActorID) []byte {
+	out := binary.AppendVarint(nil, int64(strategy))
+	if strategy == CustomOrder {
+		for _, a := range custom {
+			out = binary.AppendVarint(out, int64(a))
+		}
+	}
+	return out
+}
+
+// schedOpts projects the loop-hierarchy algorithm.
+func schedOpts(looping LoopAlg) []byte {
+	return binary.AppendVarint(nil, int64(looping))
+}
+
+// allocOpts projects one allocator strategy.
+func allocOpts(strat alloc.Strategy) []byte {
+	return binary.AppendVarint(nil, int64(strat))
+}
+
+// partitionOpts projects the worker count.
+func partitionOpts(partitions int) []byte {
+	return binary.AppendVarint(nil, int64(partitions))
 }
 
 // kindTag names each pass kind inside store keys. The switch deliberately
@@ -86,10 +117,11 @@ func kindTag(k Kind) string {
 
 // Store key design — projection digests with hash chaining.
 //
-// The in-plan node keys (options.go) embed an opaque GraphKey, so ANY edit
-// to the graph text changes EVERY key: sound, but useless for incremental
-// recompilation. Store keys instead cover, per stage, exactly the graph
-// fields that stage's pass reads:
+// A plan node's identity is local to one plan over one graph; a store key
+// must also identify the graph. Hashing the whole graph would make ANY edit
+// change EVERY key: sound, but useless for incremental recompilation. Store
+// keys instead cover, per stage, the stage's option projection plus exactly
+// the graph fields that stage's pass reads:
 //
 //	repetitions  topology + rates                 (sdf.Repetitions: balance equations only)
 //	order        topology + rates + delays        (RPMC cut costs read tnse + delay; APGAN clusters read rates)
@@ -152,20 +184,11 @@ func (sk *storeKeys) repKey() string {
 }
 
 func (sk *storeKeys) orderKey(strategy OrderStrategy, custom []sdf.ActorID) string {
-	var extra []byte
-	extra = binary.AppendVarint(extra, int64(strategy))
-	if strategy == CustomOrder {
-		for _, a := range custom {
-			extra = binary.AppendVarint(extra, int64(a))
-		}
-	}
-	return storeDigest(KindOrder, sk.rates, sk.delays, extra)
+	return storeDigest(KindOrder, sk.rates, sk.delays, orderOpts(strategy, custom))
 }
 
 func (sk *storeKeys) schedKey(orderHash []byte, looping LoopAlg) string {
-	var extra []byte
-	extra = binary.AppendVarint(extra, int64(looping))
-	parts := [][]byte{orderHash, sk.rates, sk.delays, extra}
+	parts := [][]byte{orderHash, sk.rates, sk.delays, schedOpts(looping)}
 	if looping == FlatLoops {
 		parts = append(parts, sk.words)
 	}
@@ -181,9 +204,7 @@ func (sk *storeKeys) lifeKey(schedHash []byte) string {
 // interval enumeration is name-free (lifetime.ByStart/ByDuration tie-break
 // by input order, never by name).
 func allocStoreKey(lifeHash []byte, strat alloc.Strategy) string {
-	var extra []byte
-	extra = binary.AppendVarint(extra, int64(strat))
-	return storeDigest(KindAlloc, lifeHash, extra)
+	return storeDigest(KindAlloc, lifeHash, allocOpts(strat))
 }
 
 // partitionStoreKey covers the phased schedule's inputs: the lexical order
@@ -191,9 +212,7 @@ func allocStoreKey(lifeHash []byte, strat alloc.Strategy) string {
 // levels read delay against consumed-per-period, the cost model reads
 // rates), and the worker count.
 func partitionStoreKey(sk *storeKeys, orderHash []byte, partitions int) string {
-	var extra []byte
-	extra = binary.AppendVarint(extra, int64(partitions))
-	return storeDigest(KindPartition, orderHash, sk.rates, sk.delays, extra)
+	return storeDigest(KindPartition, orderHash, sk.rates, sk.delays, partitionOpts(partitions))
 }
 
 // segallocStoreKey covers the segmented allocation's inputs: the partition

@@ -2,7 +2,9 @@ package pass
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/goldentest"
 	"repro/internal/lifetime"
 	"repro/internal/sdf"
 	"repro/internal/systems"
@@ -484,4 +487,66 @@ func buildRand(t *testing.T, rng *rand.Rand, actors int) *sdf.Graph {
 		g.AddEdge(sdf.ActorID(j), sdf.ActorID(i), q[i]/gg, q[j]/gg, 0)
 	}
 	return g
+}
+
+// keyLog is a Store that never hits and records every published key in
+// order.
+type keyLog struct {
+	mu   sync.Mutex
+	keys []string
+}
+
+func (l *keyLog) Get(string) ([]byte, bool) { return nil, false }
+
+func (l *keyLog) Put(key string, _ []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.keys = append(l.keys, key)
+}
+
+// TestStoreKeyGolden pins the hex store keys of satrec across ordering
+// strategy × looping × allocator × worker count. A single-point plan has one
+// node per level, so it publishes in level order: repetitions, order,
+// schedule, lifetimes, alloc, then partition and segalloc when P >= 2. Any
+// change to a key's bytes — an option projection, a graph projection, an
+// artifact encoding — fails here, and must come with a StoreVersion bump
+// and a regenerated golden (go test ./internal/pass -run
+// TestStoreKeyGolden -update).
+func TestStoreKeyGolden(t *testing.T) {
+	g := systems.SatelliteReceiver()
+	q, err := g.Repetitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom, err := g.TopologicalSort(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "# %s\n", StoreVersion)
+	for _, strat := range []OrderStrategy{APGAN, RPMC, CustomOrder} {
+		for _, la := range []LoopAlg{SDPPOLoops, FlatLoops} {
+			for _, al := range []alloc.Strategy{alloc.FirstFitDuration, alloc.FirstFitStart} {
+				for _, parts := range []int{0, 2} {
+					opts := Options{Strategy: strat, Looping: la, Allocators: []alloc.Strategy{al}, Partitions: parts}
+					if strat == CustomOrder {
+						opts.Order = custom
+					}
+					log := &keyLog{}
+					outs, err := RunGridOutcomes(context.Background(), g, []Options{opts}, PlanConfig{Store: log})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if outs[0].Err != nil {
+						t.Fatal(outs[0].Err)
+					}
+					fmt.Fprintf(&b, "%v/%v/%v/P%d\n", strat, la, al, parts)
+					for _, k := range log.keys {
+						fmt.Fprintf(&b, "  %s\n", k)
+					}
+				}
+			}
+		}
+	}
+	goldentest.Compare(t, filepath.Join("testdata", "store_keys.golden"), b.String())
 }

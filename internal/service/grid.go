@@ -195,8 +195,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			// actually executed; store reuse shows up in
 			// sdfd_nodestore_loads_total instead.
 			plan, err := pass.NewPlan(g, points, pass.PlanConfig{
-				GraphKey: Digest(canonical, CompileOptions{}),
-				Store:    s.planStore(),
+				Store: s.planStore(),
 				OnEvent: func(e pass.Event) {
 					if e.Enter {
 						s.gridNodes.With(e.Kind.String()).Inc()

@@ -375,7 +375,7 @@ func (s *Server) runJob(j *job, g *sdf.Graph, canonical string, entries []Compil
 			s.runJobRemote(ctx, j, g, canonical, remote)
 		}()
 	}
-	s.runJobLocal(ctx, j, g, canonical, local)
+	s.runJobLocal(ctx, j, g, local)
 	wg.Wait()
 }
 
@@ -384,7 +384,7 @@ func (s *Server) runJob(j *job, g *sdf.Graph, canonical string, entries []Compil
 // accepted job must finish even under synchronous load, and the plan's own
 // executor already bounds parallelism). OnOutcome streams each entry into
 // the job the moment its pass leaf finishes.
-func (s *Server) runJobLocal(ctx context.Context, j *job, g *sdf.Graph, canonical string, misses []*jobMiss) {
+func (s *Server) runJobLocal(ctx context.Context, j *job, g *sdf.Graph, misses []*jobMiss) {
 	if len(misses) == 0 {
 		return
 	}
@@ -410,8 +410,7 @@ func (s *Server) runJobLocal(ctx context.Context, j *job, g *sdf.Graph, canonica
 	defer cancel()
 	s.gridRuns.Inc()
 	plan, err := pass.NewPlan(g, points, pass.PlanConfig{
-		GraphKey: Digest(canonical, CompileOptions{}),
-		Store:    s.planStore(),
+		Store: s.planStore(),
 		OnEvent: func(e pass.Event) {
 			if e.Enter {
 				s.gridNodes.With(e.Kind.String()).Inc()
@@ -497,7 +496,7 @@ func (s *Server) runJobRemote(ctx context.Context, j *job, g *sdf.Graph, canonic
 				}
 			}
 		}
-		s.runJobLocal(ctx, j, g, canonical, ordered)
+		s.runJobLocal(ctx, j, g, ordered)
 	}
 }
 

@@ -229,7 +229,7 @@ func New(cfg Config) *Server {
 		"end-to-end request latency quantiles by route (hdr-backed; directly comparable to sdfload's client-side percentiles)",
 		"route")
 	s.stageSeconds = s.reg.HistogramVec("sdfd_stage_seconds",
-		"pipeline stage latency (schedule, loopdp, lifetime, alloc, verify, merge, codegen)",
+		"executed pass latency by pass kind (repetitions, order, schedule, lifetimes, alloc, partition, segalloc, assemble)",
 		metrics.DefLatencyBuckets, "stage")
 	s.cacheHits = s.reg.Counter("sdfd_cache_hits_total", "compile cache hits")
 	s.cacheMisses = s.reg.Counter("sdfd_cache_misses_total", "compile cache misses")
@@ -296,28 +296,31 @@ func (s *Server) planStore() pass.Store {
 	return s.cfg.NodeStore
 }
 
-// stageEvents adapts plan node events into the stage latency histogram for
-// the store-assisted single-compile path: each executed node's enter/leave
-// pair is timed under its stage name. Loaded nodes emit no events and so
-// cost no observations — the histogram keeps meaning "the pipeline actually
-// did this work".
+// stageEvents adapts plan node events into the stage latency histogram:
+// each executed node's enter/leave pair is timed under its pass kind.
+// Loaded nodes emit no events and so cost no observations — the histogram
+// keeps meaning "the pipeline actually did this work".
 func (s *Server) stageEvents() func(pass.Event) {
+	type nodeRef struct {
+		kind pass.Kind
+		node int
+	}
 	var mu sync.Mutex
-	starts := map[string]time.Time{}
+	starts := map[nodeRef]time.Time{}
 	return func(e pass.Event) {
-		key := e.Kind.String() + "\x00" + string(e.Key)
+		ref := nodeRef{e.Kind, e.Node}
 		if e.Enter {
 			mu.Lock()
-			starts[key] = time.Now()
+			starts[ref] = time.Now()
 			mu.Unlock()
 			return
 		}
 		mu.Lock()
-		t0, ok := starts[key]
-		delete(starts, key)
+		t0, ok := starts[ref]
+		delete(starts, ref)
 		mu.Unlock()
 		if ok {
-			s.stageSeconds.With(stageOfKind(e.Kind)).Observe(time.Since(t0).Seconds())
+			s.stageSeconds.With(e.Kind.String()).Observe(time.Since(t0).Seconds())
 		}
 	}
 }
@@ -331,31 +334,6 @@ func (s *Server) countLoads(stats []pass.KindCount) {
 		if kc.Loaded > 0 {
 			s.storeLoads.With(kc.Kind.String()).Add(float64(kc.Loaded))
 		}
-	}
-}
-
-// stageOfKind maps plan node kinds onto the OnStage latency vocabulary so
-// store-assisted compilations land in the same sdfd_stage_seconds series as
-// direct ones (repetitions+order together form the schedule stage; the
-// assemble node covers selection, verify, and merge).
-func stageOfKind(k pass.Kind) string {
-	switch k {
-	case pass.KindRepetitions, pass.KindOrder:
-		return core.StageSchedule
-	case pass.KindSchedule:
-		return core.StageLoopDP
-	case pass.KindLifetimes:
-		return core.StageLifetime
-	case pass.KindAlloc:
-		return core.StageAlloc
-	case pass.KindPartition:
-		return core.StagePartition
-	case pass.KindSegalloc:
-		return core.StageSegments
-	case pass.KindAssemble:
-		return "assemble"
-	default:
-		return "unknown"
 	}
 }
 
@@ -708,16 +686,14 @@ func (s *Server) runCompileJob(key string, f *flight, g *sdf.Graph, norm Compile
 	s.flights.finish(key, f, data, err)
 }
 
-// compileArtifact runs one normalized compilation through whichever path
-// the configuration selects: with a node store, a single-point planned run
-// that probes the store before each pass and publishes after (warm stages
-// are loaded, not executed); without one, the direct pipeline. Both paths
-// render through the identical artifact encoder, so the bytes for a digest
-// do not depend on which path — or which process lifetime — produced them.
+// compileArtifact runs one normalized compilation as a single-point plan.
+// With a node store the plan probes it before each pass and publishes
+// after, so warm passes are loaded, not executed; without one every pass
+// runs. Either way each executed pass is timed into sdfd_stage_seconds
+// under its kind, and the result renders through the one artifact encoder,
+// so the bytes for a digest do not depend on the store — or on which
+// process lifetime produced them — and equal CompileArtifact's.
 func (s *Server) compileArtifact(ctx context.Context, g *sdf.Graph, norm CompileOptions) ([]byte, *core.Result, error) {
-	if s.cfg.NodeStore == nil {
-		return compileArtifactContext(ctx, g, norm, s.stageTimer())
-	}
 	copts, err := coreOptions(norm)
 	if err != nil {
 		return nil, nil, err
@@ -739,25 +715,6 @@ func (s *Server) compileArtifact(ctx context.Context, g *sdf.Graph, norm Compile
 		return nil, nil, err
 	}
 	return data, outs[0].Result, nil
-}
-
-// stageTimer adapts core's OnStage hook into the per-stage latency
-// histogram: each hook call closes the previous stage's interval.
-func (s *Server) stageTimer() func(string) {
-	var (
-		last      string
-		lastStart time.Time
-	)
-	return func(stage string) {
-		now := time.Now()
-		if last != "" {
-			s.stageSeconds.With(last).Observe(now.Sub(lastStart).Seconds())
-		}
-		last, lastStart = stage, now
-		if stage == core.StageDone {
-			last = ""
-		}
-	}
 }
 
 var errVerifyFailed = errors.New("verification failed")

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/pass"
 	"repro/internal/regularity"
 	"repro/internal/sdf"
 	"repro/internal/sdfio"
@@ -525,4 +527,61 @@ func mustDigest(t *testing.T, g *sdf.Graph) string {
 func isStatus(err error, status int) bool {
 	var apiErr *APIError
 	return errors.As(err, &apiErr) && apiErr.Status == status
+}
+
+// TestPlannedCompileStageMetrics: a daemon without a node store compiles
+// through the same single-point plan as one with a store, so
+// sdfd_stage_seconds carries exactly the pass-kind labels — one
+// observation per executed node — and the artifact bytes equal the direct
+// CompileArtifact reference.
+func TestPlannedCompileStageMetrics(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	g := systems.SatelliteReceiver()
+	opts := CompileOptions{Partitions: 2, Verify: true}
+	resp, err := ts.cl.Compile(CompileRequest{Graph: graphText(t, g), Options: opts}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := CompileArtifact(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal([]byte(resp.Artifact), want) {
+		t.Fatal("storeless daemon artifact differs from CompileArtifact")
+	}
+
+	httpResp, err := http.Get(ts.http.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(httpResp.Body); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, `sdfd_stage_seconds_count{stage="`); ok {
+			label, value, _ := strings.Cut(rest, `"} `)
+			counts[label] = value
+		}
+		if rest, ok := strings.CutPrefix(line, "# HELP sdfd_stage_seconds "); ok {
+			for _, k := range pass.Kinds() {
+				if !strings.Contains(rest, k.String()) {
+					t.Errorf("sdfd_stage_seconds help %q does not name label %q", rest, k)
+				}
+			}
+			if strings.Contains(rest, "codegen") {
+				t.Errorf("sdfd_stage_seconds help %q advertises a codegen label nothing emits", rest)
+			}
+		}
+	}
+	// The wire defaults try two allocators: one alloc node each.
+	wantCounts := map[string]string{
+		"repetitions": "1", "order": "1", "schedule": "1", "lifetimes": "1",
+		"alloc": "2", "partition": "1", "segalloc": "1", "assemble": "1",
+	}
+	if !reflect.DeepEqual(counts, wantCounts) {
+		t.Errorf("sdfd_stage_seconds counts by label = %v, want %v", counts, wantCounts)
+	}
 }
