@@ -55,7 +55,7 @@ grid:
 # under the race detector, plus the fuzzer's two-pass shared-store replay
 # (second pass must be byte-identical with nonzero store hits).
 incremental:
-	$(GO) test -race -run 'TestStore|TestNodeStore|TestCodec|TestKind|TestDecode|TestPlanSecondRun|TestPlanGarbage' ./internal/pass/... ./internal/service/...
+	$(GO) test -race -run 'TestStore|TestNodeStore|TestCodec|TestKind|TestDecode|TestPlanSecondRun|TestPlanGarbage|TestPlanCorrupt' ./internal/pass/... ./internal/service/...
 	$(GO) test -race -count=2 ./internal/nodestore/...
 	cd cmd/sdffuzz && $(GO) run . -store -n 25 -seed 1
 
@@ -140,3 +140,5 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sdfio
 	$(GO) test -run='^$$' -fuzz=FuzzPipeline -fuzztime=$(FUZZTIME) ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzIntersects -fuzztime=$(FUZZTIME) ./internal/lifetime
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLife$$' -fuzztime=$(FUZZTIME) ./internal/pass
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSched$$' -fuzztime=$(FUZZTIME) ./internal/pass

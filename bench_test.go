@@ -232,7 +232,10 @@ func BenchmarkLifetimeExtraction(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := res.Repetitions
-	tree := res.Tree
+	tree, err := schedtree.FromSchedule(res.Schedule)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tree.Lifetimes(q); err != nil {

@@ -150,7 +150,7 @@ func main() {
 	}
 	if *chart {
 		fmt.Println("\nbuffer lifetimes (one column per schedule step):")
-		fmt.Print(lifetime.Chart(res.Intervals, res.Tree.TotalDur, 96))
+		fmt.Print(lifetime.Chart(res.Intervals, res.PeriodLen, 96))
 		fmt.Println("\nmemory map:")
 		for _, p := range res.Best.Placements {
 			fmt.Printf("  [%6d,%6d)  %s\n", p.Offset, p.Offset+p.Interval.Size, p.Interval.Name)

@@ -38,7 +38,7 @@ func main() {
 	}
 
 	fmt.Printf("\nnested single appearance schedule: %s\n", res.Schedule)
-	fmt.Printf("schedule period: %d abstract time steps\n\n", res.Tree.TotalDur)
+	fmt.Printf("schedule period: %d abstract time steps\n\n", res.PeriodLen)
 
 	fmt.Println("buffer lifetimes (coarse-grained model):")
 	for _, iv := range res.Intervals {
@@ -47,7 +47,7 @@ func main() {
 	}
 
 	fmt.Println("\nlifetime chart (one column per schedule step):")
-	fmt.Print(lifetime.Chart(res.Intervals, res.Tree.TotalDur, 72))
+	fmt.Print(lifetime.Chart(res.Intervals, res.PeriodLen, 72))
 
 	fmt.Println("\nshared memory layout (first fit by duration):")
 	for _, p := range res.Best.Placements {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/runtime"
+	"repro/internal/schedtree"
 	"repro/internal/sdf"
 	"repro/internal/sim"
 )
@@ -239,10 +240,17 @@ func Pipeline(res *core.Result, opt Options) error {
 	if err := Schedule(g, res.Repetitions, res.Schedule, opt); err != nil {
 		return err
 	}
-	if res.Tree == nil {
-		return violationf(StageLifetimes, "missing", "no schedule tree")
+	// The oracle rebuilds the schedule tree from the schedule itself rather
+	// than trusting anything the pipeline derived from it.
+	tree, err := schedtree.FromSchedule(res.Schedule)
+	if err != nil {
+		return violationf(StageLifetimes, "tree", "%v", err)
 	}
-	if err := Lifetimes(res.Tree, res.Intervals, opt); err != nil {
+	if res.PeriodLen != tree.TotalDur {
+		return violationf(StageLifetimes, "period",
+			"result period %d, schedule tree period %d", res.PeriodLen, tree.TotalDur)
+	}
+	if err := Lifetimes(tree, res.Intervals, opt); err != nil {
 		return err
 	}
 	if res.Best == nil {

@@ -57,7 +57,6 @@ var artifactRootSpecs = []struct{ pkg, recv, name string }{
 	{"internal/pass", "Plan", "Run"},
 	{"internal/pass", "", "RunGrid"},
 	{"internal/pass", "", "RunGridOutcomes"},
-	{"internal/pass", "", "decodeRep"},
 	{"internal/pass", "", "decodeOrder"},
 	{"internal/pass", "", "decodeSched"},
 	{"internal/pass", "", "decodeLife"},

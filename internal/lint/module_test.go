@@ -39,9 +39,9 @@ func TestModuleCallgraph(t *testing.T) {
 	if run == nil {
 		t.Fatal("LookupFunc did not find pass.(*Plan).Run")
 	}
-	decode := mod.LookupFunc("internal/pass", "", "decodeRep")
+	decode := mod.LookupFunc("internal/pass", "", "decodeOrder")
 	if decode == nil {
-		t.Fatal("LookupFunc did not find pass.decodeRep")
+		t.Fatal("LookupFunc did not find pass.decodeOrder")
 	}
 	if mod.LookupFunc("internal/pass", "", "noSuchFunction") != nil {
 		t.Error("LookupFunc invented a function")

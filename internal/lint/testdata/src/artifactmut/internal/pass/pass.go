@@ -54,12 +54,12 @@ func (p *Plan) Run() *Order {
 	return ord
 }
 
-// decodeRep is a store-decode root: it builds a fresh artifact and may
+// decodeOrder is a store-decode root: it builds a fresh artifact and may
 // populate it freely before returning it.
-func decodeRep(data []byte) (*Repetitions, error) {
-	r := &Repetitions{Q: make(map[string]int)}
-	r.Q["n"] = len(data)
-	return r, nil
+func decodeOrder(data []byte) (*Order, error) {
+	o := &Order{Actors: make([]string, 0, len(data))}
+	o.Actors = append(o.Actors, string(data))
+	return o, nil
 }
 
 // scratchMutate writes through an artifact parameter but is unreachable from

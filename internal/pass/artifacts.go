@@ -7,7 +7,6 @@ import (
 	"repro/internal/lifetime"
 	"repro/internal/partition"
 	"repro/internal/sched"
-	"repro/internal/schedtree"
 	"repro/internal/sdf"
 )
 
@@ -31,12 +30,21 @@ type LoopedSchedule struct {
 	DPCost   int64
 }
 
-// Lifetimes is the artifact of the lifetime-extraction pass: the schedule
-// tree and one buffer lifetime interval per edge (indexed by edge ID). The
-// intervals are shared read-only by every downstream allocator node.
+// Lifetimes is the artifact of the lifetime-extraction pass: one buffer
+// lifetime interval per edge (indexed by edge ID), the schedule period they
+// live in, and the metrics that are functions of the schedule and the edge
+// words. The intervals are shared read-only by every downstream allocator
+// node.
 type Lifetimes struct {
-	Tree      *schedtree.Tree
 	Intervals []*lifetime.Interval
+	// PeriodLen is the length of one schedule period in abstract time steps
+	// (the schedule tree's TotalDur).
+	PeriodLen int64
+	// BufMem is the schedule's simulated non-shared buffer memory (EQ 1);
+	// MCO and MCP are the clique-weight estimates over Intervals. They live
+	// here, not with the schedule, because the lifetimes store key covers
+	// the edge words that BufMem scales by and the schedule key does not.
+	BufMem, MCO, MCP int64
 	// wig lazily caches the weighted intersection graph over Intervals, so
 	// the allocator leaves sharing this artifact build it once instead of
 	// once per strategy.
@@ -92,7 +100,9 @@ type Result struct {
 	Order       []sdf.ActorID
 	// Schedule is the post-optimized nested single appearance schedule.
 	Schedule *sched.Schedule
-	Tree     *schedtree.Tree
+	// PeriodLen is the length of one schedule period in abstract time steps:
+	// the span of a lifetime chart.
+	PeriodLen int64
 	// Intervals holds one buffer lifetime per edge (indexed by edge ID).
 	Intervals []*lifetime.Interval
 	// Allocations per strategy, and the best (smallest) one; equal totals

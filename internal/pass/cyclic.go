@@ -172,7 +172,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 		return nil, err
 	}
 	intervals := make([]*lifetime.Interval, g.NumEdges())
-	totalDur := condRes.Tree.TotalDur
+	totalDur := condRes.PeriodLen
 	for _, e := range g.Edges() {
 		if ce := condEdgeOf[e.ID]; ce >= 0 {
 			iv := *condRes.Intervals[ce]
@@ -199,7 +199,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 		Repetitions: q,
 		Order:       nil,
 		Schedule:    full,
-		Tree:        condRes.Tree,
+		PeriodLen:   totalDur,
 		Intervals:   intervals,
 		Allocations: make(map[alloc.Strategy]*alloc.Allocation, len(allocators)),
 	}

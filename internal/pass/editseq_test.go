@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/alloc"
@@ -195,4 +196,87 @@ func TestStoreEditSequenceDifferential(t *testing.T) {
 		t.Fatalf("store stats show no traffic: %+v", stats)
 	}
 	t.Logf("edit sequence: %d nodes loaded, %d executed, store %+v", totalLoaded, totalExecuted, st.Stats())
+}
+
+// TestStoreEditSequenceMetrics compares, over the same edit sequence, the
+// Metrics of a fully loaded plan — the edit's second run, every stored node
+// a store hit — with a cold CompileContext, field by field, at every loop
+// hierarchy algorithm and at P = 0 and P = 2. The loaded metrics come from
+// the lifetimes payload: a words edit that keeps the schedule key must
+// still change BufMem, MCO and MCP.
+func TestStoreEditSequenceMetrics(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	base := specOf(randsdf.Graph(rng, randsdf.Config{Actors: 24, DelayProb: 0.2}))
+
+	st, err := nodestore.Open(t.TempDir(), 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []pass.Options
+	for i, la := range []pass.LoopAlg{pass.SDPPOLoops, pass.DPPOLoops, pass.ChainPreciseLoops, pass.FlatLoops} {
+		strat := pass.RPMC
+		if i%2 == 1 {
+			strat = pass.APGAN
+		}
+		for _, parts := range []int{0, 2} {
+			points = append(points, pass.Options{Strategy: strat, Looping: la, Partitions: parts})
+		}
+	}
+
+	ctx := context.Background()
+	spec := base.clone()
+	compared := 0
+	for step := 0; step < editSequenceLen; step++ {
+		spec = spec.mutate(rng, step, base)
+		g := spec.build()
+		var loaded []pass.Outcome
+		for run := 0; run < 2; run++ {
+			p, err := pass.NewPlan(g, points, pass.PlanConfig{Store: st})
+			if err != nil {
+				t.Fatalf("edit %d: %v", step, err)
+			}
+			loaded = p.Run(ctx)
+			if run == 0 {
+				continue
+			}
+			for _, kc := range p.Stats() {
+				if kc.Kind != pass.KindRepetitions && kc.Kind != pass.KindAssemble && kc.Executed != 0 {
+					t.Fatalf("edit %d: second run executed %d %v nodes, want all loaded", step, kc.Executed, kc.Kind)
+				}
+			}
+		}
+		for i, pt := range points {
+			cold, coldErr := pass.CompileContext(ctx, g, pt)
+			if (coldErr == nil) != (loaded[i].Err == nil) {
+				t.Fatalf("edit %d pt %d: cold err %v, loaded err %v", step, i, coldErr, loaded[i].Err)
+			}
+			if coldErr != nil {
+				continue
+			}
+			if diff := diffMetrics(loaded[i].Result.Metrics, cold.Metrics); diff != "" {
+				t.Fatalf("edit %d pt %d (%v/%v/P%d): loaded metrics differ from cold:%s",
+					step, i, pt.Strategy, pt.Looping, pt.Partitions, diff)
+			}
+			if got, want := loaded[i].Result.PeriodLen, cold.PeriodLen; got != want {
+				t.Fatalf("edit %d pt %d: loaded period %d, cold %d", step, i, got, want)
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no point compiled across the edit sequence")
+	}
+	t.Logf("%d loaded point results match cold metrics", compared)
+}
+
+// diffMetrics lists the Metrics fields on which loaded and cold differ.
+func diffMetrics(loaded, cold pass.Metrics) string {
+	lv, cv := reflect.ValueOf(loaded), reflect.ValueOf(cold)
+	var out string
+	for i := 0; i < lv.NumField(); i++ {
+		if !reflect.DeepEqual(lv.Field(i).Interface(), cv.Field(i).Interface()) {
+			out += fmt.Sprintf("\n  %s: loaded %v, cold %v", lv.Type().Field(i).Name, lv.Field(i), cv.Field(i))
+		}
+	}
+	return out
 }

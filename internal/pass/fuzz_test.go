@@ -1,0 +1,128 @@
+package pass
+
+import (
+	"bytes"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/randsdf"
+	"repro/internal/sdf"
+)
+
+// fuzzGraph is the seeded graph the decoder fuzz targets decode against:
+// some delays (whole-period intervals) and some vector tokens, so real
+// payloads carry every interval shape.
+func fuzzGraph() *sdf.Graph {
+	g := randsdf.Graph(rand.New(rand.NewSource(5)), randsdf.Config{Actors: 14, DelayProb: 0.25})
+	for i := 0; i < g.NumEdges(); i += 3 {
+		g.SetWords(sdf.EdgeID(i), int64(1+i%4))
+	}
+	return g
+}
+
+// fuzzPayloads returns the real schedule and lifetimes payloads of g under
+// every loop-hierarchy algorithm, the fuzz targets' seed corpus.
+func fuzzPayloads(tb testing.TB, g *sdf.Graph) (scheds, lifes [][]byte) {
+	tb.Helper()
+	rep, err := RunRepetitions(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ord, err := RunOrder(g, rep, RPMC, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, la := range []LoopAlg{SDPPOLoops, DPPOLoops, ChainPreciseLoops, FlatLoops} {
+		ls, err := RunSchedule(g, rep, ord, la)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lf, err := RunLifetimes(rep, ls)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		scheds = append(scheds, encodeSched(ls))
+		lifes = append(lifes, encodeLife(lf))
+	}
+	return scheds, lifes
+}
+
+// allocatedBy reports the heap bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocSlack absorbs allocator size-class rounding and the fuzz engine's own
+// bookkeeping; a decoder trusting a corrupt count overshoots it by orders of
+// magnitude.
+const allocSlack = 64 << 10
+
+// lifeAllocBound is what decoding a lifetimes payload may allocate for g:
+// one interval per edge with its name and at most 2n periods.
+func lifeAllocBound(g *sdf.Graph) uint64 {
+	perEdge := 16 + 96 + 64 + 2*g.NumActors()*16
+	return uint64(2*g.NumEdges()*perEdge) + allocSlack
+}
+
+// schedAllocBound is what decoding a schedule payload may allocate for g:
+// at most 4n+4 terms and one body slot each.
+func schedAllocBound(g *sdf.Graph) uint64 {
+	return uint64(2*(4*g.NumActors()+4)*(64+8)) + allocSlack
+}
+
+// FuzzDecodeLife feeds arbitrary bytes to the lifetimes decoder: it must
+// reject them or return an artifact that re-encodes to exactly those
+// bytes, never panic, and never allocate past the graph's bound.
+func FuzzDecodeLife(f *testing.F) {
+	g := fuzzGraph()
+	_, lifes := fuzzPayloads(f, g)
+	for _, p := range lifes {
+		f.Add(p)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 2, 2, 0})
+	bound := lifeAllocBound(g)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lf Lifetimes
+		var err error
+		if n := allocatedBy(func() { lf, err = decodeLife(g, data) }); n > bound {
+			t.Fatalf("decodeLife allocated %d bytes, bound %d", n, bound)
+		}
+		if err != nil {
+			return
+		}
+		if got := encodeLife(lf); !bytes.Equal(got, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
+		}
+	})
+}
+
+// FuzzDecodeSched is FuzzDecodeLife for the schedule decoder.
+func FuzzDecodeSched(f *testing.F) {
+	g := fuzzGraph()
+	scheds, _ := fuzzPayloads(f, g)
+	for _, p := range scheds {
+		f.Add(p)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 2, 2, 2, 2, 2, 0})
+	bound := schedAllocBound(g)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ls LoopedSchedule
+		var err error
+		if n := allocatedBy(func() { ls, err = decodeSched(g, data) }); n > bound {
+			t.Fatalf("decodeSched allocated %d bytes, bound %d", n, bound)
+		}
+		if err != nil {
+			return
+		}
+		if got := encodeSched(ls); !bytes.Equal(got, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
+		}
+	})
+}

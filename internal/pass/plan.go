@@ -31,8 +31,9 @@ type PlanConfig struct {
 	// successful execution it publishes the encoded artifact. Keys cover
 	// exactly the graph fields each pass reads, chained through upstream
 	// artifact hashes, so an edit invalidates only the DAG suffix that can
-	// observe it. Assemble nodes and the cyclic fallback never touch the
-	// store. The store must be safe for concurrent use.
+	// observe it. The repetitions node (NewPlan already solved for q),
+	// assemble nodes and the cyclic fallback never touch the store. The
+	// store must be safe for concurrent use.
 	Store Store
 }
 
@@ -222,7 +223,9 @@ func NewPlan(g *sdf.Graph, points []Options, cfg PlanConfig) (*Plan, error) {
 	}
 	p.cyclic = !g.IsAcyclic(q)
 	if !p.cyclic {
-		p.rep = &repNode{node: node{kind: KindRepetitions}}
+		// The repetitions node's artifact is this q: Run hands it on rather
+		// than solving the balance equations again or loading them.
+		p.rep = &repNode{node: node{kind: KindRepetitions}, out: Repetitions{Q: q}}
 	}
 	orders := map[nodeID]*orderNode{}
 	scheds := map[nodeID]*schedNode{}
@@ -320,7 +323,8 @@ func (p *Plan) emit(n *node, enter bool) {
 }
 
 // nodeStep is one node's kind-specific half of step: its store key, its
-// pass, and its artifact codec.
+// pass, and its artifact codec. A nil key marks a kind that is never
+// stored.
 type nodeStep[T any] struct {
 	key    func() string
 	run    func() (T, error)
@@ -347,8 +351,9 @@ func step[T any](ctx context.Context, p *Plan, sk *storeKeys, n *node, s nodeSte
 	if n.err = checkpoint(ctx, n.kind); n.err != nil {
 		return out
 	}
+	stored := sk != nil && s.key != nil
 	var key string
-	if sk != nil {
+	if stored {
 		key = s.key()
 		if data, ok := p.cfg.Store.Get(key); ok {
 			if v, err := s.decode(data); err == nil {
@@ -361,7 +366,7 @@ func step[T any](ctx context.Context, p *Plan, sk *storeKeys, n *node, s nodeSte
 	n.ran = true
 	out, n.err = s.run()
 	p.emit(n, false)
-	if sk != nil && n.err == nil {
+	if stored && n.err == nil {
 		if data, err := s.encode(out); err == nil {
 			n.hash = payloadHash(data)
 			p.cfg.Store.Put(key, data)
@@ -403,10 +408,7 @@ func (p *Plan) Run(ctx context.Context) []Outcome {
 	}
 	g, rep := p.g, p.rep
 	rep.out = step(ctx, p, sk, &rep.node, nodeStep[Repetitions]{
-		key:    func() string { return sk.repKey() },
-		run:    func() (Repetitions, error) { return RunRepetitions(g) },
-		decode: func(data []byte) (Repetitions, error) { return decodeRep(g, data) },
-		encode: infallible(encodeRep),
+		run: func() (Repetitions, error) { return rep.out, nil },
 	})
 	level(p.orders, func(n *orderNode) {
 		n.out = step(ctx, p, sk, &n.node, nodeStep[Order]{
@@ -428,7 +430,7 @@ func (p *Plan) Run(ctx context.Context) []Outcome {
 		n.out = step(ctx, p, sk, &n.node, nodeStep[Lifetimes]{
 			key:    func() string { return sk.lifeKey(n.sched.hash) },
 			run:    func() (Lifetimes, error) { return RunLifetimes(rep.out, n.sched.out) },
-			decode: func(data []byte) (Lifetimes, error) { return decodeLife(g, n.sched.out, data) },
+			decode: func(data []byte) (Lifetimes, error) { return decodeLife(g, data) },
 			encode: infallible(encodeLife),
 		})
 	})

@@ -109,8 +109,10 @@ func makeLoops(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID, la LoopAlg)
 	}
 }
 
-// RunLifetimes extracts the schedule tree and the per-edge buffer lifetime
-// intervals.
+// RunLifetimes extracts the per-edge buffer lifetime intervals over the
+// schedule tree, and computes the metrics that depend on nothing but the
+// schedule and the edge words: the period length, the non-shared bufmem
+// and the clique-weight estimates.
 func RunLifetimes(rep Repetitions, ls LoopedSchedule) (Lifetimes, error) {
 	tree, err := schedtree.FromSchedule(ls.Schedule)
 	if err != nil {
@@ -120,7 +122,13 @@ func RunLifetimes(rep Repetitions, ls LoopedSchedule) (Lifetimes, error) {
 	if err != nil {
 		return Lifetimes{}, err
 	}
-	return Lifetimes{Tree: tree, Intervals: intervals, wig: &wigOnce{}}, nil
+	bm, err := ls.Schedule.BufMem()
+	if err != nil {
+		return Lifetimes{}, err
+	}
+	mco, mcp := lifetime.CliqueWeights(intervals)
+	return Lifetimes{Intervals: intervals, PeriodLen: tree.TotalDur,
+		BufMem: bm, MCO: mco, MCP: mcp, wig: &wigOnce{}}, nil
 }
 
 // RunAlloc packs one allocator's shared memory image over the extracted
@@ -188,8 +196,9 @@ func checkpoint(ctx context.Context, k Kind) error {
 }
 
 // finishResult assembles one grid point's Result from its pass artifacts:
-// allocation bookkeeping with the name tie-break, the metrics block, and
-// the optional verify and merge steps, each behind an assemble checkpoint.
+// allocation bookkeeping with the name tie-break, the metrics block (copied
+// from the artifacts, except the graph's own BMLB), and the optional verify
+// and merge steps, each behind an assemble checkpoint.
 // It is the single assembly shared by the sequential CompileContext and the
 // Plan executor, which is what keeps the two paths byte-identical.
 func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitions,
@@ -200,7 +209,7 @@ func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitio
 		Repetitions: rep.Q,
 		Order:       order,
 		Schedule:    ls.Schedule,
-		Tree:        lf.Tree,
+		PeriodLen:   lf.PeriodLen,
 		Intervals:   lf.Intervals,
 		Allocations: make(map[alloc.Strategy]*alloc.Allocation, len(allocs)),
 		Partition:   part.Part,
@@ -217,17 +226,13 @@ func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitio
 		}
 	}
 	res.Metrics.SharedTotal = res.Best.Total
-	res.Metrics.MCO, res.Metrics.MCP = lifetime.CliqueWeights(lf.Intervals)
+	res.Metrics.MCO, res.Metrics.MCP = lf.MCO, lf.MCP
+	res.Metrics.NonSharedBufMem = lf.BufMem
 	bmlb, err := g.BMLB()
 	if err != nil {
 		return nil, err
 	}
 	res.Metrics.BMLB = bmlb
-	bm, err := ls.Schedule.BufMem()
-	if err != nil {
-		return nil, err
-	}
-	res.Metrics.NonSharedBufMem = bm
 	if res.Segmented != nil {
 		res.Metrics.ParallelTotal = res.Segmented.Total
 	}

@@ -9,9 +9,9 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/lifetime"
 	"repro/internal/merge"
+	"repro/internal/num"
 	"repro/internal/partition"
 	"repro/internal/sched"
-	"repro/internal/schedtree"
 	"repro/internal/sdf"
 )
 
@@ -31,7 +31,7 @@ type Store interface {
 // old entries then live under unreachable keys and age out, instead of
 // aliasing the new schema. The storeKeyMap mirror below ties this constant
 // to the Options shape the keys cover.
-const StoreVersion = "pass-node/v1"
+const StoreVersion = "pass-node/v2"
 
 // storeKeyMap keeps node identities and store keys complete: sdflint's
 // keycomplete analyzer checks it mirrors Options field for field, and each
@@ -59,8 +59,8 @@ type storeKeyMap struct {
 
 // Option projections: one function per pass kind that reads options, each
 // returning the bytes of exactly the Options fields that pass reads. The
-// repetitions, lifetimes and segalloc passes read none; their nodes are
-// identified by their parent alone.
+// repetitions, lifetimes and segalloc passes read none; the repetitions node
+// is the plan's root, the other two are identified by their parent alone.
 
 // orderOpts projects the ordering fields: the strategy, plus the explicit
 // actor list for custom orders.
@@ -96,7 +96,7 @@ func partitionOpts(partitions int) []byte {
 func kindTag(k Kind) string {
 	switch k {
 	case KindRepetitions:
-		return "rep"
+		panic("pass: repetitions come from NewPlan's balance-equation solve and are never stored")
 	case KindOrder:
 		return "order"
 	case KindSchedule:
@@ -123,11 +123,11 @@ func kindTag(k Kind) string {
 // keys instead cover, per stage, the stage's option projection plus exactly
 // the graph fields that stage's pass reads:
 //
-//	repetitions  topology + rates                 (sdf.Repetitions: balance equations only)
 //	order        topology + rates + delays        (RPMC cut costs read tnse + delay; APGAN clusters read rates)
 //	schedule     order artifact + topology + rates + delays [+ words iff FlatLoops]
 //	             (the loop DPs cost edges by tnse + delay; FlatLoops' cost is BufMem, which scales by Words)
 //	lifetimes    schedule artifact + topology + rates + delays + words
+//	             (the payload carries BufMem, MCO and MCP too: all scale by Words)
 //	alloc        lifetimes artifact + allocator   (packing reads nothing but the intervals)
 //
 // Two consequences. First, actor NAMES appear in no projection and no
@@ -177,10 +177,6 @@ func storeDigest(kind Kind, parts ...[]byte) string {
 		h.Write(p)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-func (sk *storeKeys) repKey() string {
-	return storeDigest(KindRepetitions, sk.rates)
 }
 
 func (sk *storeKeys) orderKey(strategy OrderStrategy, custom []sdf.ActorID) string {
@@ -249,6 +245,12 @@ func (d *decoder) int64() int64 {
 		d.err = fmt.Errorf("pass: truncated store payload")
 		return 0
 	}
+	// A padded varint (a zero final byte after continuation bytes) decodes
+	// but would not re-encode to the same bytes.
+	if n > 1 && d.data[n-1] == 0 {
+		d.err = fmt.Errorf("pass: non-canonical varint in store payload")
+		return 0
+	}
 	d.data = d.data[n:]
 	return v
 }
@@ -274,30 +276,6 @@ func (d *decoder) finish() error {
 		return fmt.Errorf("pass: %d trailing bytes in store payload", len(d.data))
 	}
 	return nil
-}
-
-func encodeRep(rep Repetitions) []byte {
-	out := binary.AppendVarint(nil, int64(len(rep.Q)))
-	for _, q := range rep.Q {
-		out = binary.AppendVarint(out, q)
-	}
-	return out
-}
-
-func decodeRep(g *sdf.Graph, data []byte) (Repetitions, error) {
-	d := &decoder{data: data}
-	n := d.count(g.NumActors())
-	if d.err == nil && n != g.NumActors() {
-		return Repetitions{}, fmt.Errorf("pass: stored q has %d actors, graph has %d", n, g.NumActors())
-	}
-	q := make(sdf.Repetitions, n)
-	for i := range q {
-		q[i] = d.int64()
-	}
-	if err := d.finish(); err != nil {
-		return Repetitions{}, err
-	}
-	return Repetitions{Q: q}, nil
 }
 
 func encodeOrder(ord Order) []byte {
@@ -366,32 +344,39 @@ func appendSchedNode(out []byte, n *sched.Node) []byte {
 	return out
 }
 
+// schedDecoder bounds a decoded schedule to budget terms in all: every body
+// reserves its length from the budget before allocating it, so a corrupt
+// payload can neither allocate nor nest past the graph's bound.
+type schedDecoder struct {
+	decoder
+	g      *sdf.Graph
+	budget int
+}
+
 func decodeSched(g *sdf.Graph, data []byte) (LoopedSchedule, error) {
-	d := &decoder{data: data}
+	// A single appearance schedule has one leaf per actor and, after any
+	// sane looping pass, fewer loops than leaves; 4n+4 terms leave headroom
+	// for degenerate (but valid) nests.
+	d := &schedDecoder{decoder: decoder{data: data}, g: g, budget: 4*g.NumActors() + 4}
 	cost := d.int64()
-	// A single appearance schedule has at most one leaf per actor and, after
-	// any sane looping pass, fewer internal nodes than leaves; 2n+1 bounds a
-	// binarized tree, 4n leaves headroom for degenerate (but valid) nests.
-	maxNodes := 4*g.NumActors() + 4
-	nTop := d.count(maxNodes)
-	body := make([]*sched.Node, 0, nTop)
-	for i := 0; i < nTop; i++ {
-		body = append(body, decodeSchedNode(g, d, maxNodes, 0))
-	}
+	body := d.body()
 	if err := d.finish(); err != nil {
 		return LoopedSchedule{}, err
 	}
 	return LoopedSchedule{Schedule: &sched.Schedule{Graph: g, Body: body}, DPCost: cost}, nil
 }
 
-func decodeSchedNode(g *sdf.Graph, d *decoder, maxNodes, depth int) *sched.Node {
-	if d.err != nil {
-		return &sched.Node{Count: 1}
+func (d *schedDecoder) body() []*sched.Node {
+	n := d.count(d.budget)
+	d.budget -= n
+	body := make([]*sched.Node, 0, n)
+	for i := 0; i < n; i++ {
+		body = append(body, d.node())
 	}
-	if depth > maxNodes {
-		d.err = fmt.Errorf("pass: stored schedule nests deeper than %d", maxNodes)
-		return &sched.Node{Count: 1}
-	}
+	return body
+}
+
+func (d *schedDecoder) node() *sched.Node {
 	tag := d.int64()
 	count := d.int64()
 	if d.err == nil && count < 1 {
@@ -400,18 +385,14 @@ func decodeSchedNode(g *sdf.Graph, d *decoder, maxNodes, depth int) *sched.Node 
 	switch tag {
 	case schedLeafTag:
 		a := d.int64()
-		if d.err == nil && (a < 0 || a >= int64(g.NumActors())) {
+		if d.err == nil && (a < 0 || a >= int64(d.g.NumActors())) {
 			d.err = fmt.Errorf("pass: stored schedule fires unknown actor %d", a)
 		}
 		return &sched.Node{Count: count, Actor: sdf.ActorID(a)}
 	case schedLoopTag:
-		nc := d.count(maxNodes)
-		if d.err == nil && nc == 0 {
+		children := d.body()
+		if d.err == nil && len(children) == 0 {
 			d.err = fmt.Errorf("pass: stored schedule has an empty loop body")
-		}
-		children := make([]*sched.Node, 0, nc)
-		for i := 0; i < nc; i++ {
-			children = append(children, decodeSchedNode(g, d, maxNodes, depth+1))
 		}
 		return &sched.Node{Count: count, Children: children}
 	default:
@@ -422,8 +403,14 @@ func decodeSchedNode(g *sdf.Graph, d *decoder, maxNodes, depth int) *sched.Node 
 	}
 }
 
+// encodeLife stores the period length and the metrics ahead of the
+// intervals.
 func encodeLife(lf Lifetimes) []byte {
-	out := binary.AppendVarint(nil, int64(len(lf.Intervals)))
+	out := binary.AppendVarint(nil, lf.PeriodLen)
+	out = binary.AppendVarint(out, lf.BufMem)
+	out = binary.AppendVarint(out, lf.MCO)
+	out = binary.AppendVarint(out, lf.MCP)
+	out = binary.AppendVarint(out, int64(len(lf.Intervals)))
 	for _, iv := range lf.Intervals {
 		out = binary.AppendVarint(out, iv.Size)
 		out = binary.AppendVarint(out, iv.Start)
@@ -437,21 +424,27 @@ func encodeLife(lf Lifetimes) []byte {
 	return out
 }
 
-// decodeLife rebuilds the Lifetimes artifact: intervals from the payload
-// (names reconstructed from the live graph — names are deliberately not
-// stored), the schedule tree recomputed from the schedule artifact
-// (FromSchedule is deterministic and linear; the expensive part of the
-// lifetimes pass is the per-edge peak simulation, which the payload spares),
-// and a fresh intersection-graph cache. Every interval must pass Validate:
-// the intersection test and the liveness test divide by its shifts.
-func decodeLife(g *sdf.Graph, ls LoopedSchedule, data []byte) (Lifetimes, error) {
+// decodeLife rebuilds the Lifetimes artifact: intervals and metrics from the
+// payload (interval names reconstructed from the live graph — names are
+// deliberately not stored) and a fresh intersection-graph cache. Every
+// interval must pass Validate: the intersection test and the liveness test
+// divide by its shifts. The metrics must be consistent with the intervals
+// (0 < max size <= MCO <= MCP <= sum of sizes), the bufmem non-negative and
+// the period non-empty; a payload that fails any bound is a miss, never a
+// wrong metric.
+func decodeLife(g *sdf.Graph, data []byte) (Lifetimes, error) {
 	d := &decoder{data: data}
+	lf := Lifetimes{PeriodLen: d.int64(), BufMem: d.int64(), MCO: d.int64(), MCP: d.int64(), wig: &wigOnce{}}
 	n := d.count(g.NumEdges())
 	if d.err == nil && n != g.NumEdges() {
 		return Lifetimes{}, fmt.Errorf("pass: stored lifetimes cover %d edges, graph has %d", n, g.NumEdges())
 	}
-	intervals := make([]*lifetime.Interval, n)
-	for i := range intervals {
+	// Each period is one enclosing loop of the edge's firing blocks, and a
+	// schedule tree over n actors has fewer than 2n loops.
+	maxPeriods := 2 * g.NumActors()
+	var maxSize, sumSize int64
+	lf.Intervals = make([]*lifetime.Interval, n)
+	for i := range lf.Intervals {
 		e := g.Edge(sdf.EdgeID(i))
 		iv := &lifetime.Interval{
 			Name:  g.Actor(e.Src).Name + "->" + g.Actor(e.Dst).Name,
@@ -466,24 +459,29 @@ func decodeLife(g *sdf.Graph, ls LoopedSchedule, data []byte) (Lifetimes, error)
 				iv.Periods[j] = lifetime.Period{A: d.int64(), Count: d.int64()}
 			}
 		}
-		if err := iv.Validate(); d.err == nil && err != nil {
+		if d.err != nil {
+			break
+		}
+		if err := iv.Validate(); err != nil {
 			return Lifetimes{}, fmt.Errorf("pass: stored lifetimes: %w", err)
 		}
-		intervals[i] = iv
+		maxSize = max(maxSize, iv.Size)
+		var err error
+		if sumSize, err = num.CheckedAdd(sumSize, iv.Size); err != nil {
+			return Lifetimes{}, fmt.Errorf("pass: stored lifetime sizes: %w", err)
+		}
+		lf.Intervals[i] = iv
 	}
 	if err := d.finish(); err != nil {
 		return Lifetimes{}, err
 	}
-	tree, err := schedtree.FromSchedule(ls.Schedule)
-	if err != nil {
-		return Lifetimes{}, err
+	if lf.PeriodLen <= 0 || lf.BufMem < 0 || maxSize > lf.MCO || lf.MCO > lf.MCP || lf.MCP > sumSize {
+		return Lifetimes{}, fmt.Errorf("pass: stored lifetime metrics out of bounds "+
+			"(period %d, bufmem %d, mco %d, mcp %d; interval sizes max %d, sum %d)",
+			lf.PeriodLen, lf.BufMem, lf.MCO, lf.MCP, maxSize, sumSize)
 	}
-	return Lifetimes{Tree: tree, Intervals: intervals, wig: &wigOnce{}}, nil
+	return lf, nil
 }
-
-// maxPeriods bounds the nested-period count of one decoded interval; real
-// intervals carry one period per enclosing loop, far below this.
-const maxPeriods = 1 << 16
 
 // encodeAlloc stores placements as (edge index, offset) pairs in placement
 // order: edge indices rather than interval copies, because downstream

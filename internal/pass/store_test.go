@@ -75,9 +75,6 @@ func renamed(g *sdf.Graph) *sdf.Graph {
 func TestStoreKeysNameInvariant(t *testing.T) {
 	g := systems.SatelliteReceiver()
 	a, b := newStoreKeys(g), newStoreKeys(renamed(g))
-	if a.repKey() != b.repKey() {
-		t.Error("repetitions store key depends on actor names")
-	}
 	if a.orderKey(RPMC, nil) != b.orderKey(RPMC, nil) {
 		t.Error("order store key depends on actor names")
 	}
@@ -115,10 +112,7 @@ func TestStoreKeysProjections(t *testing.T) {
 	b, dl, w := newStoreKeys(base), newStoreKeys(delayed), newStoreKeys(worded)
 	oh := []byte("orderhash")
 
-	// Delay edits: q is delay-blind, everything from ordering down reads it.
-	if b.repKey() != dl.repKey() {
-		t.Error("repetitions key changed on a delay edit")
-	}
+	// Delay edits: everything from ordering down reads delays.
 	if b.orderKey(RPMC, nil) == dl.orderKey(RPMC, nil) {
 		t.Error("order key survived a delay edit (RPMC reads delays)")
 	}
@@ -126,10 +120,11 @@ func TestStoreKeysProjections(t *testing.T) {
 		t.Error("schedule key survived a delay edit (loop DPs read delays)")
 	}
 
-	// Words edits: only FlatLoops' DP cost and the lifetimes sizes read
-	// Words; q, ordering, and the non-flat loop DPs are words-blind.
-	if b.repKey() != w.repKey() || b.orderKey(RPMC, nil) != w.orderKey(RPMC, nil) {
-		t.Error("repetitions/order keys changed on a words edit")
+	// Words edits: only FlatLoops' DP cost and the lifetimes payload (sizes
+	// and bufmem) read Words; ordering and the non-flat loop DPs are
+	// words-blind.
+	if b.orderKey(RPMC, nil) != w.orderKey(RPMC, nil) {
+		t.Error("order key changed on a words edit")
 	}
 	if b.schedKey(oh, SDPPOLoops) != w.schedKey(oh, SDPPOLoops) {
 		t.Error("SDPPO schedule key changed on a words edit (SDPPO is words-blind)")
@@ -181,6 +176,15 @@ func TestKindTagPanicsOnAssemble(t *testing.T) {
 	kindTag(KindAssemble)
 }
 
+func TestKindTagPanicsOnRepetitions(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("kindTag(KindRepetitions) should panic: q comes from NewPlan and is never stored")
+		}
+	}()
+	kindTag(KindRepetitions)
+}
+
 // TestCodecRoundTrip runs the real passes on a real system and round-trips
 // every artifact through its store encoding, checking semantic identity —
 // including the pointer identity decodeAlloc must maintain into the
@@ -190,10 +194,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		rep, err := RunRepetitions(g)
 		if err != nil {
 			t.Fatal(err)
-		}
-		gotRep, err := decodeRep(g, encodeRep(rep))
-		if err != nil || !reflect.DeepEqual(gotRep, rep) {
-			t.Fatalf("%s: repetitions round trip: %v (%v vs %v)", g.Name, err, gotRep, rep)
 		}
 
 		for _, strat := range []OrderStrategy{APGAN, RPMC} {
@@ -227,12 +227,15 @@ func TestCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotLf, err := decodeLife(g, gotLs, encodeLife(lf))
+				gotLf, err := decodeLife(g, encodeLife(lf))
 				if err != nil {
 					t.Fatalf("%s/%v/%v: lifetimes decode: %v", g.Name, strat, la, err)
 				}
 				if !reflect.DeepEqual(gotLf.Intervals, lf.Intervals) {
 					t.Fatalf("%s/%v/%v: lifetime intervals differ after round trip", g.Name, strat, la)
+				}
+				if gotLf.PeriodLen != lf.PeriodLen || gotLf.BufMem != lf.BufMem || gotLf.MCO != lf.MCO || gotLf.MCP != lf.MCP {
+					t.Fatalf("%s/%v/%v: lifetime metrics differ after round trip", g.Name, strat, la)
 				}
 
 				al, err := RunAlloc(lf, alloc.FirstFitDuration)
@@ -280,25 +283,34 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	ls, _ := RunSchedule(g, rep, ord, SDPPOLoops)
 	lf, _ := RunLifetimes(rep, ls)
 
-	if _, err := decodeRep(g, nil); err == nil {
-		t.Error("decodeRep accepted an empty payload")
+	if _, err := decodeOrder(g, nil); err == nil {
+		t.Error("decodeOrder accepted an empty payload")
 	}
-	if _, err := decodeRep(g, append(encodeRep(rep), 0)); err == nil {
-		t.Error("decodeRep accepted trailing bytes")
+	if _, err := decodeOrder(g, append(encodeOrder(ord), 0)); err == nil {
+		t.Error("decodeOrder accepted trailing bytes")
 	}
-	if _, err := decodeOrder(g, encodeRep(rep)); err == nil {
-		t.Error("decodeOrder accepted a repetitions payload")
+	if _, err := decodeOrder(g, encodeOrder(Order{Actors: make([]sdf.ActorID, g.NumActors())})); err == nil {
+		t.Error("decodeOrder accepted a non-permutation")
+	}
+	// Padding the one-byte actor count with a zero continuation byte keeps
+	// its value but not its bytes: a decoder that took it would re-encode a
+	// different payload.
+	enc := encodeOrder(ord)
+	padded := append([]byte{enc[0] | 0x80, 0x00}, enc[1:]...)
+	if _, err := decodeOrder(g, padded); err == nil || !strings.Contains(err.Error(), "non-canonical") {
+		t.Errorf("decodeOrder on a padded varint: got %v, want a non-canonical varint error", err)
 	}
 	short := encodeSched(ls)
 	if _, err := decodeSched(g, short[:len(short)-1]); err == nil {
 		t.Error("decodeSched accepted a truncated payload")
 	}
-	if _, err := decodeLife(g, ls, encodeLife(lf)[:3]); err == nil {
+	if _, err := decodeLife(g, encodeLife(lf)[:3]); err == nil {
 		t.Error("decodeLife accepted a truncated payload")
 	}
 	// A well-formed payload carrying an invalid interval: a zero shift
 	// would divide by zero in the intersection and liveness tests.
-	bad := Lifetimes{Intervals: make([]*lifetime.Interval, len(lf.Intervals))}
+	bad := lf
+	bad.Intervals = make([]*lifetime.Interval, len(lf.Intervals))
 	for i, iv := range lf.Intervals {
 		c := *iv
 		c.Periods = slices.Clone(iv.Periods)
@@ -309,7 +321,7 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 		t.Fatal("no periodic interval to corrupt")
 	}
 	bad.Intervals[i].Periods[0].A = 0
-	if _, err := decodeLife(g, ls, encodeLife(bad)); err == nil {
+	if _, err := decodeLife(g, encodeLife(bad)); err == nil {
 		t.Error("decodeLife accepted an interval with a zero shift")
 	}
 	al, _ := RunAlloc(lf, alloc.FirstFitStart)
@@ -322,10 +334,111 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 }
 
+type lifeCorruption struct {
+	name string
+	mut  func(*Lifetimes)
+}
+
+// lifeMetricCorruptions hand-corrupts each metric field of a lifetimes
+// artifact past one of decodeLife's bounds, given the largest interval and
+// the sum of all interval sizes.
+func lifeMetricCorruptions(maxSize, sumSize int64) []lifeCorruption {
+	return []lifeCorruption{
+		{"period zero", func(lf *Lifetimes) { lf.PeriodLen = 0 }},
+		{"period negative", func(lf *Lifetimes) { lf.PeriodLen = -4 }},
+		{"bufmem negative", func(lf *Lifetimes) { lf.BufMem = -1 }},
+		{"mco below largest interval", func(lf *Lifetimes) { lf.MCO = maxSize - 1 }},
+		{"mco above mcp", func(lf *Lifetimes) { lf.MCO = lf.MCP + 1 }},
+		{"mcp below mco", func(lf *Lifetimes) { lf.MCP = lf.MCO - 1 }},
+		{"mcp above size sum", func(lf *Lifetimes) { lf.MCP = sumSize + 1 }},
+	}
+}
+
+func sizeBounds(ivs []*lifetime.Interval) (maxSize, sumSize int64) {
+	for _, iv := range ivs {
+		maxSize = max(maxSize, iv.Size)
+		sumSize += iv.Size
+	}
+	return maxSize, sumSize
+}
+
+func TestDecodeLifeRejectsCorruptMetrics(t *testing.T) {
+	g := systems.CDDAT()
+	rep, _ := RunRepetitions(g)
+	ord, _ := RunOrder(g, rep, RPMC, nil)
+	ls, _ := RunSchedule(g, rep, ord, SDPPOLoops)
+	lf, err := RunLifetimes(rep, ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeLife(g, encodeLife(lf)); err != nil {
+		t.Fatalf("decodeLife rejected a real payload: %v", err)
+	}
+	for _, c := range lifeMetricCorruptions(sizeBounds(lf.Intervals)) {
+		bad := lf
+		c.mut(&bad)
+		if _, err := decodeLife(g, encodeLife(bad)); err == nil {
+			t.Errorf("%s: decodeLife accepted the payload", c.name)
+		}
+	}
+}
+
+// TestPlanCorruptLifetimeMetricsRecompute plants each corrupted lifetimes
+// payload under the real lifetimes key: the warm plan must treat it as a
+// miss, re-run the lifetimes pass, and report the cold metrics.
+func TestPlanCorruptLifetimeMetricsRecompute(t *testing.T) {
+	g := systems.SatelliteReceiver()
+	pts := []Options{{}}
+	cold, err := CompileContext(context.Background(), g, pts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newMapStore()
+	p1, err := NewPlan(g, pts, PlanConfig{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := p1.Run(context.Background())[0]; out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	key := newStoreKeys(g).lifeKey(p1.scheds[0].hash)
+	good, ok := st.m[key]
+	if !ok {
+		t.Fatal("lifetimes payload not published under its key")
+	}
+	lf, err := decodeLife(g, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range lifeMetricCorruptions(sizeBounds(lf.Intervals)) {
+		bad := lf
+		c.mut(&bad)
+		st.m[key] = encodeLife(bad)
+		p2, err := NewPlan(g, pts, PlanConfig{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := p2.Run(context.Background())[0]
+		if out.Err != nil {
+			t.Fatalf("%s: %v", c.name, out.Err)
+		}
+		for _, kc := range p2.Stats() {
+			if kc.Kind == KindLifetimes && (kc.Executed != 1 || kc.Loaded != 0) {
+				t.Errorf("%s: lifetimes executed/loaded = %d/%d, want 1/0", c.name, kc.Executed, kc.Loaded)
+			}
+		}
+		if !reflect.DeepEqual(out.Result.Metrics, cold.Metrics) || out.Result.PeriodLen != cold.PeriodLen {
+			t.Errorf("%s: metrics %+v period %d, cold %+v period %d", c.name,
+				out.Result.Metrics, out.Result.PeriodLen, cold.Metrics, cold.PeriodLen)
+		}
+	}
+}
+
 // TestPlanSecondRunLoadsEverything compiles the same grid twice against one
-// store: the second run must execute only assemble nodes, load everything
-// else, emit no events for loaded nodes, and return results identical to
-// the first run's.
+// store: the second run must execute only the repetitions node (its q comes
+// from NewPlan, never from the store) and the assemble nodes, load
+// everything else, emit no events for loaded nodes, and return results
+// identical to the first run's.
 func TestPlanSecondRunLoadsEverything(t *testing.T) {
 	g := systems.SatelliteReceiver()
 	st := newMapStore()
@@ -352,11 +465,11 @@ func TestPlanSecondRunLoadsEverything(t *testing.T) {
 
 	for _, kc := range p.Stats() {
 		switch kc.Kind {
-		case KindAssemble:
+		case KindRepetitions, KindAssemble:
 			if kc.Executed != kc.Nodes || kc.Loaded != 0 {
-				t.Errorf("assemble: executed/loaded = %d/%d, want %d/0", kc.Executed, kc.Loaded, kc.Nodes)
+				t.Errorf("%v: executed/loaded = %d/%d, want %d/0", kc.Kind, kc.Executed, kc.Loaded, kc.Nodes)
 			}
-		case KindRepetitions, KindOrder, KindSchedule, KindLifetimes, KindAlloc,
+		case KindOrder, KindSchedule, KindLifetimes, KindAlloc,
 			KindPartition, KindSegalloc:
 			if kc.Loaded != kc.Nodes || kc.Executed != 0 {
 				t.Errorf("%v: executed/loaded = %d/%d, want 0/%d", kc.Kind, kc.Executed, kc.Loaded, kc.Nodes)
@@ -366,7 +479,7 @@ func TestPlanSecondRunLoadsEverything(t *testing.T) {
 		}
 	}
 	for _, ev := range events {
-		if ev != "assemble" {
+		if ev != "assemble" && ev != "repetitions" {
 			t.Errorf("second run emitted an event for a loaded %s node", ev)
 		}
 	}
@@ -411,9 +524,10 @@ func TestPlanGarbageStoreFallsBack(t *testing.T) {
 
 // TestStoreRenameEditReusesWholePipeline is the headline incremental
 // scenario: compile, rename one actor, recompile. Names appear in no store
-// key and no artifact payload, so the second compile must load every stage
-// and execute only the per-point assembly — on this single-point run, 1
-// executed node versus the cold run's 7.
+// key and no artifact payload, so the second compile must load every stored
+// stage and execute only the repetitions node (which takes NewPlan's q) and
+// the per-point assembly — on this single-point run, 2 executed nodes
+// versus the cold run's 7.
 func TestStoreRenameEditReusesWholePipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := buildRand(t, rng, 60)
@@ -446,15 +560,15 @@ func TestStoreRenameEditReusesWholePipeline(t *testing.T) {
 	for _, kc := range p2.Stats() {
 		warmExec += kc.Executed
 		warmLoaded += kc.Loaded
+		if kc.Executed > 0 && kc.Kind != KindRepetitions && kc.Kind != KindAssemble {
+			t.Errorf("warm recompile executed %d %v nodes, want every stored kind loaded", kc.Executed, kc.Kind)
+		}
 	}
-	if warmExec != 1 {
-		t.Errorf("warm recompile executed %d nodes, want 1 (assemble only)", warmExec)
+	if warmExec != 2 {
+		t.Errorf("warm recompile executed %d nodes, want 2 (repetitions and assemble)", warmExec)
 	}
-	if warmLoaded != coldExec-1 {
-		t.Errorf("warm recompile loaded %d nodes, want %d", warmLoaded, coldExec-1)
-	}
-	if coldExec < 5*warmExec {
-		t.Errorf("rename edit reused too little: cold executed %d, warm %d (< 5x reduction)", coldExec, warmExec)
+	if warmLoaded != coldExec-2 {
+		t.Errorf("warm recompile loaded %d nodes, want %d", warmLoaded, coldExec-2)
 	}
 	// Semantics unchanged up to names: identical schedule shape and totals.
 	if outs1[0].Result.Best.Total != outs2[0].Result.Best.Total ||
@@ -506,8 +620,8 @@ func (l *keyLog) Put(key string, _ []byte) {
 
 // TestStoreKeyGolden pins the hex store keys of satrec across ordering
 // strategy × looping × allocator × worker count. A single-point plan has one
-// node per level, so it publishes in level order: repetitions, order,
-// schedule, lifetimes, alloc, then partition and segalloc when P >= 2. Any
+// node per level, so it publishes in level order: order, schedule,
+// lifetimes, alloc, then partition and segalloc when P >= 2. Any
 // change to a key's bytes — an option projection, a graph projection, an
 // artifact encoding — fails here, and must come with a StoreVersion bump
 // and a regenerated golden (go test ./internal/pass -run

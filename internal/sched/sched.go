@@ -6,7 +6,7 @@
 package sched
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/sdf"
@@ -92,7 +92,10 @@ func writeNode(b *strings.Builder, g *sdf.Graph, n *Node) {
 			b.WriteString(g.Actor(n.Actor).Name)
 			return
 		}
-		fmt.Fprintf(b, "(%d%s)", n.Count, g.Actor(n.Actor).Name)
+		b.WriteByte('(')
+		writeCount(b, n.Count)
+		b.WriteString(g.Actor(n.Actor).Name)
+		b.WriteByte(')')
 		return
 	}
 	if n.Count == 1 && len(n.Children) == 1 {
@@ -101,12 +104,19 @@ func writeNode(b *strings.Builder, g *sdf.Graph, n *Node) {
 	}
 	b.WriteByte('(')
 	if n.Count != 1 {
-		fmt.Fprintf(b, "%d", n.Count)
+		writeCount(b, n.Count)
 	}
 	for _, ch := range n.Children {
 		writeNode(b, g, ch)
 	}
 	b.WriteByte(')')
+}
+
+// writeCount writes a loop count in decimal without going through fmt:
+// every artifact renders its schedule, so String is on the compile path.
+func writeCount(b *strings.Builder, c int64) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], c, 10))
 }
 
 // ForEachFiring expands the schedule into its firing sequence, calling fn for
