@@ -61,11 +61,14 @@ incremental:
 
 # parallel validates the partitioned runtime under the race detector: the
 # partition/segment suites (including the 200-graph phased-vs-sequential
-# differential), the barrier and phased-engine packages (real worker
-# goroutines every period), the partition invariant oracles, and the
-# fuzzer's partitioned grid sweep with its P=1 byte-identity check.
+# differential), the barrier package, the one executor per layer that runs
+# both the P=1 and the phased program (runtime and sim spawn real worker
+# goroutines every period at P>=2; codegen's emitters share their buffer,
+# body and delay writers, gated by TestThreadedCMatchesReference), the
+# partition invariant oracles, and the fuzzer's partitioned grid sweep with
+# its P=1 byte-identity check.
 parallel:
-	$(GO) test -race ./internal/partition/... ./internal/par/... ./internal/runtime/... ./internal/sim/...
+	$(GO) test -race ./internal/partition/... ./internal/par/... ./internal/runtime/... ./internal/sim/... ./internal/codegen/...
 	$(GO) test -race -run 'TestPartition|TestPhased|TestCorrupted|TestThreaded|TestPipelineCleanPartitioned' ./internal/check/...
 	$(GO) run ./cmd/sdffuzz -n 50 -seed 2
 
@@ -142,3 +145,4 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzIntersects -fuzztime=$(FUZZTIME) ./internal/lifetime
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLife$$' -fuzztime=$(FUZZTIME) ./internal/pass
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSched$$' -fuzztime=$(FUZZTIME) ./internal/pass
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeAlloc$$' -fuzztime=$(FUZZTIME) ./internal/pass

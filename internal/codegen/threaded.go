@@ -22,31 +22,29 @@ import (
 // accumulator printed at exit, so the program's output is a deterministic
 // function of the graph alone — the reference interpreter reproduces it
 // exactly, independent of worker interleaving. Returns "" when res carries no
-// partitioned schedule.
+// partitioned schedule or its segmented image does not hold every buffer.
 func GenerateThreadedC(res *core.Result) string {
 	if res.Partition == nil || res.Segmented == nil {
 		return ""
 	}
+	prog, err := partition.Phased(res.Graph, res.Partition, res.Segmented)
+	if err != nil {
+		return ""
+	}
 	g := res.Graph
-	part := res.Partition
-	seg := res.Segmented
 	var b strings.Builder
 	fmt.Fprintf(&b, "/* Generated threaded shared-memory implementation of SDF graph %q.\n", g.Name)
 	fmt.Fprintf(&b, " * Workers: %d, phases per period: %d (barrier after every phase).\n",
-		part.P, part.NumPhases)
+		prog.P, len(prog.Phases))
 	fmt.Fprintf(&b, " * Segmented buffer memory: %d cells (sequential SAS needs %d).\n",
-		seg.Total, res.Best.Total)
+		prog.Total, res.Best.Total)
 	b.WriteString(" */\n\n#include <pthread.h>\n#include <stdio.h>\n\ntypedef double token_t;\n\n")
-	fmt.Fprintf(&b, "#define WORKERS %d\n", part.P)
-	total := seg.Total
-	if total < 1 {
-		total = 1
-	}
-	fmt.Fprintf(&b, "#define MEM_SIZE %dL\nstatic token_t mem[MEM_SIZE];\n\n", total)
+	fmt.Fprintf(&b, "#define WORKERS %d\n", prog.P)
+	writeMem(&b, prog.Total)
 
 	// Segment map (informational) and edge buffers at absolute offsets.
 	b.WriteString("/* Segments: private per worker, one shared region for cross-worker edges. */\n")
-	for _, s := range seg.Segments {
+	for _, s := range res.Segmented.Segments {
 		owner := fmt.Sprintf("worker %d", s.Worker)
 		if s.Worker == partition.SharedWorker {
 			owner = "shared"
@@ -54,16 +52,8 @@ func GenerateThreadedC(res *core.Result) string {
 		fmt.Fprintf(&b, "/*   [%d, %d) %s */\n", s.Base, s.Base+s.Cells, owner)
 	}
 	b.WriteString("\n/* Edge buffers: absolute offset and size inside the segmented image. */\n")
-	for _, e := range g.Edges() {
-		words := e.Words
-		if words < 1 {
-			words = 1
-		}
-		fmt.Fprintf(&b, "#define E%d_OFF %dL /* %s */\n#define E%d_SIZE %dL\n#define E%d_W %dL\n",
-			e.ID, seg.Offset(e.ID), seg.Intervals[e.ID].Name, e.ID, seg.Size(e.ID), e.ID, words)
-		fmt.Fprintf(&b, "static long w%d, r%d;\n", e.ID, e.ID)
-	}
-	b.WriteString("\n/* Per-actor checksums: each firing folds its input sum in. */\n")
+	writeBuffers(&b, g, &prog.Layout)
+	b.WriteString("/* Per-actor checksums: each firing folds its input sum in. */\n")
 	for _, a := range g.Actors() {
 		fmt.Fprintf(&b, "static token_t check_%s;\n", sanitize(a.Name))
 	}
@@ -95,23 +85,7 @@ static void barrier_await(void) {
 	// edge's cursors are touched by exactly one worker (same-phase edges are
 	// intra-worker; cross-phase access is barrier-ordered), so no locking.
 	for _, a := range g.Actors() {
-		fmt.Fprintf(&b, "static void fire_%s(void) {\n", sanitize(a.Name))
-		fmt.Fprintf(&b, "    token_t acc = 0;\n")
-		for _, eid := range g.In(a.ID) {
-			e := g.Edge(eid)
-			fmt.Fprintf(&b, "    for (long i = 0; i < %d; i++) { /* consume %s */\n",
-				e.Cons, seg.Intervals[eid].Name)
-			fmt.Fprintf(&b, "        acc += mem[E%d_OFF + ((r%d++) * E%d_W) %% E%d_SIZE];\n", eid, eid, eid, eid)
-			fmt.Fprintf(&b, "    }\n")
-		}
-		for _, eid := range g.Out(a.ID) {
-			e := g.Edge(eid)
-			fmt.Fprintf(&b, "    for (long i = 0; i < %d; i++) { /* produce %s */\n",
-				e.Prod, seg.Intervals[eid].Name)
-			fmt.Fprintf(&b, "        mem[E%d_OFF + ((w%d++) * E%d_W) %% E%d_SIZE] = acc + (token_t)i;\n",
-				eid, eid, eid, eid)
-			fmt.Fprintf(&b, "    }\n")
-		}
+		writeFire(&b, g, &prog.Layout, a.ID)
 		fmt.Fprintf(&b, "    check_%s += acc;\n", sanitize(a.Name))
 		b.WriteString("}\n\n")
 	}
@@ -119,12 +93,12 @@ static void barrier_await(void) {
 	// One function per worker: its per-phase firing blocks, a barrier after
 	// every phase, all periods inside (the last phase's barrier separates
 	// consecutive periods).
-	for w := 0; w < part.P; w++ {
+	for w := 0; w < prog.P; w++ {
 		fmt.Fprintf(&b, "static void *worker_%d(void *arg) {\n    (void)arg;\n", w)
 		b.WriteString("    for (int period = 0; period < 4; period++) {\n")
-		for ph := 0; ph < part.NumPhases; ph++ {
+		for ph, workers := range prog.Phases {
 			fmt.Fprintf(&b, "        /* phase %d */\n", ph)
-			for bi, blk := range part.Phases[ph].Workers[w] {
+			for bi, blk := range workers[w] {
 				name := sanitize(g.Actor(blk.Actor).Name)
 				if blk.Count == 1 {
 					fmt.Fprintf(&b, "        fire_%s();\n", name)
@@ -141,14 +115,9 @@ static void barrier_await(void) {
 	// Main: seed initial tokens, run the workers, print the checksums in
 	// actor order.
 	b.WriteString("int main(void) {\n")
-	for _, e := range g.Edges() {
-		if e.Delay > 0 {
-			fmt.Fprintf(&b, "    for (long i = 0; i < %d; i++) mem[E%d_OFF + ((w%d++) * E%d_W) %% E%d_SIZE] = 0; /* delays */\n",
-				e.Delay, e.ID, e.ID, e.ID, e.ID)
-		}
-	}
+	writeDelays(&b, g)
 	b.WriteString("    pthread_t tid[WORKERS];\n")
-	for w := 0; w < part.P; w++ {
+	for w := 0; w < prog.P; w++ {
 		fmt.Fprintf(&b, "    pthread_create(&tid[%d], 0, worker_%d, 0);\n", w, w)
 	}
 	b.WriteString("    for (int w = 0; w < WORKERS; w++) pthread_join(tid[w], 0);\n")

@@ -4,42 +4,39 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/sdf"
-
-	"repro/internal/core"
 )
 
 // GenerateVHDL renders the compiled system as a behavioral VHDL architecture,
 // the hardware synthesis path the paper describes in Sec. 1: the schedule's
 // loop structure becomes nested for-loops inside a single process, and every
 // edge buffer is a slice of one shared memory array with modulo cursors —
-// the description a behavioral compiler would map to RTL.
+// the description a behavioral compiler would map to RTL. Like GenerateC it
+// renders the P=1 program and returns "" when the allocation does not place
+// every edge buffer inside its image.
 func GenerateVHDL(res *core.Result) string {
+	prog, err := partition.Sequential(res.Schedule, res.Intervals, res.Best)
+	if err != nil {
+		return ""
+	}
 	g := res.Graph
 	name := sanitize(g.Name)
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- Generated shared-memory implementation of SDF graph %q.\n", g.Name)
 	fmt.Fprintf(&b, "-- Schedule: %s\n", res.Schedule)
 	fmt.Fprintf(&b, "-- Shared buffer memory: %d cells (non-shared would need %d).\n",
-		res.Best.Total, res.Metrics.NonSharedBufMem)
+		prog.Total, res.Metrics.NonSharedBufMem)
 	b.WriteString("library ieee;\nuse ieee.std_logic_1164.all;\n\n")
 	fmt.Fprintf(&b, "entity %s is\n  port (\n    clk  : in  std_logic;\n    rst  : in  std_logic;\n    tick : out std_logic  -- pulses once per schedule period\n  );\nend entity %s;\n\n", name, name)
 	fmt.Fprintf(&b, "architecture behavioral of %s is\n", name)
-	total := res.Best.Total
-	if total < 1 {
-		total = 1
-	}
-	fmt.Fprintf(&b, "  constant MEM_SIZE : integer := %d;\n", total)
+	fmt.Fprintf(&b, "  constant MEM_SIZE : integer := %d;\n", max(prog.Total, 1))
 	b.WriteString("  type mem_t is array (0 to MEM_SIZE - 1) of integer;\n")
 	for _, e := range g.Edges() {
-		iv := res.Intervals[e.ID]
-		off, ok := res.Best.OffsetOf(iv)
-		if !ok {
-			off = 0
-		}
-		fmt.Fprintf(&b, "  constant E%d_OFF  : integer := %d;  -- %s\n", e.ID, off, iv.Name)
-		fmt.Fprintf(&b, "  constant E%d_SIZE : integer := %d;\n", e.ID, iv.Size)
+		fmt.Fprintf(&b, "  constant E%d_OFF  : integer := %d;  -- %s\n", e.ID, prog.Offsets[e.ID], prog.Names[e.ID])
+		fmt.Fprintf(&b, "  constant E%d_SIZE : integer := %d;\n", e.ID, prog.Sizes[e.ID])
 		fmt.Fprintf(&b, "  constant E%d_W    : integer := %d;\n", e.ID, e.Words)
 	}
 	b.WriteString("begin\n\n  schedule : process (clk)\n")
@@ -51,7 +48,7 @@ func GenerateVHDL(res *core.Result) string {
 
 	// One procedure per actor, declared in the process declarative part.
 	for _, a := range g.Actors() {
-		writeVHDLActor(&b, g, res, a)
+		writeVHDLActor(&b, g, &prog.Layout, a)
 	}
 
 	b.WriteString("  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n")
@@ -61,7 +58,7 @@ func GenerateVHDL(res *core.Result) string {
 	}
 	b.WriteString("        tick <= '0';\n      else\n")
 	depth := 0
-	for _, n := range res.Schedule.Body {
+	for _, n := range prog.Phases[0][0] {
 		writeVHDLLoop(&b, g, n, 4, &depth)
 	}
 	b.WriteString("        tick <= '1';\n      end if;\n    end if;\n  end process schedule;\n\nend architecture behavioral;\n")
@@ -69,20 +66,20 @@ func GenerateVHDL(res *core.Result) string {
 }
 
 // writeVHDLActor emits one firing procedure.
-func writeVHDLActor(b *strings.Builder, g *sdf.Graph, res *core.Result, a sdf.Actor) {
+func writeVHDLActor(b *strings.Builder, g *sdf.Graph, l *partition.Layout, a sdf.Actor) {
 	fmt.Fprintf(b, "\n    -- actor %s\n    procedure fire_%s is\n    begin\n", a.Name, sanitize(a.Name))
 	wrote := false
 	b.WriteString("      acc := 0;\n")
 	for _, eid := range g.In(a.ID) {
 		e := g.Edge(eid)
-		fmt.Fprintf(b, "      for k in 0 to %d loop  -- consume %s\n", e.Cons-1, res.Intervals[eid].Name)
+		fmt.Fprintf(b, "      for k in 0 to %d loop  -- consume %s\n", e.Cons-1, l.Names[eid])
 		fmt.Fprintf(b, "        acc := acc + mem(E%d_OFF + ((r%d * E%d_W) mod E%d_SIZE));\n", eid, eid, eid, eid)
 		fmt.Fprintf(b, "        r%d := r%d + 1;\n      end loop;\n", eid, eid)
 		wrote = true
 	}
 	for _, eid := range g.Out(a.ID) {
 		e := g.Edge(eid)
-		fmt.Fprintf(b, "      for k in 0 to %d loop  -- produce %s\n", e.Prod-1, res.Intervals[eid].Name)
+		fmt.Fprintf(b, "      for k in 0 to %d loop  -- produce %s\n", e.Prod-1, l.Names[eid])
 		fmt.Fprintf(b, "        mem(E%d_OFF + ((w%d * E%d_W) mod E%d_SIZE)) := acc;\n", eid, eid, eid, eid)
 		fmt.Fprintf(b, "        w%d := w%d + 1;\n      end loop;\n", eid, eid)
 		wrote = true

@@ -31,7 +31,7 @@ import (
 // diffFires builds per-engine actor behaviours with per-actor state: output
 // token i of firing n carries the input sum plus i plus a per-actor stamp.
 // Each engine gets its own closure set (the counters are engine-local), and
-// a PhasedEngine invokes one actor's Fire from a single worker goroutine, so
+// a phased Engine invokes one actor's Fire from a single worker goroutine, so
 // the closures satisfy its sharing contract.
 func diffFires(g *sdf.Graph) map[sdf.ActorID]runtime.Fire {
 	fires := map[sdf.ActorID]runtime.Fire{}

@@ -7,8 +7,9 @@
 // phases every worker passes a barrier, so a cross-worker edge is always
 // written in one phase and read in a strictly later one — the
 // write-then-barrier-then-read discipline the per-segment allocation
-// (segment.go) and the phased executors (internal/sim, internal/runtime)
-// rely on.
+// (segment.go) and the executors (internal/sim, internal/runtime,
+// internal/codegen) rely on. Program (program.go) is the one executable form
+// those executors run, the sequential schedule being its P=1 case.
 //
 // Two structural invariants hold by construction and are re-checked by
 // internal/check:

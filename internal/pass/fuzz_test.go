@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/randsdf"
 	"repro/internal/sdf"
 )
@@ -122,6 +123,61 @@ func FuzzDecodeSched(f *testing.F) {
 			return
 		}
 		if got := encodeSched(ls); !bytes.Equal(got, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
+		}
+	})
+}
+
+// FuzzDecodeAlloc is FuzzDecodeLife for the allocation decoder, decoding
+// against the seeded graph's real lifetimes. Every accepted placement must
+// also lie inside the stored image.
+func FuzzDecodeAlloc(f *testing.F) {
+	g := fuzzGraph()
+	rep, err := RunRepetitions(g)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ord, err := RunOrder(g, rep, RPMC, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ls, err := RunSchedule(g, rep, ord, SDPPOLoops)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lf, err := RunLifetimes(rep, ls)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, strat := range []alloc.Strategy{alloc.FirstFitDuration, alloc.FirstFitStart} {
+		al, err := RunAlloc(lf, strat)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := encodeAlloc(lf, al)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{2, 2, 0, 2, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		al, err := decodeAlloc(lf, alloc.FirstFitStart, data)
+		if err != nil {
+			return
+		}
+		for _, p := range al.Alloc.Placements {
+			if p.Offset < 0 || p.Offset+p.Interval.Size > al.Alloc.Total {
+				t.Fatalf("accepted placement %s at [%d,%d) outside a %d-cell image",
+					p.Interval.Name, p.Offset, p.Offset+p.Interval.Size, al.Alloc.Total)
+			}
+		}
+		got, err := encodeAlloc(lf, al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
 			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
 		}
 	})

@@ -613,9 +613,14 @@ func decodeSegalloc(g *sdf.Graph, rep Repetitions, part Partition, data []byte) 
 // Lifetimes artifact. The result skips alloc.Verify: the allocation was
 // verified when computed, the frame checksum pins its integrity, and the
 // chained key pins that these intervals are the ones it was computed for.
+// Every placement must still lie inside the stored image, which executors
+// and the C emitter index without further checks.
 func decodeAlloc(lf Lifetimes, strat alloc.Strategy, data []byte) (Allocation, error) {
 	d := &decoder{data: data}
 	total := d.int64()
+	if d.err == nil && total < 0 {
+		return Allocation{}, fmt.Errorf("pass: stored allocation image of %d cells", total)
+	}
 	n := d.count(len(lf.Intervals))
 	if d.err == nil && n != len(lf.Intervals) {
 		return Allocation{}, fmt.Errorf("pass: stored allocation places %d intervals, lifetimes has %d", n, len(lf.Intervals))
@@ -630,6 +635,9 @@ func decodeAlloc(lf Lifetimes, strat alloc.Strategy, data []byte) (Allocation, e
 		}
 		if seen[idx] {
 			return Allocation{}, fmt.Errorf("pass: stored allocation places edge %d twice", idx)
+		}
+		if size := lf.Intervals[idx].Size; off < 0 || off > total-size {
+			return Allocation{}, fmt.Errorf("pass: stored placement at %d..%d outside a %d-cell image", off, off+size, total)
 		}
 		seen[idx] = true
 		placements[i] = alloc.Placement{Interval: lf.Intervals[idx], Offset: off}

@@ -334,6 +334,75 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocRejectsOutOfImage: every stored placement must lie inside
+// the stored image, because the executors and the C emitter index the image
+// without further checks. A rejected payload is a store miss: the warm plan
+// re-runs the allocator and returns the cold result.
+func TestDecodeAllocRejectsOutOfImage(t *testing.T) {
+	g := systems.CDDAT()
+	pts := []Options{{Allocators: []alloc.Strategy{alloc.FirstFitStart}}}
+	cold, err := CompileContext(context.Background(), g, pts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newMapStore()
+	p1, err := NewPlan(g, pts, PlanConfig{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := p1.Run(context.Background())[0]; out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	lf := p1.lifes[0].out
+	key := allocStoreKey(p1.lifes[0].hash, alloc.FirstFitStart)
+	good, ok := st.m[key]
+	if !ok {
+		t.Fatal("allocation payload not published under its key")
+	}
+	al, err := decodeAlloc(lf, alloc.FirstFitStart, good)
+	if err != nil {
+		t.Fatalf("decodeAlloc rejected a real payload: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		mut  func(*alloc.Allocation)
+	}{
+		{"placement at total", func(a *alloc.Allocation) { a.Placements[0].Offset = a.Total }},
+		{"negative offset", func(a *alloc.Allocation) { a.Placements[0].Offset = -1 }},
+		{"negative total", func(a *alloc.Allocation) { a.Total = -1 }},
+		{"image one cell short", func(a *alloc.Allocation) { a.Total-- }},
+	} {
+		bad := *al.Alloc
+		bad.Placements = slices.Clone(bad.Placements)
+		c.mut(&bad)
+		data, err := encodeAlloc(lf, Allocation{Strategy: al.Strategy, Alloc: &bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeAlloc(lf, alloc.FirstFitStart, data); err == nil {
+			t.Errorf("%s: decodeAlloc accepted the payload", c.name)
+			continue
+		}
+		st.m[key] = data
+		p2, err := NewPlan(g, pts, PlanConfig{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := p2.Run(context.Background())[0]
+		if out.Err != nil {
+			t.Fatalf("%s: %v", c.name, out.Err)
+		}
+		for _, kc := range p2.Stats() {
+			if kc.Kind == KindAlloc && (kc.Executed != 1 || kc.Loaded != 0) {
+				t.Errorf("%s: alloc executed/loaded = %d/%d, want 1/0", c.name, kc.Executed, kc.Loaded)
+			}
+		}
+		if !reflect.DeepEqual(out.Result.Metrics, cold.Metrics) {
+			t.Errorf("%s: metrics %+v, cold %+v", c.name, out.Result.Metrics, cold.Metrics)
+		}
+	}
+}
+
 type lifeCorruption struct {
 	name string
 	mut  func(*Lifetimes)

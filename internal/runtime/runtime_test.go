@@ -1,8 +1,12 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
+	goruntime "runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/regularity"
@@ -270,5 +274,94 @@ func TestPushOverflow(t *testing.T) {
 	}
 	if got := eng.TokensOn(e); len(got) != 1 {
 		t.Errorf("TokensOn = %v", got)
+	}
+}
+
+// TestNewRejectsPlacementOutsideImage: a placement past the end of the image
+// is a constructor error, not an index panic in the first period.
+func TestNewRejectsPlacementOutsideImage(t *testing.T) {
+	g := sdf.New("pair")
+	a := g.AddActor("A")
+	b := g.AddActor("B")
+	g.AddEdge(a, b, 2, 2, 0)
+	res := compile(t, g)
+	res.Best.Placements[0].Offset = res.Best.Total
+	if _, err := New(res, nil); err == nil || !strings.Contains(err.Error(), "outside image") {
+		t.Errorf("got %v, want an outside-image error", err)
+	}
+}
+
+// waitGoroutines fails unless the goroutine count settles back to want:
+// workers that have signalled their WaitGroup may still be exiting.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive RunPeriod, want %d", goruntime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPhasedWorkerFailure makes every source outside worker 0 return the
+// wrong output arity on its second firing of a period. RunPeriod must
+// return the lowest-indexed failing worker's error without deadlocking, and
+// no worker goroutine may outlive it on the success or the failure path.
+func TestPhasedWorkerFailure(t *testing.T) {
+	g := sdf.New("chains")
+	for i := 0; i < 8; i++ {
+		a := g.AddActor(fmt.Sprintf("A%d", i))
+		b := g.AddActor(fmt.Sprintf("B%d", i))
+		g.AddEdge(a, b, 1, 2, 0)
+	}
+	for _, p := range []int{2, 4} {
+		res, err := core.Compile(g, core.Options{Partitions: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewPhased(res, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := goruntime.NumGoroutine()
+		if err := eng.RunPeriod(); err != nil {
+			t.Fatalf("P=%d: clean period: %v", p, err)
+		}
+		waitGoroutines(t, before)
+
+		lowest := p
+		fires := map[sdf.ActorID]Fire{}
+		for _, a := range g.Actors() {
+			w := res.Partition.Assign[a.ID]
+			if len(g.Out(a.ID)) == 0 || w == 0 {
+				continue
+			}
+			lowest = min(lowest, w)
+			firing := 0
+			fires[a.ID] = func([][]float64) [][]float64 {
+				if firing++; firing == 2 {
+					return nil
+				}
+				return [][]float64{{0}}
+			}
+		}
+		if lowest != 1 {
+			t.Fatalf("P=%d: lowest failing worker %d, want 1", p, lowest)
+		}
+		if eng, err = NewPhased(res, fires); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- eng.RunPeriod() }()
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("P=%d: RunPeriod deadlocked after a worker failure", p)
+		}
+		if err == nil || !strings.Contains(err.Error(), "worker 1 ") || !strings.Contains(err.Error(), "output vectors") {
+			t.Errorf("P=%d: got %v, want worker 1's arity error", p, err)
+		}
+		waitGoroutines(t, before)
 	}
 }

@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/lifetime"
+	"repro/internal/partition"
 	"repro/internal/randsdf"
 	"repro/internal/sched"
 	"repro/internal/schedtree"
@@ -163,5 +167,103 @@ func TestTokenValueUnique(t *testing.T) {
 			}
 			seen[v] = true
 		}
+	}
+}
+
+// TestRunRejectsPlacementOutsideImage: a placement past the end of the image
+// is an error, not an index panic.
+func TestRunRejectsPlacementOutsideImage(t *testing.T) {
+	g := sdf.New("pair")
+	a := g.AddActor("A")
+	b := g.AddActor("B")
+	g.AddEdge(a, b, 2, 2, 0)
+	q := sdf.Repetitions{1, 1}
+	s := sched.MustParse(g, "AB")
+	iv := &lifetime.Interval{Name: "A->B", Size: 2, Start: 0, Dur: 2}
+	for _, off := range []int64{-1, 1, 2} {
+		al := &alloc.Allocation{Placements: []alloc.Placement{{Interval: iv, Offset: off}}, Total: 2}
+		err := Run(s, q, []*lifetime.Interval{iv}, al, 1)
+		if err == nil || !strings.Contains(err.Error(), "outside image") {
+			t.Errorf("offset %d: got %v, want an outside-image error", off, err)
+		}
+	}
+}
+
+// chains builds n independent chains A_i -(1,2)-> B_i: every A fires twice
+// per period, so a period has a mid-point on every worker.
+func chains(n int) *sdf.Graph {
+	g := sdf.New("chains")
+	for i := 0; i < n; i++ {
+		a := g.AddActor(fmt.Sprintf("A%d", i))
+		b := g.AddActor(fmt.Sprintf("B%d", i))
+		g.AddEdge(a, b, 1, 2, 0)
+	}
+	return g
+}
+
+// waitGoroutines fails unless the goroutine count settles back to want:
+// workers that have signalled their WaitGroup may still be exiting.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the run, want %d", goruntime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunPhasedWorkerFailure shrinks the buffers read by every worker but
+// worker 0 to one cell, so each of those workers reads a clobbered token in
+// phase 1. The phased run must return the lowest-indexed worker's error
+// without deadlocking, and leave no goroutine behind on either path.
+func TestRunPhasedWorkerFailure(t *testing.T) {
+	g := chains(8)
+	q, err := g.Repetitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.TopologicalSort(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{2, 4} {
+		part, err := partition.Run(g, q, order, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := partition.Allocate(g, q, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := goruntime.NumGoroutine()
+		if err := RunPhased(g, q, part, seg, 3); err != nil {
+			t.Fatalf("P=%d: clean run: %v", p, err)
+		}
+		waitGoroutines(t, before)
+
+		lowest, failing := p, map[int]bool{}
+		for _, e := range g.Edges() {
+			if w := part.Assign[e.Dst]; w > 0 {
+				seg.Sizes[e.ID] = 1
+				lowest, failing[w] = min(lowest, w), true
+			}
+		}
+		if len(failing) != p-1 {
+			t.Fatalf("P=%d: consumers on workers %v, want every worker but 0", p, failing)
+		}
+		done := make(chan error, 1)
+		go func() { done <- RunPhased(g, q, part, seg, 3) }()
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("P=%d: phased run deadlocked after a worker failure", p)
+		}
+		want := fmt.Sprintf("phase 1 worker %d:", lowest)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "corrupted") {
+			t.Errorf("P=%d: got %v, want a corruption in %q", p, err, want)
+		}
+		waitGoroutines(t, before)
 	}
 }
