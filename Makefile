@@ -66,9 +66,12 @@ incremental:
 # goroutines every period at P>=2; codegen's emitters share their buffer,
 # body and delay writers, gated by TestThreadedCMatchesReference), the
 # partition invariant oracles, and the fuzzer's partitioned grid sweep with
-# its P=1 byte-identity check.
+# its P=1 byte-identity check. The barrier and both executors run again at
+# GOMAXPROCS=1, where the barrier parks at once and more workers than Ps
+# share one P (-count=1: the test cache does not key on GOMAXPROCS).
 parallel:
 	$(GO) test -race ./internal/partition/... ./internal/par/... ./internal/runtime/... ./internal/sim/... ./internal/codegen/...
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/par/... ./internal/runtime/... ./internal/sim/...
 	$(GO) test -race -run 'TestPartition|TestPhased|TestCorrupted|TestThreaded|TestPipelineCleanPartitioned' ./internal/check/...
 	$(GO) run ./cmd/sdffuzz -n 50 -seed 2
 

@@ -24,6 +24,12 @@ import (
 // Fire is one actor's behaviour for a single firing: inputs holds the
 // consumed tokens per input edge (in g.In order, cns(e) values each); the
 // returned slice must hold prd(e) tokens per output edge (in g.Out order).
+//
+// inputs is owned by the engine and reused on the actor's next firing, so a
+// Fire must not keep it, or any of its slices, after returning; copy what it
+// needs to remember. Returning inputs (or slices of it) as the outputs is
+// fine: the engine copies every produced token into the image before the
+// actor fires again.
 type Fire func(inputs [][]float64) [][]float64
 
 // Engine executes a compiled result period by period.
@@ -36,18 +42,29 @@ type Fire func(inputs [][]float64) [][]float64
 // worker per actor, fixed for the whole run), so a Fire closure may keep
 // per-actor state but must not share mutable state across actors.
 type Engine struct {
-	g     *sdf.Graph
-	prog  *partition.Program
-	fires map[sdf.ActorID]Fire
-	mem   []float64
-	edges []edgeState
-	bar   *par.Barrier // nil at P=1
+	g      *sdf.Graph
+	prog   *partition.Program
+	fires  map[sdf.ActorID]Fire
+	mem    []float64
+	edges  []edgeState
+	actors []actorState
+	bar    *par.Barrier // nil at P=1
 }
 
 type edgeState struct {
 	offset, size int64
-	rd, wr       int64
+	cons, prod   int64
+	rd, wr       int64 // cursors in [0, size)
 	count        int64
+}
+
+// actorState is what a firing needs besides the image: the actor's edges
+// and the engine-owned inputs handed to its Fire, one window of buf per
+// input edge, so a firing allocates nothing.
+type actorState struct {
+	in, out []sdf.EdgeID
+	inputs  [][]float64
+	buf     []float64
 }
 
 // New builds a sequential engine for a verified compilation result. Actors
@@ -83,11 +100,12 @@ func NewPhased(res *core.Result, fires map[sdf.ActorID]Fire) (*Engine, error) {
 // supports scalar tokens only.
 func newEngine(g *sdf.Graph, prog *partition.Program, fires map[sdf.ActorID]Fire) (*Engine, error) {
 	e := &Engine{
-		g:     g,
-		prog:  prog,
-		fires: fires,
-		mem:   make([]float64, prog.Total),
-		edges: make([]edgeState, g.NumEdges()),
+		g:      g,
+		prog:   prog,
+		fires:  fires,
+		mem:    make([]float64, prog.Total),
+		edges:  make([]edgeState, g.NumEdges()),
+		actors: make([]actorState, g.NumActors()),
 	}
 	if prog.P > 1 {
 		e.bar = par.NewBarrier(prog.P)
@@ -99,9 +117,20 @@ func newEngine(g *sdf.Graph, prog *partition.Program, fires map[sdf.ActorID]Fire
 		}
 		st := &e.edges[ed.ID]
 		st.offset, st.size = prog.Offsets[ed.ID], prog.Sizes[ed.ID]
+		st.cons, st.prod = ed.Cons, ed.Prod
 		st.count = ed.Delay
 		// Initial tokens are zeros, occupying the first del cells.
-		st.wr = ed.Delay
+		st.wr = ed.Delay % st.size
+	}
+	for _, a := range g.Actors() {
+		act := &e.actors[a.ID]
+		act.in, act.out = g.In(a.ID), g.Out(a.ID)
+		var n int64
+		for _, eid := range act.in {
+			n += e.edges[eid].cons
+		}
+		act.inputs = make([][]float64, len(act.in))
+		act.buf = make([]float64, n)
 	}
 	return e, nil
 }
@@ -115,8 +144,12 @@ func (e *Engine) Mem() []float64 { return e.mem }
 func (e *Engine) TokensOn(edge sdf.EdgeID) []float64 {
 	st := &e.edges[edge]
 	out := make([]float64, st.count)
-	for i := int64(0); i < st.count; i++ {
-		out[i] = e.mem[st.offset+(st.rd+i)%st.size]
+	for i := range out {
+		c := st.rd + int64(i)
+		if c >= st.size {
+			c -= st.size
+		}
+		out[i] = e.mem[st.offset+c]
 	}
 	return out
 }
@@ -130,54 +163,97 @@ func (e *Engine) Push(edge sdf.EdgeID, values ...float64) error {
 			len(values), edge, st.count, st.size)
 	}
 	for _, v := range values {
-		e.mem[st.offset+st.wr%st.size] = v
-		st.wr++
-		st.count++
+		e.write(st, v)
 	}
+	st.count += int64(len(values))
 	return nil
+}
+
+// read takes the token under an edge's read cursor and advances it, with
+// the same circular addressing as the generated C.
+func (e *Engine) read(st *edgeState) float64 {
+	v := e.mem[st.offset+st.rd]
+	if st.rd++; st.rd == st.size {
+		st.rd = 0
+	}
+	return v
+}
+
+// write stores a token under an edge's write cursor and advances it.
+func (e *Engine) write(st *edgeState, v float64) {
+	e.mem[st.offset+st.wr] = v
+	if st.wr++; st.wr == st.size {
+		st.wr = 0
+	}
 }
 
 // RunPeriod executes one complete schedule period. At P=1 it fires on the
 // caller's goroutine; otherwise it spawns P workers and joins them before
 // returning. A worker that fails stops firing but keeps arriving at every
 // barrier so the others complete deterministically, and the lowest-indexed
-// worker's error is returned.
+// worker's error is returned. A Fire that panics at P>=2 fails its worker
+// the same way, and after the join RunPeriod re-panics on the caller's
+// goroutine with the lowest-indexed panicking worker's value; at P=1 the
+// panic reaches the caller directly.
 func (e *Engine) RunPeriod() error {
 	if e.prog.P == 1 {
-		return e.runWorker(0)
+		return e.runWorker(0).err
 	}
-	errs := make([]error, e.prog.P)
+	outs := make([]outcome, e.prog.P)
 	var wg sync.WaitGroup
-	for w := range errs {
+	for w := range outs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = e.runWorker(w)
+			outs[w] = e.runWorker(w)
 		}(w)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, o := range outs {
+		if o.panicked != nil {
+			panic(o.panicked)
+		}
+	}
+	for _, o := range outs {
+		if o.err != nil {
+			return o.err
 		}
 	}
 	return nil
 }
 
+// outcome is how a worker's period ended: the error that stopped it, or the
+// value a Fire panicked with.
+type outcome struct {
+	err      error
+	panicked any
+}
+
 // runWorker fires worker w's terms phase by phase, joining the barrier
-// after every phase when there is one.
-func (e *Engine) runWorker(w int) (err error) {
+// between phases; the join in RunPeriod orders the last phase.
+func (e *Engine) runWorker(w int) (out outcome) {
+	last := len(e.prog.Phases) - 1
 	for ph, workers := range e.prog.Phases {
-		if err == nil {
-			if err = e.runTerms(workers[w]); err != nil {
-				err = fmt.Errorf("runtime: phase %d worker %d %w", ph, w, err)
-			}
+		if out.err == nil && out.panicked == nil {
+			out = e.runPhase(ph, w, workers[w])
 		}
-		if e.bar != nil {
+		if e.bar != nil && ph < last {
 			e.bar.Await()
 		}
 	}
-	return err
+	return out
+}
+
+// runPhase fires one phase's terms of worker w. With a barrier it recovers
+// a panicking Fire, so that its worker can go on arriving at the barriers.
+func (e *Engine) runPhase(ph, w int, terms []*sched.Node) (out outcome) {
+	if e.bar != nil {
+		defer func() { out.panicked = recover() }()
+	}
+	if err := e.runTerms(terms); err != nil {
+		out.err = fmt.Errorf("runtime: phase %d worker %d %w", ph, w, err)
+	}
+	return out
 }
 
 func (e *Engine) runTerms(terms []*sched.Node) error {
@@ -195,65 +271,70 @@ func (e *Engine) runTerms(terms []*sched.Node) error {
 	return nil
 }
 
-// fire executes one firing: consume every input, compute, produce every
-// output, with the same modulo cursor arithmetic as the generated C.
+// fire executes one firing: consume every input into the actor's input
+// windows, compute, produce every output, with the same circular cursor
+// arithmetic as the generated C.
 func (e *Engine) fire(a sdf.ActorID) error {
-	g, mem := e.g, e.mem
-	ins := g.In(a)
-	outs := g.Out(a)
-	inputs := make([][]float64, len(ins))
-	for i, eid := range ins {
-		ed := g.Edge(eid)
+	act := &e.actors[a]
+	var lo int64
+	for i, eid := range act.in {
 		st := &e.edges[eid]
-		if st.count < ed.Cons {
-			return fmt.Errorf("edge %d underflow: have %d, need %d", eid, st.count, ed.Cons)
+		if st.count < st.cons {
+			return fmt.Errorf("edge %d underflow: have %d, need %d", eid, st.count, st.cons)
 		}
-		vals := make([]float64, ed.Cons)
-		for k := int64(0); k < ed.Cons; k++ {
-			vals[k] = mem[st.offset+st.rd%st.size]
-			st.rd++
+		vals := act.buf[lo : lo+st.cons : lo+st.cons]
+		lo += st.cons
+		for k := range vals {
+			vals[k] = e.read(st)
 		}
-		st.count -= ed.Cons
-		inputs[i] = vals
+		st.count -= st.cons
+		act.inputs[i] = vals
 	}
-	var outputs [][]float64
-	if f := e.fires[a]; f != nil {
-		outputs = f(inputs)
-		if len(outputs) != len(outs) {
-			return fmt.Errorf("actor returned %d output vectors, want %d", len(outputs), len(outs))
-		}
-	} else {
+	f := e.fires[a]
+	if f == nil {
+		// Default behaviour: every output token is the sum of the inputs.
 		var sum float64
-		for _, vals := range inputs {
-			for _, v := range vals {
-				sum += v
+		for _, v := range act.buf {
+			sum += v
+		}
+		for _, eid := range act.out {
+			st := &e.edges[eid]
+			if err := st.reserve(eid); err != nil {
+				return err
+			}
+			for k := int64(0); k < st.prod; k++ {
+				e.write(st, sum)
 			}
 		}
-		outputs = make([][]float64, len(outs))
-		for i, eid := range outs {
-			vals := make([]float64, g.Edge(eid).Prod)
-			for k := range vals {
-				vals[k] = sum
-			}
-			outputs[i] = vals
-		}
+		return nil
 	}
-	for i, eid := range outs {
-		ed := g.Edge(eid)
+	outputs := f(act.inputs)
+	if len(outputs) != len(act.out) {
+		return fmt.Errorf("actor returned %d output vectors, want %d", len(outputs), len(act.out))
+	}
+	for i, eid := range act.out {
 		st := &e.edges[eid]
-		if int64(len(outputs[i])) != ed.Prod {
+		if int64(len(outputs[i])) != st.prod {
 			return fmt.Errorf("actor produced %d tokens on edge %d, want %d",
-				len(outputs[i]), eid, ed.Prod)
+				len(outputs[i]), eid, st.prod)
 		}
-		if st.count+ed.Prod > st.size {
-			return fmt.Errorf("edge %d overflow: count %d + %d > capacity %d",
-				eid, st.count, ed.Prod, st.size)
+		if err := st.reserve(eid); err != nil {
+			return err
 		}
 		for _, v := range outputs[i] {
-			mem[st.offset+st.wr%st.size] = v
-			st.wr++
+			e.write(st, v)
 		}
-		st.count += ed.Prod
 	}
+	return nil
+}
+
+// reserve accounts one firing's production on an edge, failing when it
+// would overflow the buffer.
+func (st *edgeState) reserve(eid sdf.EdgeID) error {
+	if st.count+st.prod > st.size {
+		return fmt.Errorf("edge %d overflow: count %d + %d > capacity %d",
+			eid, st.count, st.prod, st.size)
+	}
+	st.count += st.prod
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/regularity"
 	"repro/internal/sdf"
+	"repro/internal/systems"
 )
 
 func compile(t *testing.T, g *sdf.Graph) *core.Result {
@@ -309,12 +310,7 @@ func waitGoroutines(t *testing.T, want int) {
 // return the lowest-indexed failing worker's error without deadlocking, and
 // no worker goroutine may outlive it on the success or the failure path.
 func TestPhasedWorkerFailure(t *testing.T) {
-	g := sdf.New("chains")
-	for i := 0; i < 8; i++ {
-		a := g.AddActor(fmt.Sprintf("A%d", i))
-		b := g.AddActor(fmt.Sprintf("B%d", i))
-		g.AddEdge(a, b, 1, 2, 0)
-	}
+	g := chains()
 	for _, p := range []int{2, 4} {
 		res, err := core.Compile(g, core.Options{Partitions: p})
 		if err != nil {
@@ -363,5 +359,175 @@ func TestPhasedWorkerFailure(t *testing.T) {
 			t.Errorf("P=%d: got %v, want worker 1's arity error", p, err)
 		}
 		waitGoroutines(t, before)
+	}
+}
+
+// chains is eight independent two-actor chains, so a partitioning at P=2 or
+// 4 gives every worker sources of its own.
+func chains() *sdf.Graph {
+	g := sdf.New("chains")
+	for i := 0; i < 8; i++ {
+		a := g.AddActor(fmt.Sprintf("A%d", i))
+		b := g.AddActor(fmt.Sprintf("B%d", i))
+		g.AddEdge(a, b, 1, 2, 0)
+	}
+	return g
+}
+
+// TestPhasedFirePanic makes every source outside worker 0 panic with its
+// worker index on its second firing of a period. RunPeriod must re-panic on
+// the caller's goroutine with the lowest-indexed worker's value, without
+// deadlocking, and leave no worker goroutine behind.
+func TestPhasedFirePanic(t *testing.T) {
+	g := chains()
+	for _, p := range []int{2, 4} {
+		res, err := core.Compile(g, core.Options{Partitions: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fires := map[sdf.ActorID]Fire{}
+		for _, a := range g.Actors() {
+			w := res.Partition.Assign[a.ID]
+			if len(g.Out(a.ID)) == 0 || w == 0 {
+				continue
+			}
+			firing := 0
+			fires[a.ID] = func([][]float64) [][]float64 {
+				if firing++; firing == 2 {
+					panic(w)
+				}
+				return [][]float64{{0}}
+			}
+		}
+		eng, err := NewPhased(res, fires)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := goruntime.NumGoroutine()
+		done := make(chan any, 2)
+		go func() {
+			defer func() { done <- recover() }()
+			done <- fmt.Errorf("RunPeriod returned %v", eng.RunPeriod())
+		}()
+		var got any
+		select {
+		case got = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("P=%d: RunPeriod deadlocked after a Fire panicked", p)
+		}
+		if got != 1 {
+			t.Errorf("P=%d: recovered %v, want worker 1's panic value 1", p, got)
+		}
+		waitGoroutines(t, before)
+	}
+}
+
+// preallocatedFires gives every actor a Fire that sums its inputs into
+// output slices allocated once, up front.
+func preallocatedFires(g *sdf.Graph) map[sdf.ActorID]Fire {
+	fires := map[sdf.ActorID]Fire{}
+	for _, a := range g.Actors() {
+		out := make([][]float64, len(g.Out(a.ID)))
+		for i, eid := range g.Out(a.ID) {
+			out[i] = make([]float64, g.Edge(eid).Prod)
+		}
+		fires[a.ID] = func(inputs [][]float64) [][]float64 {
+			var sum float64
+			for _, in := range inputs {
+				for _, v := range in {
+					sum += v
+				}
+			}
+			for _, vals := range out {
+				for k := range vals {
+					vals[k] = sum + float64(k)
+				}
+			}
+			return out
+		}
+	}
+	return fires
+}
+
+// TestRunPeriodAllocs: a firing allocates nothing, so a P=1 period whose
+// Fires reuse their outputs allocates nothing (nor with the default
+// behaviour), and a phased period allocates the same few objects to spawn
+// and join its workers, however many firings it runs.
+func TestRunPeriodAllocs(t *testing.T) {
+	perPeriod := func(eng *Engine) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := eng.RunPeriod(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	var phased []float64
+	for _, g := range []*sdf.Graph{systems.SatelliteReceiver(), systems.CDDAT()} {
+		seq, err := core.Compile(g, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fires := range []map[sdf.ActorID]Fire{preallocatedFires(g), nil} {
+			eng, err := New(seq, fires)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := perPeriod(eng); n != 0 {
+				t.Errorf("%s P=1 (custom Fires %t): %v allocations per period, want 0", g.Name, fires != nil, n)
+			}
+		}
+		par, err := core.Compile(g, core.Options{Partitions: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewPhased(par, preallocatedFires(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		phased = append(phased, perPeriod(eng))
+	}
+	if phased[0] != phased[1] || phased[0] > 8 {
+		t.Errorf("P=2 allocations per period: satrec %v, cddat %v; want the same small constant", phased[0], phased[1])
+	}
+}
+
+// TestFireReturnsInputs: a Fire may hand its engine-owned inputs back as
+// its outputs; the tokens pass through unchanged.
+func TestFireReturnsInputs(t *testing.T) {
+	g := sdf.New("pass")
+	src := g.AddActor("src")
+	mid := g.AddActor("mid")
+	snk := g.AddActor("snk")
+	g.AddEdge(src, mid, 2, 3, 0)
+	g.AddEdge(mid, snk, 3, 1, 0)
+	res := compile(t, g)
+	n := 0.0
+	var seen []float64
+	eng, err := New(res, map[sdf.ActorID]Fire{
+		src: func([][]float64) [][]float64 {
+			n += 2
+			return [][]float64{{n - 1, n}}
+		},
+		mid: func(in [][]float64) [][]float64 { return in },
+		snk: func(in [][]float64) [][]float64 {
+			seen = append(seen, in[0][0])
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 2; p++ {
+		if err := eng.RunPeriod(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) != 12 {
+		t.Fatalf("sink saw %v, want 12 tokens", seen)
+	}
+	for i, v := range seen {
+		if v != float64(i+1) {
+			t.Errorf("token %d = %v, want %d", i, v, i+1)
+		}
 	}
 }

@@ -37,7 +37,7 @@ func Run(s *sched.Schedule, q sdf.Repetitions, intervals []*lifetime.Interval,
 
 // RunPhased executes a phased partitioned schedule on P goroutines against
 // the segmented allocation and verifies the same token properties as Run.
-// Workers synchronize on a cyclic barrier after every phase, so all
+// Workers synchronize on a cyclic barrier between phases, so all
 // cross-worker buffer traffic is write-then-barrier-then-read; the
 // verification therefore also catches partitioning bugs (a same-phase
 // cross-worker edge, a shared buffer packed over a still-live neighbour) as
@@ -134,17 +134,19 @@ func run(g *sdf.Graph, prog *partition.Program, periods int) error {
 	return nil
 }
 
-// runWorker fires worker w's terms phase by phase for one period. With a
-// barrier, a failed worker stops firing (its local state is suspect) but
+// runWorker fires worker w's terms phase by phase for one period, joining
+// the barrier between phases (the join in run orders the last phase). With
+// a barrier, a failed worker stops firing (its local state is suspect) but
 // keeps arriving at every barrier so the other workers complete.
 func (st *state) runWorker(prog *partition.Program, bar *par.Barrier, period, w int) (err error) {
+	last := len(prog.Phases) - 1
 	for ph, workers := range prog.Phases {
 		if err == nil {
 			if err = st.runTerms(workers[w]); err != nil {
 				err = fmt.Errorf("sim: period %d phase %d worker %d: %w", period, ph, w, err)
 			}
 		}
-		if bar != nil {
+		if bar != nil && ph < last {
 			bar.Await()
 		}
 	}
