@@ -21,8 +21,8 @@ type PlanConfig struct {
 	// point reaches its terminal state — its assembly finishes or an upstream
 	// failure propagates to it — with the point's input index and the same
 	// Outcome Run will return for it. Points at one level finish in parallel,
-	// so the handler must be safe for concurrent use. The service's async job
-	// runner uses this to stream per-entry results while the grid is still
+	// so the handler must be safe for concurrent use. The service's grid
+	// resolver uses this to stream per-entry results while the grid is still
 	// executing.
 	OnOutcome func(point int, o Outcome)
 	// Store, when non-nil, is the persistent pass-node store: before

@@ -194,7 +194,9 @@ func (e *Engine) write(st *edgeState, v float64) {
 // worker's error is returned. A Fire that panics at P>=2 fails its worker
 // the same way, and after the join RunPeriod re-panics on the caller's
 // goroutine with the lowest-indexed panicking worker's value; at P=1 the
-// panic reaches the caller directly.
+// panic reaches the caller directly. A Fire that calls runtime.Goexit at
+// P>=2 (t.FailNow, say) ends only its worker, which still arrives at the
+// barriers it owes, and RunPeriod returns that as the worker's error.
 func (e *Engine) RunPeriod() error {
 	if e.prog.P == 1 {
 		return e.runWorker(0).err
@@ -205,6 +207,7 @@ func (e *Engine) RunPeriod() error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			outs[w].exited = true // stays set only if runWorker never returns
 			outs[w] = e.runWorker(w)
 		}(w)
 	}
@@ -214,7 +217,10 @@ func (e *Engine) RunPeriod() error {
 			panic(o.panicked)
 		}
 	}
-	for _, o := range outs {
+	for w, o := range outs {
+		if o.exited {
+			return fmt.Errorf("runtime: worker %d: a Fire called runtime.Goexit", w)
+		}
 		if o.err != nil {
 			return o.err
 		}
@@ -222,20 +228,31 @@ func (e *Engine) RunPeriod() error {
 	return nil
 }
 
-// outcome is how a worker's period ended: the error that stopped it, or the
-// value a Fire panicked with.
+// outcome is how a worker's period ended: the error that stopped it, the
+// value a Fire panicked with, or a Fire's runtime.Goexit.
 type outcome struct {
 	err      error
 	panicked any
+	exited   bool
 }
 
 // runWorker fires worker w's terms phase by phase, joining the barrier
-// between phases; the join in RunPeriod orders the last phase.
+// between phases; the join in RunPeriod orders the last phase. A worker
+// that stops early — an error, a recovered panic, or a Goexit unwinding
+// through it — arrives at its remaining barriers on the way out.
 func (e *Engine) runWorker(w int) (out outcome) {
 	last := len(e.prog.Phases) - 1
-	for ph, workers := range e.prog.Phases {
-		if out.err == nil && out.panicked == nil {
-			out = e.runPhase(ph, w, workers[w])
+	ph := 0
+	if e.bar != nil {
+		defer func() {
+			for ; ph < last; ph++ {
+				e.bar.Await()
+			}
+		}()
+	}
+	for ; ph <= last; ph++ {
+		if out = e.runPhase(ph, w, e.prog.Phases[ph][w]); out.err != nil || out.panicked != nil {
+			break
 		}
 		if e.bar != nil && ph < last {
 			e.bar.Await()

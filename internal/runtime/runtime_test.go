@@ -422,6 +422,50 @@ func TestPhasedFirePanic(t *testing.T) {
 	}
 }
 
+// TestPhasedFireGoexit makes every source outside worker 0 call
+// runtime.Goexit, as t.FailNow does, on its second firing of a period.
+// RunPeriod must not wait forever for the exited worker at a barrier: it
+// returns the lowest-indexed exited worker's error and leaves no worker
+// goroutine behind.
+func TestPhasedFireGoexit(t *testing.T) {
+	g := chains()
+	for _, p := range []int{2, 4} {
+		res, err := core.Compile(g, core.Options{Partitions: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fires := map[sdf.ActorID]Fire{}
+		for _, a := range g.Actors() {
+			if len(g.Out(a.ID)) == 0 || res.Partition.Assign[a.ID] == 0 {
+				continue
+			}
+			firing := 0
+			fires[a.ID] = func([][]float64) [][]float64 {
+				if firing++; firing == 2 {
+					goruntime.Goexit()
+				}
+				return [][]float64{{0}}
+			}
+		}
+		eng, err := NewPhased(res, fires)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := goruntime.NumGoroutine()
+		done := make(chan error, 1)
+		go func() { done <- eng.RunPeriod() }()
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("P=%d: RunPeriod deadlocked after a Fire called runtime.Goexit", p)
+		}
+		if err == nil || !strings.Contains(err.Error(), "worker 1:") || !strings.Contains(err.Error(), "Goexit") {
+			t.Errorf("P=%d: got %v, want worker 1's Goexit error", p, err)
+		}
+		waitGoroutines(t, before)
+	}
+}
+
 // preallocatedFires gives every actor a Fire that sums its inputs into
 // output slices allocated once, up front.
 func preallocatedFires(g *sdf.Graph) map[sdf.ActorID]Fire {

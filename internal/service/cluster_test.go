@@ -283,6 +283,67 @@ func TestClusterDegradesWhenOwnerUnreachable(t *testing.T) {
 	}
 }
 
+// TestClusterGridRoutesEntriesToOwners posts a synchronous grid whose
+// entries have different owners to one node of three. Like a job, the grid
+// must send each remote-owned entry to its owner and still answer every
+// entry with the in-process pipeline's bytes.
+func TestClusterGridRoutesEntriesToOwners(t *testing.T) {
+	nodes := newTestCluster(t, 3, nil)
+	submit := nodes[0]
+
+	text := graphText(t, systems.SatelliteReceiver())
+	canonical, err := sdfio.Canonicalize(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []CompileOptions
+	for _, e := range gridEntries() {
+		entries = append(entries, e, CompileOptions{Strategy: e.Strategy, Looping: e.Looping, Allocators: []string{"ffdur"}})
+	}
+	owners := map[string]bool{}
+	for _, e := range entries {
+		norm, err := normalize(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners[submit.srv.cluster.ownerOf(Digest(canonical, norm))] = true
+	}
+	if len(owners) < 2 {
+		t.Fatalf("degenerate ring: all %d entries have one owner (%v)", len(entries), owners)
+	}
+
+	resp, err := submit.cl.Grid(GridRequest{Graph: text, Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := sdfio.Parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range resp.Results {
+		if res.Error != nil {
+			t.Errorf("entry %d failed: %v", i, res.Error)
+			continue
+		}
+		want, _, err := CompileArtifact(parsed, entries[i])
+		if err != nil {
+			t.Fatalf("entry %d in-process compile: %v", i, err)
+		}
+		if string(res.Artifact) != string(want) {
+			t.Errorf("entry %d: artifact bytes differ from in-process pipeline", i)
+		}
+		owner := submit.srv.cluster.ownerOf(res.Digest)
+		for _, node := range nodes {
+			if _, ok := node.srv.cache.get(res.Digest); node.addr == owner && !ok {
+				t.Errorf("entry %d: owner %s did not compile it", i, owner)
+			}
+		}
+	}
+	if got := peerOutcomeTotal(t, submit, "ok"); got < 1 {
+		t.Errorf("submitting node recorded %v ok peer dispatches, want >= 1", got)
+	}
+}
+
 // TestClusterJobSurvivesPeerDeath is the acceptance fault test: a peer is
 // killed in the middle of an async grid job it is serving entries for. The
 // job must still complete, every entry exactly once, through rehash plus

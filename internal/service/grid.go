@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/pass"
 	"repro/internal/sdf"
@@ -117,170 +118,265 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	reqp, canonical, g, apiErr := s.parseGridRequest(w, r, s.cfg.GridMaxEntries)
+	req, canonical, g, apiErr := s.parseGridRequest(w, r, s.cfg.GridMaxEntries)
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
 	}
-	req := *reqp
-
-	// Per-entry normalization and cache probing. Misses dedup by digest:
-	// identical entries compile once and share bytes.
-	results := make([]GridEntryResult, len(req.Entries))
-	type miss struct {
-		norm    CompileOptions
-		digest  string
-		entries []int // request indices sharing this digest
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	// The local plan goes through the admission pool, so a saturated queue
+	// sheds the request; when the deadline expires first the plan still
+	// finishes in its worker and warms the cache.
+	admit := func(run func()) *APIError {
+		done := make(chan struct{})
+		if err := s.pool.TrySubmit(func() { defer close(done); run() }); err != nil {
+			return s.classifyCompileError(err)
+		}
+		select {
+		case <-done:
+			return nil
+		case <-ctx.Done():
+			s.shed.With("deadline").Inc()
+			return &APIError{
+				Status: http.StatusRequestTimeout, Reason: "deadline",
+				Message: fmt.Sprintf("request deadline expired after %v while waiting for the grid compilation", s.cfg.RequestTimeout),
+			}
+		}
 	}
+	results := make([]GridEntryResult, len(req.Entries))
+	planned, naive, apiErr := s.resolveGrid(ctx, g, canonical, req.Entries, admit,
+		func(i int, res GridEntryResult, _ string) { results[i] = res })
+	if apiErr != nil {
+		s.writeError(w, apiErr)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, &GridResponse{
+		Results:      results,
+		PlannedNodes: planned,
+		NaiveNodes:   naive,
+	})
+}
+
+// gridMiss is one deduplicated digest a grid must produce, and the entry
+// indices waiting on it.
+type gridMiss struct {
+	norm    CompileOptions
+	opts    pass.Options
+	digest  string
+	entries []int
+}
+
+// gridReport receives one entry's terminal result: its index, the result
+// (artifact bytes on success, a structured error otherwise) and the peer
+// that compiled it, empty when this node did. Calls arrive concurrently,
+// exactly once per entry while the resolution runs to its end.
+type gridReport func(i int, res GridEntryResult, servedBy string)
+
+// resolveGrid is the one grid path behind POST /v1/grid and POST
+// /v1/jobs/grid. It normalizes and digests every entry and answers cache
+// hits on the calling goroutine. It dedups the misses by digest and splits
+// them by effective ring owner: the local share runs as one prefix-shared
+// plan, streaming each entry out as its pass leaf finishes, while the
+// remote share is dispatched to its owners, and every failed dispatch falls
+// back into a second local plan. Each local plan runs through exec, the one
+// thing the endpoints do differently; an error from exec ends the
+// resolution and is returned as the request's error. ctx bounds the remote
+// dispatches; local plans run on the server's base context under
+// CompileTimeout, so they finish (and warm the cache) even after the caller
+// stops waiting. planned and naive sum plan.Stats over the local plans.
+func (s *Server) resolveGrid(ctx context.Context, g *sdf.Graph, canonical string, entries []CompileOptions,
+	exec func(run func()) *APIError, report gridReport) (planned, naive int, apiErr *APIError) {
 	var (
-		misses  []*miss
-		missFor = map[string]*miss{}
+		local, remote []*gridMiss
+		missFor       = map[string]*gridMiss{}
 	)
-	for i, entry := range req.Entries {
+	for i, entry := range entries {
 		norm, err := normalize(entry)
+		var opts pass.Options
+		if err == nil {
+			opts, err = coreOptions(norm)
+		}
 		if err != nil {
-			results[i] = GridEntryResult{Error: &APIError{
+			report(i, GridEntryResult{Error: &APIError{
 				Status: http.StatusBadRequest, Reason: "bad_request",
 				Message: fmt.Sprintf("options: %v", err),
-			}}
+			}}, "")
 			continue
 		}
 		digest := Digest(canonical, norm)
 		if data, ok := s.cache.get(digest); ok {
 			s.cacheHits.Inc()
-			results[i] = GridEntryResult{Digest: digest, Cached: true, Artifact: data}
+			report(i, GridEntryResult{Digest: digest, Cached: true, Artifact: data}, "")
 			continue
 		}
 		s.cacheMisses.Inc()
 		m := missFor[digest]
 		if m == nil {
-			m = &miss{norm: norm, digest: digest}
+			m = &gridMiss{norm: norm, opts: opts, digest: digest}
 			missFor[digest] = m
-			misses = append(misses, m)
+			if cn := s.cluster; cn != nil && cn.ownerOf(digest) != cn.cfg.Self {
+				remote = append(remote, m)
+			} else {
+				local = append(local, m)
+			}
 		}
 		m.entries = append(m.entries, i)
 	}
 
-	plannedNodes, naiveNodes := 0, 0
-	if len(misses) > 0 {
-		points := make([]pass.Options, len(misses))
-		for i, m := range misses {
-			copts, err := coreOptions(m.norm)
-			if err != nil {
-				// normalize already vetted every enum spelling.
-				s.writeError(w, &APIError{
-					Status: http.StatusInternalServerError, Reason: "bad_request",
-					Message: fmt.Sprintf("normalized options failed to convert: %v", err),
-				})
-				return
-			}
-			points[i] = copts
-		}
+	// Remote dispatch overlaps the local plan: peers compile their shares
+	// while this node runs its own.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		fellBack []*gridMiss
+	)
+	if len(remote) > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fellBack = s.dispatchRemote(ctx, canonical, remote, report)
+		}()
+	}
+	planned, naive, apiErr = s.runGridPlan(g, local, exec, report)
+	if apiErr != nil {
+		cancel() // the request failed: stop dispatching its remote share
+	}
+	wg.Wait()
+	if apiErr == nil {
+		var p, n int
+		p, n, apiErr = s.runGridPlan(g, fellBack, exec, report)
+		planned, naive = planned+p, naive+n
+	}
+	return planned, naive, apiErr
+}
 
-		type gridRun struct {
-			outs  []pass.Outcome
-			stats []pass.KindCount
-			err   error
-		}
-		done := make(chan gridRun, 1)
-		job := func() {
-			if s.testHookCompileStart != nil {
-				s.testHookCompileStart()
-			}
-			ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.CompileTimeout)
-			defer cancel()
-			s.gridRuns.Inc()
-			// With a node store, loaded nodes emit no events, so
-			// sdfd_grid_pass_nodes_total keeps counting only pass work that
-			// actually executed; store reuse shows up in
-			// sdfd_nodestore_loads_total instead.
-			plan, err := pass.NewPlan(g, points, pass.PlanConfig{
-				Store: s.planStore(),
-				OnEvent: func(e pass.Event) {
-					if e.Enter {
-						s.gridNodes.With(e.Kind.String()).Inc()
-					}
-				},
-			})
-			if err != nil {
-				done <- gridRun{err: err}
-				return
-			}
-			outs := plan.Run(ctx)
-			s.countLoads(plan.Stats())
-			done <- gridRun{outs: outs, stats: plan.Stats()}
-		}
-		if err := s.pool.TrySubmit(job); err != nil {
-			s.writeError(w, s.classifyCompileError(err))
-			return
-		}
+// reportMiss reports one outcome to every entry behind a miss.
+func reportMiss(m *gridMiss, res GridEntryResult, servedBy string, report gridReport) {
+	for _, i := range m.entries {
+		report(i, res, servedBy)
+	}
+}
 
-		ctx := r.Context()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
+// runGridPlan runs misses as one prefix-shared plan through exec, caching
+// and reporting each point's artifact from OnOutcome, and returns the
+// plan's summed node counts. An empty batch runs nothing.
+func (s *Server) runGridPlan(g *sdf.Graph, misses []*gridMiss, exec func(run func()) *APIError, report gridReport) (int, int, *APIError) {
+	if len(misses) == 0 {
+		return 0, 0, nil
+	}
+	points := make([]pass.Options, len(misses))
+	for i, m := range misses {
+		points[i] = m.opts
+	}
+	// The run may outlive a failed exec (the caller stopped waiting), so its
+	// counts are read only after exec reports that it finished.
+	var planned, naive int
+	apiErr := exec(func() {
+		if s.testHookCompileStart != nil {
+			s.testHookCompileStart()
 		}
-		var run gridRun
-		select {
-		case run = <-done:
-		case <-ctx.Done():
-			s.shed.With("deadline").Inc()
-			s.writeError(w, &APIError{
-				Status: http.StatusRequestTimeout, Reason: "deadline",
-				Message: fmt.Sprintf("request deadline expired after %v while waiting for the grid compilation", s.cfg.RequestTimeout),
-			})
-			return
-		}
-
-		switch {
-		case run.err != nil:
-			// Plan-time failure (e.g. an inconsistent graph) affects every
-			// pending entry identically, exactly as a per-entry compile would.
-			apiErr := s.classifyCompileError(run.err)
-			for _, m := range misses {
-				for _, i := range m.entries {
-					results[i] = GridEntryResult{Error: apiErr}
+		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.CompileTimeout)
+		defer cancel()
+		s.gridRuns.Inc()
+		// With a node store, loaded nodes emit no events, so
+		// sdfd_grid_pass_nodes_total keeps counting only pass work that
+		// actually executed; store reuse shows up in
+		// sdfd_nodestore_loads_total instead.
+		plan, err := pass.NewPlan(g, points, pass.PlanConfig{
+			Store: s.planStore(),
+			OnEvent: func(e pass.Event) {
+				if e.Enter {
+					s.gridNodes.With(e.Kind.String()).Inc()
 				}
+			},
+			OnOutcome: func(pt int, o pass.Outcome) {
+				m := misses[pt]
+				data, err := []byte(nil), o.Err
+				if err == nil {
+					data, err = ArtifactBytes(o.Result, m.norm)
+				}
+				if err != nil {
+					reportMiss(m, GridEntryResult{Error: s.classifyCompileError(err)}, "", report)
+					return
+				}
+				s.cache.put(m.digest, data)
+				reportMiss(m, GridEntryResult{Digest: m.digest, Artifact: data}, "", report)
+			},
+		})
+		if err != nil {
+			// A plan-time failure (e.g. an inconsistent graph) affects every
+			// point identically, exactly as a per-entry compile would.
+			failed := s.classifyCompileError(err)
+			for _, m := range misses {
+				reportMiss(m, GridEntryResult{Error: failed}, "", report)
 			}
-		default:
-			for _, kc := range run.stats {
-				plannedNodes += kc.Nodes
-				naiveNodes += kc.Naive
-			}
-			if saved := naiveNodes - plannedNodes; saved > 0 {
-				s.gridSaved.Add(float64(saved))
-			}
-			for mi, m := range misses {
-				o := run.outs[mi]
-				if o.Err != nil {
-					apiErr := s.classifyCompileError(o.Err)
-					for _, i := range m.entries {
-						results[i] = GridEntryResult{Error: apiErr}
-					}
+			return
+		}
+		plan.Run(ctx)
+		stats := plan.Stats()
+		s.countLoads(stats)
+		for _, kc := range stats {
+			planned += kc.Nodes
+			naive += kc.Naive
+		}
+		if saved := naive - planned; saved > 0 {
+			s.gridSaved.Add(float64(saved))
+		}
+	})
+	if apiErr != nil {
+		return 0, 0, apiErr
+	}
+	return planned, naive, nil
+}
+
+// gridRemoteConcurrency bounds concurrent peer dispatches per grid.
+const gridRemoteConcurrency = 4
+
+// dispatchRemote sends each remote-owned miss to its effective owner from
+// at most gridRemoteConcurrency goroutines and returns, in miss order, the
+// misses whose dispatch failed, for the caller to compile locally — the
+// rehash+fallback half of fault tolerance. Fetched artifacts are cached
+// locally so this node can serve every digest it reports.
+func (s *Server) dispatchRemote(ctx context.Context, canonical string, misses []*gridMiss, report gridReport) []*gridMiss {
+	work := make(chan int, len(misses))
+	for i := range misses {
+		work <- i
+	}
+	close(work)
+	failed := make([]bool, len(misses))
+	var wg sync.WaitGroup
+	for range min(gridRemoteConcurrency, len(misses)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				m := misses[i]
+				if ctx.Err() != nil {
+					failed[i] = true
 					continue
 				}
-				data, err := ArtifactBytes(o.Result, m.norm)
-				if err != nil {
-					apiErr := s.classifyCompileError(err)
-					for _, i := range m.entries {
-						results[i] = GridEntryResult{Error: apiErr}
-					}
+				dctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+				data, peer, ok := s.cluster.compileRemote(dctx, canonical, m.norm, m.digest)
+				cancel()
+				if !ok {
+					failed[i] = true
 					continue
 				}
 				s.cache.put(m.digest, data)
-				for _, i := range m.entries {
-					results[i] = GridEntryResult{Digest: m.digest, Artifact: data}
-				}
+				reportMiss(m, GridEntryResult{Digest: m.digest, Artifact: data}, peer, report)
 			}
+		}()
+	}
+	wg.Wait()
+	var fellBack []*gridMiss
+	for i, m := range misses {
+		if failed[i] {
+			fellBack = append(fellBack, m)
 		}
 	}
-
-	s.writeJSON(w, http.StatusOK, &GridResponse{
-		Results:      results,
-		PlannedNodes: plannedNodes,
-		NaiveNodes:   naiveNodes,
-	})
+	return fellBack
 }
 
 // Grid POSTs one grid request: one graph compiled across many option sets

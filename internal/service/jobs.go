@@ -10,8 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/pass"
 	"repro/internal/sdf"
 )
 
@@ -118,32 +116,31 @@ func (j *job) resource(offset, limit int) *JobResource {
 	return r
 }
 
-// awaitChange blocks until the job completes, its completed count advances
-// past since, the wait elapses, or the client disconnects — the long-poll
-// core of GET /v1/jobs/{id}?wait=.
-func (j *job) awaitChange(ctx context.Context, wait time.Duration, since int) {
+// awaitChange blocks until the job is done, another entry completes, the
+// wait elapses, or the client disconnects — the long-poll core of
+// GET /v1/jobs/{id}?wait=. Every completion closes changed, so waiting on
+// the channel read under the lock is waiting for the completed count to
+// advance past its value at the call.
+func (j *job) awaitChange(ctx context.Context, wait time.Duration) {
+	j.mu.Lock()
+	done, ch := j.completed == j.total, j.changed
+	j.mu.Unlock()
+	if done {
+		return
+	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
-	for {
-		j.mu.Lock()
-		completed, ch := j.completed, j.changed
-		j.mu.Unlock()
-		if completed == j.total || completed > since {
-			return
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return
-		case <-ctx.Done():
-			return
-		}
+	select {
+	case <-ch:
+	case <-timer.C:
+	case <-ctx.Done():
 	}
 }
 
 // jobStore holds the server's jobs: monotonic ids, bounded retention of
-// finished jobs (oldest finished are evicted past the cap so a long-lived
-// daemon's job map cannot grow without bound).
+// finished jobs (past the cap the oldest finished jobs are evicted, however
+// old the running jobs before them, so a long-lived daemon's job map cannot
+// grow without bound).
 type jobStore struct {
 	mu    sync.Mutex
 	seq   int
@@ -169,13 +166,17 @@ func (st *jobStore) create(total int) *job {
 	}
 	st.jobs[j.id] = j
 	st.order = append(st.order, j.id)
-	for len(st.order) > jobRetention {
-		old := st.jobs[st.order[0]]
-		if old != nil && !old.isDone() {
-			break // never evict a running job
+	if excess := len(st.order) - jobRetention; excess > 0 {
+		kept := st.order[:0]
+		for _, id := range st.order {
+			if excess > 0 && st.jobs[id].isDone() { // never evict a running job
+				delete(st.jobs, id)
+				excess--
+				continue
+			}
+			kept = append(kept, id)
 		}
-		delete(st.jobs, st.order[0])
-		st.order = st.order[1:]
+		st.order = kept
 	}
 	return j
 }
@@ -276,228 +277,30 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.RequestTimeout > 0 && wait > s.cfg.RequestTimeout {
 			wait = s.cfg.RequestTimeout
 		}
-		j.awaitChange(r.Context(), wait, j.resource(0, 0).Completed)
+		j.awaitChange(r.Context(), wait)
 	}
 	s.writeJSON(w, http.StatusOK, j.resource(offset, limit))
 }
 
-// jobMiss is one deduplicated digest a job must produce, and the entry
-// indices waiting on it.
-type jobMiss struct {
-	norm    CompileOptions
-	digest  string
-	entries []int
-}
-
-// recordMiss marks every entry behind one miss terminal, with shared
-// outcome metrics.
-func (s *Server) recordMiss(j *job, m *jobMiss, servedBy string, apiErr *APIError) {
-	for _, idx := range m.entries {
-		res := JobEntryResult{Index: idx, ServedBy: servedBy, Error: apiErr}
-		if apiErr == nil {
-			res.Digest = m.digest
-		}
-		j.complete(res)
-		if apiErr == nil {
+// runJob is the job runner goroutine: it resolves the job's entries through
+// the one grid path, running the local plan inline on this goroutine (not
+// through the admission pool: an accepted job must finish even under
+// synchronous load, and the plan's own executor already bounds
+// parallelism). Runs on the server's base context so a graceful drain lets
+// it finish; a hard Close cancels it and the remaining entries complete
+// with shutdown errors — every entry reaches a terminal state exactly once
+// either way.
+func (s *Server) runJob(j *job, g *sdf.Graph, canonical string, entries []CompileOptions) {
+	defer s.jobsWG.Done()
+	inline := func(run func()) *APIError { run(); return nil }
+	s.resolveGrid(s.baseCtx, g, canonical, entries, inline, func(i int, res GridEntryResult, servedBy string) {
+		j.complete(JobEntryResult{Index: i, Digest: res.Digest, Cached: res.Cached, ServedBy: servedBy, Error: res.Error})
+		if res.Error == nil {
 			s.jobEntries.With("ok").Inc()
 		} else {
 			s.jobEntries.With("error").Inc()
 		}
-	}
-}
-
-// runJob is the job runner goroutine: resolve entries against the cache,
-// partition the misses by effective ring owner, execute the local batch as
-// one prefix-shared plan (streaming per-entry completions as pass leaves
-// finish), dispatch remote entries to their owners, and fall back to local
-// compilation for any remote dispatch that fails. Runs on the server's base
-// context so a graceful drain lets it finish; a hard Close cancels it and
-// the remaining entries complete with shutdown errors — every entry reaches
-// a terminal state exactly once either way.
-func (s *Server) runJob(j *job, g *sdf.Graph, canonical string, entries []CompileOptions) {
-	defer s.jobsWG.Done()
-	ctx := s.baseCtx
-
-	var (
-		misses  []*jobMiss
-		missFor = map[string]*jobMiss{}
-	)
-	for i, entry := range entries {
-		norm, err := normalize(entry)
-		if err != nil {
-			j.complete(JobEntryResult{Index: i, Error: &APIError{
-				Status: http.StatusBadRequest, Reason: "bad_request",
-				Message: fmt.Sprintf("options: %v", err),
-			}})
-			s.jobEntries.With("error").Inc()
-			continue
-		}
-		digest := Digest(canonical, norm)
-		if _, ok := s.cache.get(digest); ok {
-			s.cacheHits.Inc()
-			j.complete(JobEntryResult{Index: i, Digest: digest, Cached: true})
-			s.jobEntries.With("ok").Inc()
-			continue
-		}
-		s.cacheMisses.Inc()
-		m := missFor[digest]
-		if m == nil {
-			m = &jobMiss{norm: norm, digest: digest}
-			missFor[digest] = m
-			misses = append(misses, m)
-		}
-		m.entries = append(m.entries, i)
-	}
-	if len(misses) == 0 {
-		return
-	}
-
-	local := misses
-	var remote []*jobMiss
-	if cn := s.cluster; cn != nil {
-		local = local[:0:0]
-		for _, m := range misses {
-			if cn.ownerOf(m.digest) != cn.cfg.Self {
-				remote = append(remote, m)
-			} else {
-				local = append(local, m)
-			}
-		}
-	}
-
-	// Remote dispatch overlaps the local batch: peers compile their shards
-	// while this node runs its own plan.
-	var wg sync.WaitGroup
-	if len(remote) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.runJobRemote(ctx, j, g, canonical, remote)
-		}()
-	}
-	s.runJobLocal(ctx, j, g, local)
-	wg.Wait()
-}
-
-// runJobLocal executes this node's share of a job as one prefix-shared
-// plan, inline on the runner goroutine (not through the admission pool: an
-// accepted job must finish even under synchronous load, and the plan's own
-// executor already bounds parallelism). OnOutcome streams each entry into
-// the job the moment its pass leaf finishes.
-func (s *Server) runJobLocal(ctx context.Context, j *job, g *sdf.Graph, misses []*jobMiss) {
-	if len(misses) == 0 {
-		return
-	}
-	if s.testHookCompileStart != nil {
-		s.testHookCompileStart()
-	}
-	points := make([]core.Options, len(misses))
-	for i, m := range misses {
-		copts, err := coreOptions(m.norm)
-		if err != nil {
-			// normalize vetted every enum spelling; fail the whole local
-			// batch loudly rather than compile the wrong configuration.
-			apiErr := &APIError{Status: http.StatusInternalServerError, Reason: "bad_request",
-				Message: fmt.Sprintf("normalized options failed to convert: %v", err)}
-			for _, mm := range misses {
-				s.recordMiss(j, mm, "", apiErr)
-			}
-			return
-		}
-		points[i] = copts
-	}
-	cctx, cancel := context.WithTimeout(ctx, s.cfg.CompileTimeout)
-	defer cancel()
-	s.gridRuns.Inc()
-	plan, err := pass.NewPlan(g, points, pass.PlanConfig{
-		Store: s.planStore(),
-		OnEvent: func(e pass.Event) {
-			if e.Enter {
-				s.gridNodes.With(e.Kind.String()).Inc()
-			}
-		},
-		OnOutcome: func(pt int, o pass.Outcome) {
-			m := misses[pt]
-			if o.Err != nil {
-				s.recordMiss(j, m, "", s.classifyCompileError(o.Err))
-				return
-			}
-			data, err := ArtifactBytes(o.Result, m.norm)
-			if err != nil {
-				s.recordMiss(j, m, "", s.classifyCompileError(err))
-				return
-			}
-			s.cache.put(m.digest, data)
-			s.recordMiss(j, m, "", nil)
-		},
 	})
-	if err != nil {
-		apiErr := s.classifyCompileError(err)
-		for _, m := range misses {
-			s.recordMiss(j, m, "", apiErr)
-		}
-		return
-	}
-	_ = plan.Run(cctx)
-	s.countLoads(plan.Stats())
-}
-
-// jobRemoteConcurrency bounds concurrent peer dispatches per job.
-const jobRemoteConcurrency = 4
-
-// runJobRemote dispatches each remote-owned miss to its effective owner and
-// locally compiles any entry whose dispatch failed — the rehash+fallback
-// half of fault tolerance. Fetched artifacts are cached locally so the
-// submitting node can serve every digest the job reports.
-func (s *Server) runJobRemote(ctx context.Context, j *job, g *sdf.Graph, canonical string, misses []*jobMiss) {
-	cn := s.cluster
-	sem := make(chan struct{}, jobRemoteConcurrency)
-	var (
-		wg       sync.WaitGroup
-		fellBack []*jobMiss
-		mu       sync.Mutex
-	)
-	for _, m := range misses {
-		wg.Add(1)
-		go func(m *jobMiss) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				mu.Lock()
-				fellBack = append(fellBack, m)
-				mu.Unlock()
-				return
-			}
-			defer func() { <-sem }()
-			dctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			data, peer, ok := cn.compileRemote(dctx, canonical, m.norm, m.digest)
-			cancel()
-			if ok {
-				s.cache.put(m.digest, data)
-				s.recordMiss(j, m, peer, nil)
-				return
-			}
-			mu.Lock()
-			fellBack = append(fellBack, m)
-			mu.Unlock()
-		}(m)
-	}
-	wg.Wait()
-	if len(fellBack) > 0 {
-		// Deterministic order for the fallback batch (dispatch goroutines
-		// finish in any order).
-		ordered := make([]*jobMiss, 0, len(fellBack))
-		for _, m := range misses {
-			for _, fb := range fellBack {
-				if fb == m {
-					ordered = append(ordered, m)
-					break
-				}
-			}
-		}
-		s.runJobLocal(ctx, j, g, ordered)
-	}
 }
 
 // SubmitGridJob POSTs one async grid job, returning the freshly created job

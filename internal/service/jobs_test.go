@@ -259,3 +259,20 @@ func TestJobAdmissionCap(t *testing.T) {
 		t.Fatalf("submit after the first job finished: %v", err)
 	}
 }
+
+// TestJobRetentionSkipsRunningJobs pins that retention evicts the oldest
+// finished jobs past the cap even when an older job is still running: one
+// long job must not pin every finished job submitted after it.
+func TestJobRetentionSkipsRunningJobs(t *testing.T) {
+	st := newJobStore()
+	running := st.create(1)
+	for i := 0; i < 1000; i++ {
+		st.create(1).complete(JobEntryResult{Index: 0})
+	}
+	if len(st.jobs) > jobRetention || len(st.order) != len(st.jobs) {
+		t.Errorf("%d jobs retained (%d ordered), want at most %d", len(st.jobs), len(st.order), jobRetention)
+	}
+	if st.get(running.id) == nil {
+		t.Error("the running job was evicted")
+	}
+}

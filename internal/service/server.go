@@ -238,11 +238,11 @@ func New(cfg Config) *Server {
 	s.shed = s.reg.CounterVec("sdfd_load_shed_total",
 		"requests shed by the admission layer, by reason", "reason")
 	s.gridRuns = s.reg.Counter("sdfd_grid_runs_total",
-		"planned grid executions (POST /v1/grid requests that ran a plan)")
+		"local grid plans run by POST /v1/grid and POST /v1/jobs/grid (a remote-dispatch fallback runs a second plan)")
 	s.gridNodes = s.reg.CounterVec("sdfd_grid_pass_nodes_total",
-		"pass nodes executed by grid plans, by pass kind", "kind")
+		"pass nodes executed by grid plans of both grid endpoints, by pass kind", "kind")
 	s.gridSaved = s.reg.Counter("sdfd_grid_shared_nodes_total",
-		"pass executions avoided by grid prefix sharing (naive minus planned)")
+		"pass executions avoided by prefix sharing in the grid plans of both grid endpoints (naive minus planned)")
 	s.jobEntries = s.reg.CounterVec("sdfd_job_entries_total",
 		"async grid job entries reaching a terminal state, by state (ok, error)", "state")
 	s.reg.GaugeFunc("sdfd_jobs_inflight", "async grid jobs currently running",

@@ -11,6 +11,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -69,7 +70,6 @@ type edgeState struct {
 	words         int64 // memory words per token
 	count         int64
 	writes, reads int64 // absolute token counters
-	fifo          []int64
 	live          bool
 }
 
@@ -111,10 +111,13 @@ func run(g *sdf.Graph, prog *partition.Program, periods int) error {
 			var wg sync.WaitGroup
 			for w := range errs {
 				wg.Add(1)
-				go func(w int) {
+				// p goes in as an argument: captured, the loop variable
+				// would cost an allocation each period, also at P=1.
+				go func(p, w int) {
 					defer wg.Done()
+					errs[w] = errGoexit // stays set only if runWorker never returns
 					errs[w] = st.runWorker(prog, bar, p, w)
-				}(w)
+				}(p, w)
 			}
 			wg.Wait()
 		}
@@ -134,23 +137,34 @@ func run(g *sdf.Graph, prog *partition.Program, periods int) error {
 	return nil
 }
 
+// errGoexit reports a worker whose goroutine exited (runtime.Goexit) in the
+// middle of a period.
+var errGoexit = errors.New("sim: a worker goroutine called runtime.Goexit")
+
 // runWorker fires worker w's terms phase by phase for one period, joining
 // the barrier between phases (the join in run orders the last phase). With
-// a barrier, a failed worker stops firing (its local state is suspect) but
-// keeps arriving at every barrier so the other workers complete.
-func (st *state) runWorker(prog *partition.Program, bar *par.Barrier, period, w int) (err error) {
+// a barrier, a failed worker stops firing (its local state is suspect), and
+// every early exit — an error or a Goexit unwinding through it — arrives at
+// the remaining barriers on the way out, so the other workers complete.
+func (st *state) runWorker(prog *partition.Program, bar *par.Barrier, period, w int) error {
 	last := len(prog.Phases) - 1
-	for ph, workers := range prog.Phases {
-		if err == nil {
-			if err = st.runTerms(workers[w]); err != nil {
-				err = fmt.Errorf("sim: period %d phase %d worker %d: %w", period, ph, w, err)
+	ph := 0
+	if bar != nil {
+		defer func() {
+			for ; ph < last; ph++ {
+				bar.Await()
 			}
+		}()
+	}
+	for ; ph <= last; ph++ {
+		if err := st.runTerms(prog.Phases[ph][w]); err != nil {
+			return fmt.Errorf("sim: period %d phase %d worker %d: %w", period, ph, w, err)
 		}
 		if bar != nil && ph < last {
 			bar.Await()
 		}
 	}
-	return err
+	return nil
 }
 
 func (st *state) runTerms(terms []*sched.Node) error {
@@ -185,7 +199,7 @@ func (st *state) fire(actor sdf.ActorID) error {
 				g.Actor(actor).Name, e.Cons, eid, es.count)
 		}
 		for i := int64(0); i < e.Cons; i++ {
-			if err := es.read(st.mem); err != nil {
+			if err := es.read(st.mem, eid); err != nil {
 				return fmt.Errorf("edge %d token %d corrupted: %w", eid, es.reads, err)
 			}
 		}
@@ -215,14 +229,14 @@ func (es *edgeState) write(mem []int64, v int64) {
 	for w := int64(0); w < es.words; w++ {
 		mem[base+w] = v + w
 	}
-	es.fifo = append(es.fifo, v)
 	es.writes++
 }
 
-// read pops one token from the head, verifying every word.
-func (es *edgeState) read(mem []int64) error {
-	want := es.fifo[0]
-	es.fifo = es.fifo[1:]
+// read pops one token from the head, verifying every word. Tokens leave in
+// the order they were written, and the n-th token written on an edge is
+// tokenValue(eid, n), so the n-th read must find exactly that value.
+func (es *edgeState) read(mem []int64, eid sdf.EdgeID) error {
+	want := tokenValue(eid, es.reads)
 	base := es.offset + (es.reads*es.words)%es.size
 	for w := int64(0); w < es.words; w++ {
 		if got := mem[base+w]; got != want+w {
