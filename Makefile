@@ -149,3 +149,5 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLife$$' -fuzztime=$(FUZZTIME) ./internal/pass
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSched$$' -fuzztime=$(FUZZTIME) ./internal/pass
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeAlloc$$' -fuzztime=$(FUZZTIME) ./internal/pass
+	$(GO) test -run='^$$' -fuzz='^FuzzParseFrame$$' -fuzztime=$(FUZZTIME) ./internal/nodestore
+	$(GO) test -run='^$$' -fuzz='^FuzzArtifactString$$' -fuzztime=$(FUZZTIME) ./internal/service

@@ -65,9 +65,13 @@ func GenerateC(res *core.Result) string {
 	return b.String()
 }
 
-// writeMem declares the memory image array.
+// writeMem declares the memory image array. It has external linkage on
+// purpose: with a static array whose address is never taken, an optimizing
+// compiler may keep loads of mem across a barrier it can see through (gcc 12
+// at -O2 did so with a C11-atomics barrier), so one worker would read stale
+// tokens another wrote.
 func writeMem(b *strings.Builder, total int64) {
-	fmt.Fprintf(b, "#define MEM_SIZE %dL\nstatic token_t mem[MEM_SIZE];\n\n", max(total, 1))
+	fmt.Fprintf(b, "#define MEM_SIZE %dL\ntoken_t mem[MEM_SIZE];\n\n", max(total, 1))
 }
 
 // writeBuffers declares every edge buffer's offset, size and token-footprint

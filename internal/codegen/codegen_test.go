@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -34,7 +35,7 @@ func TestGenerateCStructure(t *testing.T) {
 	src := GenerateC(res)
 	for _, want := range []string{
 		"#define MEM_SIZE",
-		"static token_t mem[MEM_SIZE];",
+		"\ntoken_t mem[MEM_SIZE];",
 		"static void fire_cd(void)",
 		"static void fire_dat(void)",
 		"static void run_period(void)",
@@ -81,32 +82,53 @@ func TestSanitize(t *testing.T) {
 	}
 }
 
-// TestGeneratedCCompilesAndRuns builds and executes the generated C when a C
-// compiler is available, as an end-to-end smoke check of the emitted code.
-func TestGeneratedCCompilesAndRuns(t *testing.T) {
+// cOptLevels are the optimization levels the emitted C is compiled at: an
+// optimizer-only miscompile (say, loads of mem kept across a barrier) passes
+// at -O0 and shows only at -O2.
+var cOptLevels = []string{"-O0", "-O2"}
+
+// lookCC returns the C compiler, or skips the test with the reason.
+func lookCC(t *testing.T) string {
+	t.Helper()
 	cc, err := exec.LookPath("cc")
 	if err != nil {
-		t.Skip("no C compiler in PATH")
+		t.Skipf("emitted C not compiled: no C compiler in PATH (%v)", err)
 	}
+	return cc
+}
+
+// TestGeneratedCCompilesAndRuns builds and executes the generated C at every
+// level of cOptLevels when a C compiler is available, as an end-to-end smoke
+// check of the emitted code; every level must print the same result.
+func TestGeneratedCCompilesAndRuns(t *testing.T) {
+	cc := lookCC(t)
 	for _, name := range []string{"cddat", "satrec"} {
 		res := compile(t, name)
 		src := GenerateC(res)
 		dir := t.TempDir()
 		cfile := filepath.Join(dir, name+".c")
-		bin := filepath.Join(dir, name)
 		if err := os.WriteFile(cfile, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out, err := exec.Command(cc, "-std=c99", "-Wall", "-Werror", "-o", bin, cfile).CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s: cc failed: %v\n%s", name, err, out)
-		}
-		out, err = exec.Command(bin).CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s: generated binary failed: %v\n%s", name, err, out)
-		}
-		if !strings.Contains(string(out), "mem[0]") {
-			t.Errorf("%s: unexpected output %q", name, out)
+		var first []byte
+		for _, opt := range cOptLevels {
+			bin := filepath.Join(dir, name+opt)
+			out, err := exec.Command(cc, "-std=c99", opt, "-Wall", "-Werror", "-o", bin, cfile).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s %s: cc failed: %v\n%s", name, opt, err, out)
+			}
+			out, err = exec.Command(bin).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s %s: generated binary failed: %v\n%s", name, opt, err, out)
+			}
+			if !strings.Contains(string(out), "mem[0]") {
+				t.Errorf("%s %s: unexpected output %q", name, opt, out)
+			}
+			if first == nil {
+				first = out
+			} else if !bytes.Equal(out, first) {
+				t.Errorf("%s: %s prints %q, %s printed %q", name, opt, out, cOptLevels[0], first)
+			}
 		}
 	}
 }

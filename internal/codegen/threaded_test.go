@@ -131,10 +131,7 @@ func TestGenerateThreadedCDeterministic(t *testing.T) {
 // exactly, and the C program's additions happen in the same per-actor order
 // as the reference's, so equality is exact).
 func TestThreadedCMatchesReference(t *testing.T) {
-	cc, err := exec.LookPath("cc")
-	if err != nil {
-		t.Skip("no C compiler in PATH")
-	}
+	cc := lookCC(t)
 	for _, tc := range []struct {
 		name string
 		p    int
@@ -143,49 +140,58 @@ func TestThreadedCMatchesReference(t *testing.T) {
 		{"satrec", 2},
 		{"satrec", 3},
 	} {
-		label := fmt.Sprintf("%s/p%d", tc.name, tc.p)
 		res := compileP(t, tc.name, tc.p)
 		want := refChecksums(t, res, 4) // the generated main runs 4 periods
 		src := GenerateThreadedC(res)
 		dir := t.TempDir()
 		cfile := filepath.Join(dir, tc.name+".c")
-		bin := filepath.Join(dir, tc.name)
 		if err := os.WriteFile(cfile, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out, err := exec.Command(cc, "-std=c99", "-Wall", "-Werror", "-pthread", "-o", bin, cfile).CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s: cc failed: %v\n%s", label, err, out)
-		}
-		out, err = exec.Command(bin).CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s: threaded binary failed: %v\n%s", label, err, out)
-		}
-		got := map[string]float64{}
-		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-			name, val, ok := strings.Cut(line, " = ")
-			if !ok || !strings.HasPrefix(name, "check_") {
-				t.Fatalf("%s: unexpected output line %q", label, line)
-			}
-			f, err := strconv.ParseFloat(val, 64)
+		for _, opt := range cOptLevels {
+			label := fmt.Sprintf("%s/p%d/%s", tc.name, tc.p, opt)
+			bin := filepath.Join(dir, tc.name+opt)
+			out, err := exec.Command(cc, "-std=c99", opt, "-Wall", "-Werror", "-pthread", "-o", bin, cfile).CombinedOutput()
 			if err != nil {
-				t.Fatalf("%s: bad checksum in %q: %v", label, line, err)
+				t.Fatalf("%s: cc failed: %v\n%s", label, err, out)
 			}
-			got[strings.TrimPrefix(name, "check_")] = f
+			out, err = exec.Command(bin).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s: threaded binary failed: %v\n%s", label, err, out)
+			}
+			checkThreadedOutput(t, label, res, want, out)
 		}
-		g := res.Graph
-		if len(got) != g.NumActors() {
-			t.Fatalf("%s: %d checksum lines for %d actors", label, len(got), g.NumActors())
+	}
+}
+
+// checkThreadedOutput compares the checksum lines a threaded binary printed
+// with the reference interpreter's.
+func checkThreadedOutput(t *testing.T, label string, res *core.Result, want []float64, out []byte) {
+	t.Helper()
+	got := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		name, val, ok := strings.Cut(line, " = ")
+		if !ok || !strings.HasPrefix(name, "check_") {
+			t.Fatalf("%s: unexpected output line %q", label, line)
 		}
-		for _, a := range g.Actors() {
-			v, ok := got[sanitize(a.Name)]
-			if !ok {
-				t.Errorf("%s: no checksum printed for actor %s", label, a.Name)
-				continue
-			}
-			if v != want[a.ID] {
-				t.Errorf("%s: check_%s = %v, reference %v", label, a.Name, v, want[a.ID])
-			}
+		f, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("%s: bad checksum in %q: %v", label, line, err)
+		}
+		got[strings.TrimPrefix(name, "check_")] = f
+	}
+	g := res.Graph
+	if len(got) != g.NumActors() {
+		t.Fatalf("%s: %d checksum lines for %d actors", label, len(got), g.NumActors())
+	}
+	for _, a := range g.Actors() {
+		v, ok := got[sanitize(a.Name)]
+		if !ok {
+			t.Errorf("%s: no checksum printed for actor %s", label, a.Name)
+			continue
+		}
+		if v != want[a.ID] {
+			t.Errorf("%s: check_%s = %v, reference %v", label, a.Name, v, want[a.ID])
 		}
 	}
 }

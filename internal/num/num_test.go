@@ -3,6 +3,8 @@ package num
 import (
 	"errors"
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -103,6 +105,32 @@ func TestCheckedAdd(t *testing.T) {
 			t.Errorf("CheckedAdd(%d, %d) = %d, nil; want ErrOverflow", c.a, c.b, got)
 		} else if !errors.Is(err, ErrOverflow) {
 			t.Errorf("CheckedAdd(%d, %d) error %v is not ErrOverflow", c.a, c.b, err)
+		}
+	}
+}
+
+// TestCheckedMulMatchesBigInt compares CheckedMul with exact big.Int
+// products on operands around every sign and magnitude boundary.
+func TestCheckedMulMatchesBigInt(t *testing.T) {
+	edges := []int64{0, 1, -1, 2, -2, 3, 1 << 31, -(1 << 31), 1<<32 + 1, 3037000499, 3037000500,
+		-3037000499, -3037000500, 1 << 62, -(1 << 62), math.MaxInt64, math.MinInt64,
+		math.MaxInt64 - 1, math.MinInt64 + 1, math.MaxInt64 / 3, math.MinInt64 / 2}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		edges = append(edges, rng.Int63()>>uint(rng.Intn(63))*int64(1-2*rng.Intn(2)))
+	}
+	lo, hi := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
+	for _, a := range edges {
+		for _, b := range edges[:64] {
+			want := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
+			fits := want.Cmp(lo) >= 0 && want.Cmp(hi) <= 0
+			got, err := CheckedMul(a, b)
+			switch {
+			case fits && (err != nil || got != want.Int64()):
+				t.Fatalf("CheckedMul(%d, %d) = %d, %v; want %s", a, b, got, err, want)
+			case !fits && !errors.Is(err, ErrOverflow):
+				t.Fatalf("CheckedMul(%d, %d) = %d, %v; want ErrOverflow", a, b, got, err)
+			}
 		}
 	}
 }

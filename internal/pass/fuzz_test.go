@@ -182,3 +182,33 @@ func FuzzDecodeAlloc(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeAllocsIndependentOfTermCount: the schedule and lifetimes
+// decoders take their terms, intervals and periods from slabs, so their
+// allocation counts do not grow with the graph.
+func TestDecodeAllocsIndependentOfTermCount(t *testing.T) {
+	count := func(actors int) (sched, life float64) {
+		g := randsdf.Graph(rand.New(rand.NewSource(int64(actors))), randsdf.Config{Actors: actors, DelayProb: 0.25})
+		scheds, lifes := fuzzPayloads(t, g)
+		sched = testing.AllocsPerRun(20, func() {
+			if _, err := decodeSched(g, scheds[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		life = testing.AllocsPerRun(20, func() {
+			if _, err := decodeLife(g, lifes[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return sched, life
+	}
+	smallSched, smallLife := count(20)
+	largeSched, largeLife := count(150)
+	if largeSched != smallSched {
+		t.Errorf("decodeSched allocates %v times at 20 actors, %v at 150", smallSched, largeSched)
+	}
+	if largeLife != smallLife {
+		t.Errorf("decodeLife allocates %v times at 20 actors, %v at 150", smallLife, largeLife)
+	}
+	t.Logf("allocations per decode: schedule %v, lifetimes %v", largeSched, largeLife)
+}

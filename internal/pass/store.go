@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/alloc"
 	"repro/internal/lifetime"
@@ -278,6 +280,17 @@ func (d *decoder) finish() error {
 	return nil
 }
 
+// varints counts the varints in data: each ends in the one byte of it below
+// 0x80. It sizes a decoder's slabs from the payload in hand, exactly when
+// the payload is well formed; a corrupt one is rejected either way.
+func varints(data []byte) int {
+	n := 0
+	for _, c := range data {
+		n += int(^c >> 7)
+	}
+	return n
+}
+
 func encodeOrder(ord Order) []byte {
 	out := binary.AppendVarint(nil, int64(len(ord.Actors)))
 	for _, a := range ord.Actors {
@@ -345,19 +358,31 @@ func appendSchedNode(out []byte, n *sched.Node) []byte {
 }
 
 // schedDecoder bounds a decoded schedule to budget terms in all: every body
-// reserves its length from the budget before allocating it, so a corrupt
-// payload can neither allocate nor nest past the graph's bound.
+// reserves its length from the budget before taking it, so a corrupt
+// payload can neither allocate nor nest past the graph's bound. Terms come
+// from one node slab and bodies from one pointer slab, so a decode
+// allocates a constant number of times whatever the term count.
 type schedDecoder struct {
 	decoder
 	g      *sdf.Graph
 	budget int
+	nodes  []sched.Node
+	ptrs   []*sched.Node
 }
 
 func decodeSched(g *sdf.Graph, data []byte) (LoopedSchedule, error) {
 	// A single appearance schedule has one leaf per actor and, after any
 	// sane looping pass, fewer loops than leaves; 4n+4 terms leave headroom
-	// for degenerate (but valid) nests.
-	d := &schedDecoder{decoder: decoder{data: data}, g: g, budget: 4*g.NumActors() + 4}
+	// for degenerate (but valid) nests. The payload is the cost, the body
+	// length and three varints per term (tag, count, then actor or body
+	// length), which sizes the slabs.
+	budget := 4*g.NumActors() + 4
+	slab := min(budget, max(varints(data)-2, 0)/3)
+	d := &schedDecoder{
+		decoder: decoder{data: data}, g: g, budget: budget,
+		nodes: make([]sched.Node, 0, slab),
+		ptrs:  make([]*sched.Node, 0, slab),
+	}
 	cost := d.int64()
 	body := d.body()
 	if err := d.finish(); err != nil {
@@ -366,17 +391,29 @@ func decodeSched(g *sdf.Graph, data []byte) (LoopedSchedule, error) {
 	return LoopedSchedule{Schedule: &sched.Schedule{Graph: g, Body: body}, DPCost: cost}, nil
 }
 
+// body reserves n contiguous pointer slots before decoding any child, so
+// nested bodies land after it; the capacity is clipped so no body can grow
+// into its neighbour.
 func (d *schedDecoder) body() []*sched.Node {
 	n := d.count(d.budget)
 	d.budget -= n
-	body := make([]*sched.Node, 0, n)
-	for i := 0; i < n; i++ {
-		body = append(body, d.node())
+	lo := len(d.ptrs)
+	d.ptrs = slices.Grow(d.ptrs, n)[:lo+n]
+	body := d.ptrs[lo : lo+n : lo+n]
+	for i := range body {
+		if body[i] = d.node(); d.err != nil {
+			break
+		}
 	}
 	return body
 }
 
+// node takes the next slot of the node slab. A well-formed payload fills
+// the slab exactly; a corrupt one may overrun it (up to the budget), and
+// then earlier terms keep their still valid slots in the old array.
 func (d *schedDecoder) node() *sched.Node {
+	d.nodes = append(d.nodes, sched.Node{Count: 1})
+	n := &d.nodes[len(d.nodes)-1]
 	tag := d.int64()
 	count := d.int64()
 	if d.err == nil && count < 1 {
@@ -388,19 +425,19 @@ func (d *schedDecoder) node() *sched.Node {
 		if d.err == nil && (a < 0 || a >= int64(d.g.NumActors())) {
 			d.err = fmt.Errorf("pass: stored schedule fires unknown actor %d", a)
 		}
-		return &sched.Node{Count: count, Actor: sdf.ActorID(a)}
+		n.Count, n.Actor = count, sdf.ActorID(a)
 	case schedLoopTag:
-		children := d.body()
-		if d.err == nil && len(children) == 0 {
+		n.Count = count
+		n.Children = d.body()
+		if d.err == nil && len(n.Children) == 0 {
 			d.err = fmt.Errorf("pass: stored schedule has an empty loop body")
 		}
-		return &sched.Node{Count: count, Children: children}
 	default:
 		if d.err == nil {
 			d.err = fmt.Errorf("pass: unknown schedule node tag %d", tag)
 		}
-		return &sched.Node{Count: 1}
 	}
+	return n
 }
 
 // encodeLife stores the period length and the metrics ahead of the
@@ -440,24 +477,28 @@ func decodeLife(g *sdf.Graph, data []byte) (Lifetimes, error) {
 		return Lifetimes{}, fmt.Errorf("pass: stored lifetimes cover %d edges, graph has %d", n, g.NumEdges())
 	}
 	// Each period is one enclosing loop of the edge's firing blocks, and a
-	// schedule tree over n actors has fewer than 2n loops.
+	// schedule tree over n actors has fewer than 2n loops. The intervals
+	// come from one slab, their names from one string, and their periods
+	// from one backing array: after the header, the payload is four varints
+	// per interval and two per period.
 	maxPeriods := 2 * g.NumActors()
 	var maxSize, sumSize int64
+	slab := make([]lifetime.Interval, n)
+	periods := make([]lifetime.Period, 0, min(max(varints(d.data)-4*n, 0)/2, n*maxPeriods))
+	names, off := edgeNames(g, n), 0
 	lf.Intervals = make([]*lifetime.Interval, n)
 	for i := range lf.Intervals {
 		e := g.Edge(sdf.EdgeID(i))
-		iv := &lifetime.Interval{
-			Name:  g.Actor(e.Src).Name + "->" + g.Actor(e.Dst).Name,
-			Size:  d.int64(),
-			Start: d.int64(),
-			Dur:   d.int64(),
-		}
-		np := d.count(maxPeriods)
-		if np > 0 {
-			iv.Periods = make([]lifetime.Period, np)
-			for j := range iv.Periods {
-				iv.Periods[j] = lifetime.Period{A: d.int64(), Count: d.int64()}
+		iv := &slab[i]
+		end := off + len(g.Actor(e.Src).Name) + len("->") + len(g.Actor(e.Dst).Name)
+		iv.Name, off = names[off:end], end
+		iv.Size, iv.Start, iv.Dur = d.int64(), d.int64(), d.int64()
+		if np := d.count(maxPeriods); np > 0 {
+			lo := len(periods)
+			for j := 0; j < np && d.err == nil; j++ {
+				periods = append(periods, lifetime.Period{A: d.int64(), Count: d.int64()})
 			}
+			iv.Periods = periods[lo:len(periods):len(periods)]
 		}
 		if d.err != nil {
 			break
@@ -481,6 +522,23 @@ func decodeLife(g *sdf.Graph, data []byte) (Lifetimes, error) {
 			lf.PeriodLen, lf.BufMem, lf.MCO, lf.MCP, maxSize, sumSize)
 	}
 	return lf, nil
+}
+
+// edgeNames returns the "src->dst" labels of the first n edges of g,
+// concatenated into one string.
+func edgeNames(g *sdf.Graph, n int) string {
+	size := 0
+	for _, e := range g.Edges()[:n] {
+		size += len(g.Actor(e.Src).Name) + len("->") + len(g.Actor(e.Dst).Name)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, e := range g.Edges()[:n] {
+		b.WriteString(g.Actor(e.Src).Name)
+		b.WriteString("->")
+		b.WriteString(g.Actor(e.Dst).Name)
+	}
+	return b.String()
 }
 
 // encodeAlloc stores placements as (edge index, offset) pairs in placement

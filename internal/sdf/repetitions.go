@@ -3,6 +3,7 @@ package sdf
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/num"
 )
@@ -79,32 +80,49 @@ func (g *Graph) Repetitions() (Repetitions, error) {
 		comp[i] = -1
 	}
 
-	// Undirected adjacency for component traversal.
+	// Undirected adjacency for component traversal, in CSR form: actor u's
+	// arcs are arcs[start[u]:start[u+1]], in edge order, the forward arc of
+	// an edge before its reverse. Filling from the back leaves start[u] at
+	// the first arc of u.
 	type arc struct {
 		to   ActorID
 		prod int64 // tokens per firing of 'from'
 		cons int64 // tokens per firing of 'to'
 	}
-	adj := make([][]arc, n)
+	start := make([]int, n+1)
 	for _, e := range g.edges {
-		adj[e.Src] = append(adj[e.Src], arc{to: e.Dst, prod: e.Prod, cons: e.Cons})
-		adj[e.Dst] = append(adj[e.Dst], arc{to: e.Src, prod: e.Cons, cons: e.Prod})
+		start[e.Src]++
+		start[e.Dst]++
+	}
+	for u := 1; u <= n; u++ {
+		start[u] += start[u-1]
+	}
+	arcs := make([]arc, 2*len(g.edges))
+	for i := len(g.edges) - 1; i >= 0; i-- {
+		e := &g.edges[i]
+		start[e.Dst]--
+		arcs[start[e.Dst]] = arc{to: e.Src, prod: e.Cons, cons: e.Prod}
+		start[e.Src]--
+		arcs[start[e.Src]] = arc{to: e.Dst, prod: e.Prod, cons: e.Cons}
 	}
 
-	nc := 0
+	// members lists the actors in discovery order, component after
+	// component; the DFS stack is reused across components.
+	members := make([]ActorID, 0, n)
+	stack := make([]ActorID, 0, n)
 	for root := 0; root < n; root++ {
 		if comp[root] >= 0 {
 			continue
 		}
-		cid := nc
-		nc++
+		cid := root
 		comp[root] = cid
 		qn[root], qd[root] = 1, 1
-		stack := []ActorID{ActorID(root)}
+		members = append(members, ActorID(root))
+		stack = append(stack[:0], ActorID(root))
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, a := range adj[u] {
+			for _, a := range arcs[start[u]:start[u+1]] {
 				// Balance: q(u)*prod = q(to)*cons => q(to) = q(u)*prod/cons.
 				tn, err := mulCheck(qn[u], a.prod)
 				if err != nil {
@@ -114,56 +132,73 @@ func (g *Graph) Repetitions() (Repetitions, error) {
 				if err != nil {
 					return nil, err
 				}
-				gg := num.GCD(tn, td)
-				tn, td = tn/gg, td/gg
 				if comp[a.to] < 0 {
+					gg := num.GCD(tn, td)
 					comp[a.to] = cid
-					qn[a.to], qd[a.to] = tn, td
+					qn[a.to], qd[a.to] = tn/gg, td/gg
+					members = append(members, a.to)
 					stack = append(stack, a.to)
-				} else if qn[a.to] != tn || qd[a.to] != td {
+				} else if !sameRatio(qn[a.to], qd[a.to], tn, td) {
 					return nil, fmt.Errorf("%w: actors %s and %s", ErrInconsistent,
 						g.actors[u].Name, g.actors[a.to].Name)
 				}
 			}
 		}
 	}
-
-	// Scale each component by lcm of denominators, then divide by gcd of
-	// numerators.
 	q := make(Repetitions, n)
-	for cid := 0; cid < nc; cid++ {
-		var l int64 = 1
-		for a := 0; a < n; a++ {
-			if comp[a] != cid {
-				continue
-			}
-			var err error
-			l, err = lcm64(l, qd[a])
-			if err != nil {
-				return nil, err
-			}
+	// Components are contiguous runs of members; scale each only once every
+	// component is known consistent.
+	for first := 0; first < n; {
+		last := first + 1
+		for last < n && comp[members[last]] == comp[members[first]] {
+			last++
 		}
-		var cg int64
-		for a := 0; a < n; a++ {
-			if comp[a] != cid {
-				continue
-			}
-			v, err := mulCheck(qn[a], l/qd[a])
-			if err != nil {
-				return nil, err
-			}
-			q[a] = v
-			cg = num.GCD(cg, v)
+		if err := scaleComponent(q, members[first:last], qn, qd); err != nil {
+			return nil, err
 		}
-		if cg > 1 {
-			for a := 0; a < n; a++ {
-				if comp[a] == cid {
-					q[a] /= cg
-				}
-			}
-		}
+		first = last
 	}
 	return q, nil
+}
+
+// sameRatio reports whether the positive fractions an/ad and bn/bd are
+// equal, comparing the exact 128-bit cross products: no gcd reduction, no
+// division, no overflow.
+func sameRatio(an, ad, bn, bd int64) bool {
+	h1, l1 := bits.Mul64(uint64(an), uint64(bd))
+	h2, l2 := bits.Mul64(uint64(bn), uint64(ad))
+	return h1 == h2 && l1 == l2
+}
+
+// scaleComponent writes q for one connected component from its relative
+// rates qn/qd: scale by the lcm of the denominators, then divide by the gcd
+// of the numerators. Neither depends on the order of cm, and every partial
+// lcm divides the final one, so it overflows exactly when the final one
+// does.
+func scaleComponent(q Repetitions, cm []ActorID, qn, qd []int64) error {
+	var l int64 = 1
+	for _, a := range cm {
+		var err error
+		l, err = lcm64(l, qd[a])
+		if err != nil {
+			return err
+		}
+	}
+	var cg int64
+	for _, a := range cm {
+		v, err := mulCheck(qn[a], l/qd[a])
+		if err != nil {
+			return err
+		}
+		q[a] = v
+		cg = num.GCD(cg, v)
+	}
+	if cg > 1 {
+		for _, a := range cm {
+			q[a] /= cg
+		}
+	}
+	return nil
 }
 
 // TNSE returns the total number of samples exchanged on edge e in one

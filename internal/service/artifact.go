@@ -1,9 +1,8 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
@@ -126,24 +125,31 @@ func buildArtifact(res *core.Result, o CompileOptions) *Artifact {
 			ParallelTotal:   res.Metrics.ParallelTotal,
 		},
 	}
-	for _, a := range res.Order {
-		art.Order = append(art.Order, g.Actor(a).Name)
+	// Slices are sized up front but stay nil when empty: a nil slice
+	// encodes as null and an empty one as [], and the wire form has null.
+	if len(res.Order) > 0 {
+		art.Order = make([]string, len(res.Order))
+		for i, a := range res.Order {
+			art.Order[i] = g.Actor(a).Name
+		}
 	}
-	for _, a := range g.Actors() {
-		art.Repetitions = append(art.Repetitions, ActorRepetition{
-			Actor: a.Name, Q: res.Repetitions.Q(a.ID),
-		})
+	if g.NumActors() > 0 {
+		art.Repetitions = make([]ActorRepetition, g.NumActors())
+		for i, a := range g.Actors() {
+			art.Repetitions[i] = ActorRepetition{Actor: a.Name, Q: res.Repetitions.Q(a.ID)}
+		}
 	}
 	totals := make([]AllocatorTotal, 0, len(res.Metrics.AllocTotals))
 	for name, total := range res.Metrics.AllocTotals {
 		totals = append(totals, AllocatorTotal{Allocator: name, Total: total})
 	}
-	sort.Slice(totals, func(i, j int) bool { return totals[i].Allocator < totals[j].Allocator })
+	slices.SortFunc(totals, func(a, b AllocatorTotal) int { return strings.Compare(a.Allocator, b.Allocator) })
 	art.Allocations = totals
-	for _, p := range res.Best.Placements {
-		art.Placements = append(art.Placements, Placement{
-			Buffer: p.Interval.Name, Offset: p.Offset, Size: p.Interval.Size,
-		})
+	if len(res.Best.Placements) > 0 {
+		art.Placements = make([]Placement, len(res.Best.Placements))
+		for i, p := range res.Best.Placements {
+			art.Placements[i] = Placement{Buffer: p.Interval.Name, Offset: p.Offset, Size: p.Interval.Size}
+		}
 	}
 	if res.Partition != nil {
 		ap := &ArtifactPartition{
@@ -152,10 +158,11 @@ func buildArtifact(res *core.Result, o CompileOptions) *Artifact {
 			SASTotal:      res.Metrics.SharedTotal,
 			ParallelTotal: res.Segmented.Total,
 		}
-		for _, s := range res.Segmented.Segments {
-			ap.Segments = append(ap.Segments, ArtifactSegment{
-				Worker: s.Worker, Base: s.Base, Cells: s.Cells,
-			})
+		if len(res.Segmented.Segments) > 0 {
+			ap.Segments = make([]ArtifactSegment, len(res.Segmented.Segments))
+			for i, s := range res.Segmented.Segments {
+				ap.Segments[i] = ArtifactSegment{Worker: s.Worker, Base: s.Base, Cells: s.Cells}
+			}
 		}
 		art.Partition = ap
 	}
@@ -176,13 +183,10 @@ func buildArtifact(res *core.Result, o CompileOptions) *Artifact {
 // CompileArtifact performs after compiling, split out so the grid planner —
 // which produces many Results from one shared pass graph — can cache each
 // entry under the identical bytes a direct /v1/compile of that entry would
-// produce.
+// produce. The bytes are encoding/json's for the Artifact, written without
+// reflection (encode.go); the error is kept for callers and is always nil.
 func ArtifactBytes(res *core.Result, opts CompileOptions) ([]byte, error) {
-	data, err := json.Marshal(buildArtifact(res, opts))
-	if err != nil {
-		return nil, fmt.Errorf("service: marshal artifact: %w", err)
-	}
-	return data, nil
+	return encodeArtifact(buildArtifact(res, opts)), nil
 }
 
 // CompileArtifact runs the in-process pipeline on g under opts and returns

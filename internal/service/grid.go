@@ -131,7 +131,9 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	admit := func(run func()) *APIError {
 		done := make(chan struct{})
 		if err := s.pool.TrySubmit(func() { defer close(done); run() }); err != nil {
-			return s.classifyCompileError(err)
+			apiErr := s.classifyCompileError(err)
+			s.countShed(apiErr)
+			return apiErr
 		}
 		select {
 		case <-done:

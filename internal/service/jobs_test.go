@@ -276,3 +276,43 @@ func TestJobRetentionSkipsRunningJobs(t *testing.T) {
 		t.Error("the running job was evicted")
 	}
 }
+
+// TestShedCountsOnlyRefusedRequests: an accepted job whose entries all miss
+// the compile deadline refuses no request, so sdfd_load_shed_total stays
+// untouched; a compile request that misses it is refused and counts once.
+func TestShedCountsOnlyRefusedRequests(t *testing.T) {
+	ts := newTestServer(t, Config{CompileTimeout: time.Nanosecond})
+	text := graphText(t, systems.SatelliteReceiver())
+	var entries []CompileOptions
+	for _, strategy := range []string{"rpmc", "apgan"} {
+		for _, looping := range []string{"sdppo", "dppo", "chain", "flat"} {
+			entries = append(entries, CompileOptions{Strategy: strategy, Looping: looping})
+		}
+	}
+	job, err := ts.cl.SubmitGridJob(GridRequest{Graph: text, Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := ts.cl.AwaitJob(job.ID, 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != JobStateDone || fin.Failed != len(entries) {
+		t.Fatalf("job finished %+v, want every entry failed on the deadline", fin)
+	}
+	for _, r := range fin.Results {
+		if r.Error == nil || r.Error.Reason != "deadline" {
+			t.Fatalf("entry %d: error %+v, want deadline", r.Index, r.Error)
+		}
+	}
+	if got := ts.metricValue(t, `sdfd_load_shed_total{reason="deadline"}`); got != "" && got != "0" {
+		t.Fatalf("an accepted job counted %s deadline sheds, want none", got)
+	}
+
+	resp := postJSON(t, ts.http.URL+"/v1/compile", CompileRequest{Graph: text})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("compile status %d, want 408", resp.StatusCode)
+	}
+	ts.mustMetric(t, `sdfd_load_shed_total{reason="deadline"}`, "1")
+}

@@ -629,7 +629,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if f.err != nil {
-		s.writeError(w, s.classifyCompileError(f.err))
+		apiErr := s.classifyCompileError(f.err)
+		s.countShed(apiErr)
+		s.writeError(w, apiErr)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, &CompileResponse{
@@ -719,28 +721,36 @@ func (s *Server) compileArtifact(ctx context.Context, g *sdf.Graph, norm Compile
 
 var errVerifyFailed = errors.New("verification failed")
 
+// countShed counts a refused request in sdfd_load_shed_total when its error
+// is an admission or deadline refusal.
+func (s *Server) countShed(e *APIError) {
+	switch e.Reason {
+	case "queue_full", "shutting_down", "deadline":
+		s.shed.With(e.Reason).Inc()
+	}
+}
+
 // classifyCompileError maps a flight failure onto the structured error
 // vocabulary: admission shedding (429/503), deadlines (408), oracle
 // violations (500), and everything else — inconsistent graphs, deadlocks,
-// overflow, infeasible allocations — as 422 compile_failed.
+// overflow, infeasible allocations — as 422 compile_failed. It counts
+// nothing: per-entry grid and job outcomes are classified too, and only a
+// refused request is a shed (see countShed).
 func (s *Server) classifyCompileError(err error) *APIError {
 	switch {
 	case errors.Is(err, par.ErrPoolFull):
-		s.shed.With("queue_full").Inc()
 		return &APIError{
 			Status: http.StatusTooManyRequests, Reason: "queue_full",
 			Message:           fmt.Sprintf("compile queue is full (%d queued, %d workers); retry shortly", s.cfg.QueueDepth, s.cfg.Workers),
 			RetryAfterSeconds: s.retryAfterSeconds(),
 		}
 	case errors.Is(err, par.ErrPoolClosed) || errors.Is(err, context.Canceled):
-		s.shed.With("shutting_down").Inc()
 		return &APIError{
 			Status: http.StatusServiceUnavailable, Reason: "shutting_down",
 			Message:           "server is shutting down",
 			RetryAfterSeconds: s.retryAfterSeconds(),
 		}
 	case errors.Is(err, context.DeadlineExceeded):
-		s.shed.With("deadline").Inc()
 		return &APIError{
 			Status: http.StatusRequestTimeout, Reason: "deadline",
 			Message: fmt.Sprintf("compilation exceeded the server's %v compile deadline: %v", s.cfg.CompileTimeout, err),
