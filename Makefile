@@ -61,18 +61,21 @@ incremental:
 
 # parallel validates the partitioned runtime under the race detector: the
 # partition/segment suites (including the 200-graph phased-vs-sequential
-# differential), the barrier package, the one executor per layer that runs
-# both the P=1 and the phased program (runtime and sim spawn real worker
-# goroutines every period at P>=2; codegen's emitters share their buffer,
-# body and delay writers, gated by TestThreadedCMatchesReference), the
-# partition invariant oracles, and the fuzzer's partitioned grid sweep with
-# its P=1 byte-identity check. The barrier and both executors run again at
-# GOMAXPROCS=1, where the barrier parks at once and more workers than Ps
-# share one P (-count=1: the test cache does not key on GOMAXPROCS).
+# differential), the barrier and parker package, the one executor per layer
+# that runs both the P=1 and the phased program (runtime and sim spawn real
+# worker goroutines every period at P>=2; the runtime's self-timed tests —
+# a producer that fails, panics or exits under a waiting consumer, and the
+# seeded-jitter differential — run in its package; codegen's emitters share
+# their buffer, body and delay writers, gated by
+# TestThreadedCMatchesReference), the partition invariant and drain
+# oracles, and the fuzzer's partitioned grid sweep with its P=1
+# byte-identity check. The barrier and both executors run again at
+# GOMAXPROCS=1, where waiters park at once and more workers than Ps share
+# one P (-count=1: the test cache does not key on GOMAXPROCS).
 parallel:
 	$(GO) test -race ./internal/partition/... ./internal/par/... ./internal/runtime/... ./internal/sim/... ./internal/codegen/...
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/par/... ./internal/runtime/... ./internal/sim/...
-	$(GO) test -race -run 'TestPartition|TestPhased|TestCorrupted|TestThreaded|TestPipelineCleanPartitioned' ./internal/check/...
+	$(GO) test -race -run 'TestPartition|TestPhased|TestCorrupted|TestDrains|TestThreaded|TestPipelineCleanPartitioned' ./internal/check/...
 	$(GO) run ./cmd/sdffuzz -n 50 -seed 2
 
 # cluster is the sharded-daemon gate: the ring/peer-fetch/job/drain suites

@@ -197,6 +197,96 @@ func Segments(g *sdf.Graph, q sdf.Repetitions, p *partition.Partitioned, seg *pa
 	return nil
 }
 
+// Drains verifies the cross-worker order a self-timed executor of the
+// phased program relies on, recomputing every edge's phase window and
+// worker placement from the partitioning:
+//
+//   - link: the program's links are exactly the edges whose endpoints sit
+//     on different workers, in edge-ID order, each naming its endpoints'
+//     workers and phases and the period's token count q(src)·prod;
+//   - drain-order: when two shared-segment buffers share cells, the later
+//     one's producer sits on another worker than the earlier one's
+//     consumer, and the earlier one is not live when the later one starts,
+//     the later edge lists the earlier one among its drains;
+//   - drain-backward: every drain names a shared-segment edge whose
+//     consumer fires in an earlier phase than the draining edge's producer.
+//
+// Link waits point backward in phase order by construction (a consumer
+// waits on its producer's writes only when the producer's phase is the
+// earlier one, a producer on its consumer's reads only when the consumer's
+// is). With every drain backward too, no firing waits on a firing of its
+// own or a later phase, which rules out a deadlock among the workers.
+func Drains(g *sdf.Graph, q sdf.Repetitions, p *partition.Partitioned, seg *partition.SegAlloc, prog *partition.Program) error {
+	cross := func(e sdf.Edge) bool { return p.Assign[e.Src] != p.Assign[e.Dst] }
+	next := 0
+	for _, e := range g.Edges() {
+		if !cross(e) {
+			continue
+		}
+		if next >= len(prog.Links) || prog.Links[next].Edge != e.ID {
+			return violationf(StageSegments, "link",
+				"cross-worker edge %s->%s has no link in edge-ID order", g.Actor(e.Src).Name, g.Actor(e.Dst).Name)
+		}
+		l := prog.Links[next]
+		next++
+		want := partition.Link{
+			Edge: e.ID, Src: p.Assign[e.Src], Dst: p.Assign[e.Dst],
+			SrcPhase: p.PhaseOf[e.Src], DstPhase: p.PhaseOf[e.Dst],
+			Tokens: q.Q(e.Src) * e.Prod,
+		}
+		if l != want {
+			return violationf(StageSegments, "link",
+				"edge %s->%s linked as %+v, want %+v", g.Actor(e.Src).Name, g.Actor(e.Dst).Name, l, want)
+		}
+	}
+	if next != len(prog.Links) {
+		return violationf(StageSegments, "link",
+			"%d links for %d cross-worker edges", len(prog.Links), next)
+	}
+	if len(prog.Drains) != g.NumEdges() {
+		return violationf(StageSegments, "drain-order",
+			"%d drain lists for %d edges", len(prog.Drains), g.NumEdges())
+	}
+	edges := g.Edges()
+	for _, e := range edges {
+		listed := make(map[sdf.EdgeID]bool, len(prog.Drains[e.ID]))
+		for _, d := range prog.Drains[e.ID] {
+			if d < 0 || int(d) >= len(edges) || !cross(edges[d]) || !cross(e) {
+				return violationf(StageSegments, "drain-backward",
+					"edge %s->%s drains edge %d, outside the shared segment",
+					g.Actor(e.Src).Name, g.Actor(e.Dst).Name, d)
+			}
+			if de := edges[d]; p.PhaseOf[de.Dst] >= p.PhaseOf[e.Src] {
+				return violationf(StageSegments, "drain-backward",
+					"edge %s->%s (producer in phase %d) drains %s->%s, read in phase %d",
+					g.Actor(e.Src).Name, g.Actor(e.Dst).Name, p.PhaseOf[e.Src],
+					g.Actor(de.Src).Name, g.Actor(de.Dst).Name, p.PhaseOf[de.Dst])
+			}
+			listed[d] = true
+		}
+		if !cross(e) {
+			continue
+		}
+		lo, _ := phaseWindow(e, p)
+		for _, d := range edges {
+			if !cross(d) || p.Assign[d.Dst] == p.Assign[e.Src] || listed[d.ID] {
+				continue
+			}
+			if _, hi := phaseWindow(d, p); hi >= lo {
+				continue
+			}
+			od, oe := seg.Offset(d.ID), seg.Offset(e.ID)
+			if od < oe+seg.Size(e.ID) && oe < od+seg.Size(d.ID) {
+				return violationf(StageSegments, "drain-order",
+					"buffers %s->%s and %s->%s share cells across workers %d and %d, but no drain orders them",
+					g.Actor(d.Src).Name, g.Actor(d.Dst).Name, g.Actor(e.Src).Name, g.Actor(e.Dst).Name,
+					p.Assign[d.Dst], p.Assign[e.Src])
+			}
+		}
+	}
+	return nil
+}
+
 // PhasedMemory runs the token-level phased simulator — P goroutines, a
 // barrier after every phase — against the segmented image for several
 // periods: token corruption or count drift here means the partitioning or
@@ -308,6 +398,13 @@ func partitionPipeline(res *core.Result, opt Options) error {
 		return violationf(StageSegments, "metrics",
 			"Metrics.ParallelTotal %d != segmented image total %d",
 			res.Metrics.ParallelTotal, res.Segmented.Total)
+	}
+	prog, err := partition.Phased(g, res.Partition, res.Segmented)
+	if err != nil {
+		return violationf(StageSegments, "program", "%v", err)
+	}
+	if err := Drains(g, res.Repetitions, res.Partition, res.Segmented, prog); err != nil {
+		return err
 	}
 	if err := PhasedMemory(res, opt); err != nil {
 		return err

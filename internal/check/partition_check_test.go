@@ -284,3 +284,61 @@ func violatesRule(err error, rule string) bool {
 	}
 	return v.Rule == rule
 }
+
+// satrecProgram compiles satrec at P=2 and builds its phased program.
+func satrecProgram(t *testing.T) (*core.Result, *partition.Program) {
+	t.Helper()
+	res, err := core.Compile(systems.SatelliteReceiver(), core.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := partition.Phased(res.Graph, res.Partition, res.Segmented)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Drains(res.Graph, res.Repetitions, res.Partition, res.Segmented, prog); err != nil {
+		t.Fatalf("clean program: %v", err)
+	}
+	return res, prog
+}
+
+// TestDrainsCorruptionCaught: satrec's P=2 program with one drain removed
+// lets a producer overwrite shared cells another worker may still read,
+// and a drain turned around points forward in phase order; the drain
+// oracle names each.
+func TestDrainsCorruptionCaught(t *testing.T) {
+	check := func(t *testing.T, res *core.Result, prog *partition.Program, rule string) {
+		t.Helper()
+		err := Drains(res.Graph, res.Repetitions, res.Partition, res.Segmented, prog)
+		if stage, _ := StageOf(err); stage != StageSegments || !violatesRule(err, rule) {
+			t.Fatalf("got %v, want a %s/%s violation", err, StageSegments, rule)
+		}
+	}
+	t.Run("removed", func(t *testing.T) {
+		res, prog := satrecProgram(t)
+		for e, ds := range prog.Drains {
+			if len(ds) > 0 {
+				prog.Drains[e] = ds[1:]
+				check(t, res, prog, "drain-order")
+				return
+			}
+		}
+		t.Fatal("satrec's P=2 program has no drain")
+	})
+	t.Run("forward", func(t *testing.T) {
+		res, prog := satrecProgram(t)
+		for e, ds := range prog.Drains {
+			if len(ds) > 0 {
+				prog.Drains[ds[0]] = append(prog.Drains[ds[0]], sdf.EdgeID(e))
+				check(t, res, prog, "drain-backward")
+				return
+			}
+		}
+		t.Fatal("satrec's P=2 program has no drain")
+	})
+	t.Run("link", func(t *testing.T) {
+		res, prog := satrecProgram(t)
+		prog.Links[0].Tokens++
+		check(t, res, prog, "link")
+	})
+}

@@ -118,7 +118,7 @@ func TestBarrierSpinYieldsOnOneProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, parties := range []int{2, 4} {
 		b := NewBarrier(parties)
-		if !b.spin {
+		if !b.park.spin {
 			t.Fatalf("%d parties at GOMAXPROCS 4 do not spin", parties)
 		}
 		runtime.GOMAXPROCS(1)
@@ -168,9 +168,9 @@ func TestBarrierHappensBefore(t *testing.T) {
 func waitSleepers(t *testing.T, b *Barrier, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for b.sleepers.Load() != n {
+	for b.park.sleepers.Load() != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d waiters parked, want %d", b.sleepers.Load(), n)
+			t.Fatalf("%d waiters parked, want %d", b.park.sleepers.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -181,7 +181,7 @@ func waitSleepers(t *testing.T, b *Barrier, n int64) {
 func TestBarrierParksWhenOversubscribed(t *testing.T) {
 	parties := runtime.GOMAXPROCS(0) + 1
 	b := NewBarrier(parties)
-	if b.spin {
+	if b.park.spin {
 		t.Fatalf("%d parties at GOMAXPROCS %d spin", parties, parties-1)
 	}
 	var wg sync.WaitGroup
@@ -203,7 +203,7 @@ func TestBarrierParksWhenOversubscribed(t *testing.T) {
 func TestBarrierSpinIsBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	b := NewBarrier(2)
-	if !b.spin {
+	if !b.park.spin {
 		t.Fatal("2 parties at GOMAXPROCS 2 do not spin")
 	}
 	done := make(chan struct{})
@@ -214,4 +214,33 @@ func TestBarrierSpinIsBounded(t *testing.T) {
 	waitSleepers(t, b, 1)
 	b.Await()
 	<-done
+}
+
+// TestParkerWakesParkedWaiter: a waiter that has spent its spin budget (or
+// never spins) parks, and a store followed by Wake releases it, with the
+// store visible after Await returns.
+func TestParkerWakesParkedWaiter(t *testing.T) {
+	for _, parties := range []int{2, runtime.GOMAXPROCS(0) + 1} {
+		p := NewParker(parties)
+		var flag atomic.Bool
+		data := 0
+		done := make(chan int)
+		go func() {
+			p.Await(flag.Load)
+			done <- data
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for p.sleepers.Load() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("parties %d: waiter never parked", parties)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		data = 42
+		flag.Store(true)
+		p.Wake()
+		if got := <-done; got != 42 {
+			t.Errorf("parties %d: waiter read %d after Await, want 42", parties, got)
+		}
+	}
 }

@@ -7,9 +7,12 @@
 // phases every worker passes a barrier, so a cross-worker edge is always
 // written in one phase and read in a strictly later one — the
 // write-then-barrier-then-read discipline the per-segment allocation
-// (segment.go) and the executors (internal/sim, internal/runtime,
+// (segment.go) and the barrier-phased executors (internal/sim,
 // internal/codegen) rely on. Program (program.go) is the one executable form
-// those executors run, the sequential schedule being its P=1 case.
+// all executors run, the sequential schedule being its P=1 case; at P>=2 it
+// also carries the cross-worker links and shared-segment drains that let
+// internal/runtime drop the barriers and keep only the waits that phase
+// order implies.
 //
 // Two structural invariants hold by construction and are re-checked by
 // internal/check:

@@ -8,11 +8,21 @@
 // here exercises exactly the memory behaviour the paper's synthesis flow
 // commits to. One Engine runs both the sequential schedule (the P=1
 // partition.Program) and a phased partitioning on P goroutines.
+//
+// The phased run is self-timed: each worker fires its phase lists back to
+// back with no barrier between phases. A consumer on another worker than
+// its producer chases it token by token through published counts (the
+// program's Links), and a producer whose buffer reuses shared-segment cells
+// another worker still reads waits until they are read in full (the
+// program's Drains). Every buffer holds a whole period's tokens, so no
+// token is copied to let a consumer run ahead.
 package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -40,15 +50,21 @@ type Fire func(inputs [][]float64) [][]float64
 // Engine on the same graph, provided each supplied Fire is a pure function
 // of its inputs. A phased Engine invokes Fires from worker goroutines (one
 // worker per actor, fixed for the whole run), so a Fire closure may keep
-// per-actor state but must not share mutable state across actors.
+// per-actor state but must not share mutable state across actors. Its
+// workers overlap phases, so the Fires of different phases may run at the
+// same time.
 type Engine struct {
 	g      *sdf.Graph
 	prog   *partition.Program
-	fires  map[sdf.ActorID]Fire
+	fires  []Fire // indexed by actor ID
 	mem    []float64
 	edges  []edgeState
 	actors []actorState
-	bar    *par.Barrier // nil at P=1
+	// At P>=2: the cross-worker edges' per-period state, whether each
+	// worker has stopped firing this period, and where waits park.
+	links   []link
+	stopped []atomic.Bool
+	park    *par.Parker
 }
 
 type edgeState struct {
@@ -56,15 +72,52 @@ type edgeState struct {
 	cons, prod   int64
 	rd, wr       int64 // cursors in [0, size)
 	count        int64
+	// link is the edge's cross-worker state at P>=2, nil when one worker
+	// runs both endpoints. During a period the link's ends own the
+	// cursors and counts; between periods the fields above hold them.
+	link *link
+}
+
+// link is a cross-worker edge during a period. Only the producing worker
+// writes prod and only the consuming worker writes cons; each side
+// publishes how many tokens it has moved through an atomic the other side
+// loads, and the padding keeps the fixed fields and the two sides on cache
+// lines of their own.
+type link struct {
+	edge   sdf.EdgeID
+	offset int64
+	size   int64
+	count0 int64 // tokens queued when the period started
+	tokens int64 // tokens that cross per period
+	// ahead reports that the producer fires in an earlier phase than the
+	// consumer (partition.Link.Ahead).
+	ahead    bool
+	src, dst int // producing and consuming workers
+	_        [64]byte
+	prod     linkEnd
+	_        [64]byte
+	cons     linkEnd
+	_        [64]byte
+}
+
+// linkEnd is one side of a link: its cursor in [0, size), the tokens it has
+// moved this period, the other side's count as last loaded, and its own
+// count, published.
+type linkEnd struct {
+	cursor, moved, seen int64
+	pub                 atomic.Int64
 }
 
 // actorState is what a firing needs besides the image: the actor's edges
 // and the engine-owned inputs handed to its Fire, one window of buf per
-// input edge, so a firing allocates nothing.
+// input edge, so a firing allocates nothing; and, at P>=2, the links whose
+// cells its outputs reuse, which must be read in full before it first
+// writes in a period.
 type actorState struct {
 	in, out []sdf.EdgeID
 	inputs  [][]float64
 	buf     []float64
+	drains  []*link
 }
 
 // New builds a sequential engine for a verified compilation result. Actors
@@ -81,10 +134,12 @@ func New(res *core.Result, fires map[sdf.ActorID]Fire) (*Engine, error) {
 // NewPhased builds a phased engine for a compilation result that carries a
 // partitioned schedule and segmented allocation (compiled with
 // Options.Partitions >= 2): each period runs every worker's blocks
-// concurrently with a cyclic barrier between phases. Buffers live in the
-// segmented image (per-worker private segments plus one shared segment), so
-// all cross-worker traffic is write-then-barrier-then-read and the run is
-// race-free without per-buffer locking.
+// concurrently, self-timed. Buffers live in the segmented image (per-worker
+// private segments plus one shared segment). Only the shared segment's
+// buffers are touched by two workers, and every such access is ordered by
+// an atomic count the other worker publishes (a link's writes or reads, or
+// a drain's full reads), so the run is race-free without per-buffer
+// locking.
 func NewPhased(res *core.Result, fires map[sdf.ActorID]Fire) (*Engine, error) {
 	if res.Partition == nil || res.Segmented == nil {
 		return nil, fmt.Errorf("runtime: result has no partitioned schedule (compile with Partitions >= 2)")
@@ -102,13 +157,10 @@ func newEngine(g *sdf.Graph, prog *partition.Program, fires map[sdf.ActorID]Fire
 	e := &Engine{
 		g:      g,
 		prog:   prog,
-		fires:  fires,
+		fires:  make([]Fire, g.NumActors()),
 		mem:    make([]float64, prog.Total),
 		edges:  make([]edgeState, g.NumEdges()),
 		actors: make([]actorState, g.NumActors()),
-	}
-	if prog.P > 1 {
-		e.bar = par.NewBarrier(prog.P)
 	}
 	for _, ed := range g.Edges() {
 		if ed.Words > 1 {
@@ -131,8 +183,47 @@ func newEngine(g *sdf.Graph, prog *partition.Program, fires map[sdf.ActorID]Fire
 		}
 		act.inputs = make([][]float64, len(act.in))
 		act.buf = make([]float64, n)
+		e.fires[a.ID] = fires[a.ID]
+	}
+	if prog.P > 1 {
+		if err := e.linkWorkers(); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
+}
+
+// linkWorkers sets up the program's links and drains.
+func (e *Engine) linkWorkers() error {
+	prog := e.prog
+	e.links = make([]link, len(prog.Links))
+	e.stopped = make([]atomic.Bool, prog.P)
+	e.park = par.NewParker(prog.P)
+	for i, pl := range prog.Links {
+		if pl.Edge < 0 || int(pl.Edge) >= len(e.edges) || pl.Src < 0 || pl.Src >= prog.P || pl.Dst < 0 || pl.Dst >= prog.P {
+			return fmt.Errorf("runtime: link %d (edge %d, workers %d->%d) out of range", i, pl.Edge, pl.Src, pl.Dst)
+		}
+		st := &e.edges[pl.Edge]
+		l := &e.links[i]
+		l.edge, l.offset, l.size, l.tokens = pl.Edge, st.offset, st.size, pl.Tokens
+		l.ahead, l.src, l.dst = pl.Ahead(), pl.Src, pl.Dst
+		st.link = l
+	}
+	if len(prog.Drains) != len(e.edges) {
+		return fmt.Errorf("runtime: %d drain lists for %d edges", len(prog.Drains), len(e.edges))
+	}
+	for eid, ds := range prog.Drains {
+		act := &e.actors[e.g.Edge(sdf.EdgeID(eid)).Src]
+		for _, d := range ds {
+			if d < 0 || int(d) >= len(e.edges) || e.edges[d].link == nil {
+				return fmt.Errorf("runtime: edge %d drains edge %d, which no link carries", eid, d)
+			}
+			if l := e.edges[d].link; !slices.Contains(act.drains, l) {
+				act.drains = append(act.drains, l)
+			}
+		}
+	}
+	return nil
 }
 
 // Mem exposes the memory image (for inspection; do not resize).
@@ -189,18 +280,21 @@ func (e *Engine) write(st *edgeState, v float64) {
 
 // RunPeriod executes one complete schedule period. At P=1 it fires on the
 // caller's goroutine; otherwise it spawns P workers and joins them before
-// returning. A worker that fails stops firing but keeps arriving at every
-// barrier so the others complete deterministically, and the lowest-indexed
-// worker's error is returned. A Fire that panics at P>=2 fails its worker
-// the same way, and after the join RunPeriod re-panics on the caller's
-// goroutine with the lowest-indexed panicking worker's value; at P=1 the
-// panic reaches the caller directly. A Fire that calls runtime.Goexit at
-// P>=2 (t.FailNow, say) ends only its worker, which still arrives at the
-// barriers it owes, and RunPeriod returns that as the worker's error.
+// returning. A worker that fails stops firing and publishes that it has
+// stopped, so a wait on it that can now never be met fails with the
+// underflow or overflow error a barrier-phased run raises at that firing,
+// and the lowest-indexed worker's error is returned. A Fire that panics at
+// P>=2 fails its worker the same way, and after the join RunPeriod
+// re-panics on the caller's goroutine with the lowest-indexed panicking
+// worker's value; at P=1 the panic reaches the caller directly. A Fire that
+// calls runtime.Goexit at P>=2 (t.FailNow, say) ends only its worker, which
+// still publishes that it stopped, and RunPeriod returns that as the
+// worker's error.
 func (e *Engine) RunPeriod() error {
 	if e.prog.P == 1 {
 		return e.runWorker(0).err
 	}
+	e.startLinks()
 	outs := make([]outcome, e.prog.P)
 	var wg sync.WaitGroup
 	for w := range outs {
@@ -212,6 +306,7 @@ func (e *Engine) RunPeriod() error {
 		}(w)
 	}
 	wg.Wait()
+	e.foldLinks()
 	for _, o := range outs {
 		if o.panicked != nil {
 			panic(o.panicked)
@@ -236,45 +331,86 @@ type outcome struct {
 	exited   bool
 }
 
-// runWorker fires worker w's terms phase by phase, joining the barrier
-// between phases; the join in RunPeriod orders the last phase. A worker
-// that stops early — an error, a recovered panic, or a Goexit unwinding
-// through it — arrives at its remaining barriers on the way out.
-func (e *Engine) runWorker(w int) (out outcome) {
-	last := len(e.prog.Phases) - 1
-	ph := 0
-	if e.bar != nil {
-		defer func() {
-			for ; ph < last; ph++ {
-				e.bar.Await()
-			}
-		}()
+// startLinks hands every cross-worker edge's queue to the link's two ends
+// for a period; the workers are spawned after it, which orders it before
+// their firings.
+func (e *Engine) startLinks() {
+	for i := range e.links {
+		l := &e.links[i]
+		st := &e.edges[l.edge]
+		l.count0 = st.count
+		l.prod.cursor, l.prod.moved, l.prod.seen = st.wr, 0, 0
+		l.cons.cursor, l.cons.moved, l.cons.seen = st.rd, 0, 0
+		l.prod.pub.Store(0)
+		l.cons.pub.Store(0)
 	}
-	for ; ph <= last; ph++ {
-		if out = e.runPhase(ph, w, e.prog.Phases[ph][w]); out.err != nil || out.panicked != nil {
+	for w := range e.stopped {
+		e.stopped[w].Store(false)
+	}
+}
+
+// foldLinks folds every link's period back into its edge's queue once the
+// workers are joined.
+func (e *Engine) foldLinks() {
+	for i := range e.links {
+		l := &e.links[i]
+		st := &e.edges[l.edge]
+		st.count = l.count0 + l.prod.moved - l.cons.moved
+		st.wr, st.rd = l.prod.cursor, l.cons.cursor
+	}
+}
+
+// runWorker fires worker w's terms phase by phase. At P>=2 there is no
+// barrier between phases: a firing waits only on the links and drains it
+// needs, and the join in RunPeriod ends the period. A worker that stops —
+// its last phase done, an error, a recovered panic, or a Goexit unwinding
+// through it — publishes that on the way out, so that no wait on it lasts
+// forever.
+func (e *Engine) runWorker(w int) (out outcome) {
+	if e.park != nil {
+		defer e.stop(w)
+		defer func() { out.panicked = recover() }()
+	}
+	for ph, phase := range e.prog.Phases {
+		if err := e.runTerms(phase[w]); err != nil {
+			out.err = fmt.Errorf("runtime: phase %d worker %d %w", ph, w, err)
 			break
-		}
-		if e.bar != nil && ph < last {
-			e.bar.Await()
 		}
 	}
 	return out
 }
 
-// runPhase fires one phase's terms of worker w. With a barrier it recovers
-// a panicking Fire, so that its worker can go on arriving at the barriers.
-func (e *Engine) runPhase(ph, w int, terms []*sched.Node) (out outcome) {
-	if e.bar != nil {
-		defer func() { out.panicked = recover() }()
-	}
-	if err := e.runTerms(terms); err != nil {
-		out.err = fmt.Errorf("runtime: phase %d worker %d %w", ph, w, err)
-	}
-	return out
+// stop publishes that worker w fires no more this period.
+func (e *Engine) stop(w int) {
+	e.stopped[w].Store(true)
+	e.park.Wake()
+}
+
+// await waits until the count c reaches want or worker owner, the only
+// writer of c, has stopped; it returns c's final value.
+func (e *Engine) await(c *atomic.Int64, want int64, owner int) int64 {
+	stopped := &e.stopped[owner]
+	e.park.Await(func() bool { return c.Load() >= want || stopped.Load() })
+	return c.Load()
+}
+
+// publish stores a link end's count and wakes anyone parked on it.
+func (e *Engine) publish(c *atomic.Int64, v int64) {
+	c.Store(v)
+	e.park.Wake()
 }
 
 func (e *Engine) runTerms(terms []*sched.Node) error {
 	for _, n := range terms {
+		if n.IsLeaf() {
+			// The actor's first writes of the period reuse cells that
+			// consumers on other workers must have read in full. A drain
+			// whose consumer stopped early is read no more, so its cells
+			// are free either way.
+			for _, d := range e.actors[n.Actor].drains {
+				e.await(&d.cons.pub, d.tokens, d.dst)
+			}
+		}
 		for i := int64(0); i < n.Count; i++ {
 			if n.IsLeaf() {
 				if err := e.fire(n.Actor); err != nil {
@@ -296,15 +432,21 @@ func (e *Engine) fire(a sdf.ActorID) error {
 	var lo int64
 	for i, eid := range act.in {
 		st := &e.edges[eid]
-		if st.count < st.cons {
-			return fmt.Errorf("edge %d underflow: have %d, need %d", eid, st.count, st.cons)
-		}
 		vals := act.buf[lo : lo+st.cons : lo+st.cons]
 		lo += st.cons
-		for k := range vals {
-			vals[k] = e.read(st)
+		if st.link != nil {
+			if err := e.take(st, eid, vals); err != nil {
+				return err
+			}
+		} else {
+			if st.count < st.cons {
+				return fmt.Errorf("edge %d underflow: have %d, need %d", eid, st.count, st.cons)
+			}
+			for k := range vals {
+				vals[k] = e.read(st)
+			}
+			st.count -= st.cons
 		}
-		st.count -= st.cons
 		act.inputs[i] = vals
 	}
 	f := e.fires[a]
@@ -316,6 +458,12 @@ func (e *Engine) fire(a sdf.ActorID) error {
 		}
 		for _, eid := range act.out {
 			st := &e.edges[eid]
+			if st.link != nil {
+				if err := e.give(st, eid, nil, sum); err != nil {
+					return err
+				}
+				continue
+			}
 			if err := st.reserve(eid); err != nil {
 				return err
 			}
@@ -335,6 +483,12 @@ func (e *Engine) fire(a sdf.ActorID) error {
 			return fmt.Errorf("actor produced %d tokens on edge %d, want %d",
 				len(outputs[i]), eid, st.prod)
 		}
+		if st.link != nil {
+			if err := e.give(st, eid, outputs[i], 0); err != nil {
+				return err
+			}
+			continue
+		}
 		if err := st.reserve(eid); err != nil {
 			return err
 		}
@@ -353,5 +507,77 @@ func (st *edgeState) reserve(eid sdf.EdgeID) error {
 			eid, st.count, st.prod, st.size)
 	}
 	st.count += st.prod
+	return nil
+}
+
+// take reads one firing's tokens from a cross-worker edge into vals,
+// waiting for the producer's writes when it runs in an earlier phase. A
+// barrier-phased run would hand this firing all of the period's writes in
+// that case and none otherwise; when that would not be enough, or the
+// producer stops short, the firing fails with the underflow error that run
+// raises here.
+func (e *Engine) take(st *edgeState, eid sdf.EdgeID, vals []float64) error {
+	l, c := st.link, &st.link.cons
+	if need := c.moved + st.cons - l.count0; need > c.seen {
+		var written int64
+		if l.ahead {
+			written = l.tokens
+		}
+		if need <= written {
+			c.seen = e.await(&l.prod.pub, need, l.src)
+			written = c.seen
+		}
+		if need > written {
+			return fmt.Errorf("edge %d underflow: have %d, need %d", eid, l.count0+written-c.moved, st.cons)
+		}
+	}
+	for k := range vals {
+		vals[k] = e.mem[l.offset+c.cursor]
+		if c.cursor++; c.cursor == l.size {
+			c.cursor = 0
+		}
+	}
+	c.moved += st.cons
+	e.publish(&c.pub, c.moved)
+	return nil
+}
+
+// give writes one firing's production on a cross-worker edge — vals, or
+// st.prod copies of fill when vals is nil — and publishes it. The buffer
+// holds the delay plus the period's tokens, so a write needs the
+// consumer's reads only when more than the delay was queued at the start
+// of the period (Push); it then waits for them when the consumer runs in
+// an earlier phase. A barrier-phased run would have seen every read of the period in
+// that case and none otherwise; when that would not make room, or the
+// consumer stops short, the firing fails with the overflow error that run
+// raises here.
+func (e *Engine) give(st *edgeState, eid sdf.EdgeID, vals []float64, fill float64) error {
+	l, p := st.link, &st.link.prod
+	if need := l.count0 + p.moved + st.prod - l.size; need > p.seen {
+		var read int64
+		if !l.ahead {
+			read = l.tokens
+		}
+		if need <= read {
+			p.seen = e.await(&l.cons.pub, need, l.dst)
+			read = p.seen
+		}
+		if need > read {
+			return fmt.Errorf("edge %d overflow: count %d + %d > capacity %d",
+				eid, l.count0+p.moved-read, st.prod, st.size)
+		}
+	}
+	for k := int64(0); k < st.prod; k++ {
+		v := fill
+		if vals != nil {
+			v = vals[k]
+		}
+		e.mem[l.offset+p.cursor] = v
+		if p.cursor++; p.cursor == l.size {
+			p.cursor = 0
+		}
+	}
+	p.moved += st.prod
+	e.publish(&p.pub, p.moved)
 	return nil
 }

@@ -7,7 +7,7 @@ package sched
 
 import (
 	"strconv"
-	"strings"
+	"unsafe"
 
 	"repro/internal/sdf"
 )
@@ -78,45 +78,81 @@ func FlatSAS(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID) *Schedule {
 // String renders the schedule in the paper's notation, e.g. "(3A(2B))(2C)".
 // A count of 1 is omitted; parentheses are kept around every loop with more
 // than one body term or a count greater than one.
+//
+// Every artifact renders its schedule, so String is on the compile and the
+// store-hit paths: one walk measures the rendering, a second appends it to
+// a buffer of exactly that size, and the string takes the buffer over.
 func (s *Schedule) String() string {
-	var b strings.Builder
-	for _, n := range s.Body {
-		writeNode(&b, s.Graph, n)
+	n := 0
+	for _, t := range s.Body {
+		n += nodeLen(s.Graph, t)
 	}
-	return b.String()
+	if n == 0 {
+		return ""
+	}
+	b := make([]byte, 0, n)
+	for _, t := range s.Body {
+		b = appendTerm(b, s.Graph, t)
+	}
+	// b is never written again, which is what strings.Builder relies on
+	// for the same conversion.
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-func writeNode(b *strings.Builder, g *sdf.Graph, n *Node) {
+// nodeLen is the length of n's rendering by appendTerm.
+func nodeLen(g *sdf.Graph, n *Node) int {
 	if n.IsLeaf() {
 		if n.Count == 1 {
-			b.WriteString(g.Actor(n.Actor).Name)
-			return
+			return len(g.Actor(n.Actor).Name)
 		}
-		b.WriteByte('(')
-		writeCount(b, n.Count)
-		b.WriteString(g.Actor(n.Actor).Name)
-		b.WriteByte(')')
-		return
+		return 2 + decLen(n.Count) + len(g.Actor(n.Actor).Name)
 	}
 	if n.Count == 1 && len(n.Children) == 1 {
-		writeNode(b, g, n.Children[0])
-		return
+		return nodeLen(g, n.Children[0])
 	}
-	b.WriteByte('(')
+	l := 2
 	if n.Count != 1 {
-		writeCount(b, n.Count)
+		l += decLen(n.Count)
 	}
 	for _, ch := range n.Children {
-		writeNode(b, g, ch)
+		l += nodeLen(g, ch)
 	}
-	b.WriteByte(')')
+	return l
 }
 
-// writeCount writes a loop count in decimal without going through fmt:
-// every artifact renders its schedule, so String is on the compile path.
-func writeCount(b *strings.Builder, c int64) {
-	var buf [20]byte
-	b.Write(strconv.AppendInt(buf[:0], c, 10))
+func appendTerm(b []byte, g *sdf.Graph, n *Node) []byte {
+	if n.IsLeaf() {
+		if n.Count == 1 {
+			return append(b, g.Actor(n.Actor).Name...)
+		}
+		b = append(b, '(')
+		b = strconv.AppendInt(b, n.Count, 10)
+		b = append(b, g.Actor(n.Actor).Name...)
+		return append(b, ')')
+	}
+	if n.Count == 1 && len(n.Children) == 1 {
+		return appendTerm(b, g, n.Children[0])
+	}
+	b = append(b, '(')
+	if n.Count != 1 {
+		b = strconv.AppendInt(b, n.Count, 10)
+	}
+	for _, ch := range n.Children {
+		b = appendTerm(b, g, ch)
+	}
+	return append(b, ')')
+}
+
+// decLen is the length of c in decimal, as strconv.AppendInt writes it.
+func decLen(c int64) int {
+	n, u := 1, uint64(c)
+	if c < 0 {
+		n, u = 2, uint64(-c) // -MinInt64 wraps to itself, whose uint64 is 2^63
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // ForEachFiring expands the schedule into its firing sequence, calling fn for

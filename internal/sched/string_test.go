@@ -2,7 +2,9 @@ package sched_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -104,6 +106,87 @@ func TestStringMatchesFmtOracle(t *testing.T) {
 		checked++
 	}
 	t.Logf("%d schedules render identically", checked)
+}
+
+// builderString is the strings.Builder rendering Schedule.String replaced,
+// which grew its buffer by appends; the presized rendering must match it
+// byte for byte.
+func builderString(s *sched.Schedule) string {
+	var b strings.Builder
+	for _, n := range s.Body {
+		builderNode(&b, s.Graph, n)
+	}
+	return b.String()
+}
+
+func builderNode(b *strings.Builder, g *sdf.Graph, n *sched.Node) {
+	if n.IsLeaf() {
+		if n.Count == 1 {
+			b.WriteString(g.Actor(n.Actor).Name)
+			return
+		}
+		b.WriteByte('(')
+		b.WriteString(strconv.FormatInt(n.Count, 10))
+		b.WriteString(g.Actor(n.Actor).Name)
+		b.WriteByte(')')
+		return
+	}
+	if n.Count == 1 && len(n.Children) == 1 {
+		builderNode(b, g, n.Children[0])
+		return
+	}
+	b.WriteByte('(')
+	if n.Count != 1 {
+		b.WriteString(strconv.FormatInt(n.Count, 10))
+	}
+	for _, ch := range n.Children {
+		builderNode(b, g, ch)
+	}
+	b.WriteByte(')')
+}
+
+// TestStringMatchesBuilder: the measured, presized rendering equals the
+// strings.Builder one on Table 1 and a seeded randsdf sample, and on counts
+// of every decimal width, negative ones included.
+func TestStringMatchesBuilder(t *testing.T) {
+	graphs := systems.Table1Systems()
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 60; i++ {
+		graphs = append(graphs, randsdf.Graph(rng, randsdf.Config{Actors: 2 + rng.Intn(60), DelayProb: 0.2}))
+	}
+	var all []*sched.Schedule
+	for _, g := range graphs {
+		all = append(all, schedulesOf(t, g)...)
+	}
+	g := sdf.New("widths")
+	a, b := g.AddActor("A"), g.AddActor("Bee")
+	// Literal nodes, since Leaf and Loop reject counts below 1.
+	term := func(k int64) []*sched.Node {
+		return []*sched.Node{
+			{Count: k, Actor: a},
+			{Count: k, Children: []*sched.Node{{Count: k, Actor: b}, {Count: 1, Actor: a}}},
+		}
+	}
+	for c := int64(1); c <= math.MaxInt64/10; c *= 10 {
+		for _, k := range []int64{c - 1, c, c + 1, -c, 9 * c} {
+			all = append(all, &sched.Schedule{Graph: g, Body: term(k)})
+		}
+	}
+	for _, k := range []int64{math.MinInt64, math.MaxInt64} {
+		all = append(all, &sched.Schedule{Graph: g, Body: term(k)})
+	}
+	all = append(all, &sched.Schedule{Graph: g})
+	for _, s := range all {
+		if got, want := s.String(), builderString(s); got != want {
+			t.Fatalf("%s: String() = %q, builder rendering %q", s.Graph.Name, got, want)
+		}
+		// A measuring walk that came up short would make the appends grow
+		// the buffer again.
+		if n := testing.AllocsPerRun(1, func() { _ = s.String() }); n > 1 {
+			t.Fatalf("%s: String() %q allocates %v times, want once", s.Graph.Name, s.String(), n)
+		}
+	}
+	t.Logf("%d schedules render identically", len(all))
 }
 
 func BenchmarkString(b *testing.B) {
