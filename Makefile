@@ -152,5 +152,9 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLife$$' -fuzztime=$(FUZZTIME) ./internal/pass
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSched$$' -fuzztime=$(FUZZTIME) ./internal/pass
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeAlloc$$' -fuzztime=$(FUZZTIME) ./internal/pass
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeOrder$$' -fuzztime=$(FUZZTIME) ./internal/pass
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePartition$$' -fuzztime=$(FUZZTIME) ./internal/pass
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSegalloc$$' -fuzztime=$(FUZZTIME) ./internal/pass
+	$(GO) test -run='^$$' -fuzz='^FuzzAPGAN$$' -fuzztime=$(FUZZTIME) ./internal/apgan
 	$(GO) test -run='^$$' -fuzz='^FuzzParseFrame$$' -fuzztime=$(FUZZTIME) ./internal/nodestore
 	$(GO) test -run='^$$' -fuzz='^FuzzArtifactString$$' -fuzztime=$(FUZZTIME) ./internal/service

@@ -234,8 +234,11 @@ func Rebuild(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID, p int, assign
 		if assign[a] < 0 || assign[a] >= p {
 			return nil, fmt.Errorf("partition: actor %d assigned to worker %d of %d", a, assign[a], p)
 		}
-		if phaseOf[a] < 0 {
-			return nil, fmt.Errorf("partition: actor %d has negative phase %d", a, phaseOf[a])
+		// Phases are longest-path levels, so below n; build allocates one
+		// phase of p worker lists per level, so a corrupt phase must not
+		// reach it.
+		if phaseOf[a] < 0 || phaseOf[a] >= n {
+			return nil, fmt.Errorf("partition: actor %d has phase %d outside [0,%d)", a, phaseOf[a], n)
 		}
 	}
 	for _, e := range g.Edges() {

@@ -1,7 +1,9 @@
 package partition_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/partition"
@@ -173,6 +175,37 @@ func TestRebuildRejectsCorruption(t *testing.T) {
 	flat := make([]int, len(p.PhaseOf))
 	if _, err := partition.Rebuild(g, q, order, p.P, p.Assign, flat); err == nil {
 		t.Error("phase map violating precedence accepted")
+	}
+}
+
+// TestRebuildRejectsPhaseBeyondActors: phases are longest-path levels, so
+// every valid phase is below the actor count. A stored phase of n or more
+// must be rejected before the phase lists are allocated, one per phase: a
+// phase near 2^40 would otherwise ask for terabytes.
+func TestRebuildRejectsPhaseBeyondActors(t *testing.T) {
+	g := systems.SatelliteReceiver()
+	q, order := prep(t, g)
+	p, err := partition.Run(g, q, order, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumActors()
+	last := order[n-1] // a sink: raising its phase keeps every edge forward
+	for _, phase := range []int{n, 2 * n} {
+		phaseOf := append([]int(nil), p.PhaseOf...)
+		phaseOf[last] = phase
+		_, err := partition.Rebuild(g, q, order, p.P, p.Assign, phaseOf)
+		if err == nil {
+			t.Fatalf("phase %d of %d actors accepted", phase, n)
+		}
+		if want := fmt.Sprintf("phase %d outside [0,%d)", phase, n); !strings.Contains(err.Error(), want) {
+			t.Errorf("phase %d: error %q does not say %q", phase, err, want)
+		}
+	}
+	phaseOf := append([]int(nil), p.PhaseOf...)
+	phaseOf[last] = n - 1
+	if _, err := partition.Rebuild(g, q, order, p.P, p.Assign, phaseOf); err != nil {
+		t.Errorf("phase n-1 rejected: %v", err)
 	}
 }
 

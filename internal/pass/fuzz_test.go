@@ -2,6 +2,7 @@ package pass
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -211,4 +212,151 @@ func TestDecodeAllocsIndependentOfTermCount(t *testing.T) {
 		t.Errorf("decodeLife allocates %v times at 20 actors, %v at 150", smallLife, largeLife)
 	}
 	t.Logf("allocations per decode: schedule %v, lifetimes %v", largeSched, largeLife)
+}
+
+// orderAllocBound is what decoding an order payload may allocate for g: the
+// actor slice and its seen set.
+func orderAllocBound(g *sdf.Graph) uint64 {
+	return uint64(2*g.NumActors()*(8+1)) + allocSlack
+}
+
+// declaredWorkers reads the worker count a partition payload declares,
+// clamped to what decodePartition accepts; 1 if there is none.
+func declaredWorkers(data []byte) int {
+	v, n := binary.Varint(data)
+	if n <= 0 || v < 1 || v > maxPartitions {
+		return 1
+	}
+	return int(v)
+}
+
+// partitionAllocBound is what decoding a partition payload declaring p
+// workers may allocate for g: the assign and phase maps, one list of p
+// workers per phase (at most n phases, each below n), one block per actor
+// and the per-actor costs and per-worker loads.
+func partitionAllocBound(g *sdf.Graph, p int) uint64 {
+	n := g.NumActors()
+	return uint64(2*(2*n*8+n*(24+p*24)+2*n*16+n*8+p*8)) + allocSlack
+}
+
+// segallocAllocBound is what decoding a segalloc payload may allocate for g
+// under a p-worker partition: p+1 segments and, per edge, its routing,
+// offset, size and phase-axis interval with its name.
+func segallocAllocBound(g *sdf.Graph, p int) uint64 {
+	return uint64(2*((p+1)*24+g.NumEdges()*(8+8+8+8+96+64))) + allocSlack
+}
+
+// fuzzOrders returns g's repetitions and its RPMC and APGAN orders.
+func fuzzOrders(tb testing.TB, g *sdf.Graph) (Repetitions, []Order) {
+	tb.Helper()
+	rep, err := RunRepetitions(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var ords []Order
+	for _, s := range []OrderStrategy{RPMC, APGAN} {
+		ord, err := RunOrder(g, rep, s, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ords = append(ords, ord)
+	}
+	return rep, ords
+}
+
+// FuzzDecodeOrder is FuzzDecodeLife for the order decoder.
+func FuzzDecodeOrder(f *testing.F) {
+	g := fuzzGraph()
+	_, ords := fuzzOrders(f, g)
+	for _, ord := range ords {
+		f.Add(encodeOrder(ord))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{28, 0, 0})
+	bound := orderAllocBound(g)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ord Order
+		var err error
+		if n := allocatedBy(func() { ord, err = decodeOrder(g, data) }); n > bound {
+			t.Fatalf("decodeOrder allocated %d bytes, bound %d", n, bound)
+		}
+		if err != nil {
+			return
+		}
+		if got := encodeOrder(ord); !bytes.Equal(got, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
+		}
+	})
+}
+
+// FuzzDecodePartition is FuzzDecodeLife for the partition decoder, decoding
+// against the seeded graph's RPMC order. Its allocation may grow with the
+// worker count the payload declares, never with a phase or actor index.
+func FuzzDecodePartition(f *testing.F) {
+	g := fuzzGraph()
+	rep, ords := fuzzOrders(f, g)
+	ord := ords[0]
+	for _, p := range []int{2, 3, 4} {
+		part, err := RunPartition(g, rep, ord, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodePartition(part))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{4, 28, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var part Partition
+		var err error
+		bound := partitionAllocBound(g, declaredWorkers(data))
+		if n := allocatedBy(func() { part, err = decodePartition(g, rep, ord, data) }); n > bound {
+			t.Fatalf("decodePartition allocated %d bytes, bound %d", n, bound)
+		}
+		if err != nil {
+			return
+		}
+		if got := encodePartition(part); !bytes.Equal(got, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
+		}
+	})
+}
+
+// FuzzDecodeSegalloc is FuzzDecodeLife for the segmented-allocation
+// decoder, decoding against the seeded graph's 3-worker partition. Every
+// accepted buffer must also lie inside the stored image.
+func FuzzDecodeSegalloc(f *testing.F) {
+	g := fuzzGraph()
+	rep, ords := fuzzOrders(f, g)
+	part, err := RunPartition(g, rep, ords[0], 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seg, err := RunSegAlloc(g, rep, part)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeSegalloc(seg))
+	f.Add([]byte{})
+	f.Add([]byte{0, 8, 0, 0, 0, 2, 0, 0, 4, 0, 0, 1, 0, 0, 0})
+	bound := segallocAllocBound(g, part.Part.P)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got SegmentedAllocation
+		var err error
+		if n := allocatedBy(func() { got, err = decodeSegalloc(g, rep, part, data) }); n > bound {
+			t.Fatalf("decodeSegalloc allocated %d bytes, bound %d", n, bound)
+		}
+		if err != nil {
+			return
+		}
+		s := got.Seg
+		for e := range s.Offsets {
+			if s.Offsets[e] < 0 || s.Offsets[e]+s.Sizes[e] > s.Total {
+				t.Fatalf("accepted edge %d buffer at [%d,%d) outside a %d-cell image",
+					e, s.Offsets[e], s.Offsets[e]+s.Sizes[e], s.Total)
+			}
+		}
+		if out := encodeSegalloc(got); !bytes.Equal(out, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, out)
+		}
+	})
 }
