@@ -61,15 +61,17 @@ incremental:
 
 # parallel validates the partitioned runtime under the race detector: the
 # partition/segment suites (including the 200-graph phased-vs-sequential
-# differential), the barrier and parker package, the one executor per layer
-# that runs both the P=1 and the phased program (runtime and sim spawn real
-# worker goroutines every period at P>=2; the runtime's self-timed tests —
-# a producer that fails, panics or exits under a waiting consumer, and the
-# seeded-jitter differential — run in its package; codegen's emitters share
+# differential), the parker package, the one executor per layer that runs
+# both the P=1 and the phased program (the runtime spawns real worker
+# goroutines every period at P>=2 and its self-timed tests — a producer
+# that fails, panics or exits under a waiting consumer, and the
+# seeded-jitter differential — run in its package; sim runs the same
+# self-timed protocol on its caller's goroutine and stays in both legs, so
+# that a goroutine added to it is raced too; codegen's emitters share
 # their buffer, body and delay writers, gated by
 # TestThreadedCMatchesReference), the partition invariant and drain
 # oracles, and the fuzzer's partitioned grid sweep with its P=1
-# byte-identity check. The barrier and both executors run again at
+# byte-identity check. The parker and both executors run again at
 # GOMAXPROCS=1, where waiters park at once and more workers than Ps share
 # one P (-count=1: the test cache does not key on GOMAXPROCS).
 parallel:

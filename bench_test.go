@@ -283,7 +283,7 @@ func BenchmarkSimulatorVerify(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sim.Run(res.Schedule, res.Repetitions, res.Intervals, res.Best, 1); err != nil {
+		if err := sim.Run(res.Schedule, res.Intervals, res.Best, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

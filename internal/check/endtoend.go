@@ -21,7 +21,7 @@ import (
 // each period boundary. Scheduling, lifetime extraction and allocation must
 // all be right for this to pass.
 func Memory(res *core.Result, opt Options) error {
-	if err := sim.Run(res.Schedule, res.Repetitions, res.Intervals, res.Best, opt.simPeriods()); err != nil {
+	if err := sim.Run(res.Schedule, res.Intervals, res.Best, opt.simPeriods()); err != nil {
 		return violationf(StageMemory, "token-level", "%v", err)
 	}
 	return nil

@@ -42,7 +42,7 @@ func Partition(g *sdf.Graph, q sdf.Repetitions, p *partition.Partitioned) error 
 	}
 	seen := make([]int, g.NumActors())
 	for ph, phase := range p.Phases {
-		if len(phase.Workers) != p.P {
+		if len(phase.Workers) > p.P {
 			return violationf(StagePartition, "shape",
 				"phase %d has %d worker lists for %d workers", ph, len(phase.Workers), p.P)
 		}
@@ -287,12 +287,13 @@ func Drains(g *sdf.Graph, q sdf.Repetitions, p *partition.Partitioned, seg *part
 	return nil
 }
 
-// PhasedMemory runs the token-level phased simulator — P goroutines, a
-// barrier after every phase — against the segmented image for several
-// periods: token corruption or count drift here means the partitioning or
-// the segmented packing is wrong in a way the static rules missed.
+// PhasedMemory runs the token-level phased simulator — self-timed over the
+// program's links and drains, once per root worker, on the caller's
+// goroutine — against the segmented image for several periods: token
+// corruption, count drift or a deadlock here means the partitioning or the
+// segmented packing is wrong in a way the static rules missed.
 func PhasedMemory(res *core.Result, opt Options) error {
-	if err := sim.RunPhased(res.Graph, res.Repetitions, res.Partition, res.Segmented, opt.simPeriods()); err != nil {
+	if err := sim.RunPhased(res.Graph, res.Partition, res.Segmented, opt.simPeriods()); err != nil {
 		return violationf(StageSegments, "token-level", "%v", err)
 	}
 	return nil

@@ -77,9 +77,13 @@ func containsSubstring(s, sub string) bool {
 }
 
 // movePartitionBlock consistently relocates one actor's firing block to
-// (phase, worker): block lists and both maps stay in agreement, so only the
-// edge-level rules can object to the result.
+// (phase, worker), giving the phase a list for that worker if it was idle:
+// block lists and both maps stay in agreement, so only the edge-level rules
+// can object to the result.
 func movePartitionBlock(p *partition.Partitioned, a sdf.ActorID, phase, worker int) {
+	for len(p.Phases[phase].Workers) <= worker {
+		p.Phases[phase].Workers = append(p.Phases[phase].Workers, nil)
+	}
 	oldPh, oldW := p.PhaseOf[a], p.Assign[a]
 	list := p.Phases[oldPh].Workers[oldW]
 	for i, blk := range list {

@@ -34,9 +34,10 @@ var CtxLeak = &Analyzer{
 	Packages: []string{
 		"internal/service", "internal/service/metrics", "internal/load", "internal/par",
 		"internal/cluster",
-		// The phased engine and simulator spawn one goroutine per worker
-		// every period; each must be joined at the phase barrier or the
-		// period's WaitGroup.
+		// The phased engine spawns one goroutine per worker every period,
+		// joined at the period's WaitGroup. The simulator runs on its
+		// caller's goroutine; it stays in scope so that a go statement
+		// added there is checked too.
 		"internal/partition", "internal/runtime", "internal/sim",
 	},
 	RunModule: runCtxLeak,

@@ -1,32 +1,31 @@
 // Package partition turns a compiled uniprocessor schedule into a
-// deterministic P-way phased schedule for the barrier-synchronized parallel
-// runtime: actors are leveled over the precedence graph (longest path), each
-// level becomes one barrier-delimited phase, and a list heuristic with a
-// load-balance cost model assigns actors to workers. Within one phase a
-// worker fires each of its actors for its full repetitions count; between
-// phases every worker passes a barrier, so a cross-worker edge is always
-// written in one phase and read in a strictly later one — the
-// write-then-barrier-then-read discipline the per-segment allocation
-// (segment.go) and the barrier-phased executors (internal/sim,
-// internal/codegen) rely on. Program (program.go) is the one executable form
-// all executors run, the sequential schedule being its P=1 case; at P>=2 it
-// also carries the cross-worker links and shared-segment drains that let
-// internal/runtime drop the barriers and keep only the waits that phase
-// order implies.
+// deterministic P-way phased schedule: actors are leveled over the
+// precedence graph (longest path), each level becomes one phase, and a list
+// heuristic with a load-balance cost model assigns actors to workers.
+// Within one phase a worker fires each of its actors for its full
+// repetitions count, so a cross-worker edge is always written in one phase
+// and read in a strictly later one, the order the per-segment allocation
+// (segment.go) relies on. Program (program.go) is the one executable form
+// all executors run, the sequential schedule being its P=1 case. At P>=2 it
+// carries the cross-worker links and shared-segment drains by which the
+// self-timed executors (internal/runtime, internal/sim) keep that order
+// with no barrier; only the threaded C of internal/codegen still passes a
+// barrier after every phase.
 //
 // Two structural invariants hold by construction and are re-checked by
 // internal/check:
 //
 //   - Every precedence edge strictly crosses phases (level(dst) > level(src)),
-//     so a consumer's phase starts only after its producers' phase's barrier.
+//     so a consumer's phase follows all of its producers' phases.
 //   - Actors joined by a same-level edge are clustered onto one worker
 //     (union-find), so every same-phase edge is intra-worker and its FIFO
-//     bookkeeping is touched by exactly one goroutine per phase.
+//     bookkeeping is touched by one worker only.
 //
 // Delay-broken edges (delay >= total consumed per period) never impose
 // precedence: their consumer can fire a whole period on initial tokens, so
 // they may stay inside a level or even point "backward" across levels; either
-// way their endpoint firings are barrier- or worker-ordered.
+// way their endpoint firings are ordered by a link or by one worker's
+// program order.
 package partition
 
 import (
@@ -45,9 +44,9 @@ type Block struct {
 	Count int64
 }
 
-// Phase is one barrier-delimited step: Workers[w] holds worker w's firing
-// blocks, executed in order. All workers run their lists concurrently; the
-// phase ends when every worker reaches the barrier.
+// Phase is one step of the phased schedule: Workers[w] holds worker w's
+// firing blocks, executed in order. Workers past the last one that holds an
+// actor fire nothing and have no list.
 type Phase struct {
 	Workers [][]Block
 }
@@ -58,7 +57,7 @@ type Phase struct {
 type Partitioned struct {
 	// P is the worker count (>= 1).
 	P int
-	// NumPhases is the number of barrier-delimited phases.
+	// NumPhases is the number of phases.
 	NumPhases int
 	// Assign maps each actor to its worker in [0, P).
 	Assign []int
@@ -67,7 +66,7 @@ type Partitioned struct {
 	// Phases holds the per-phase, per-worker firing blocks.
 	Phases []Phase
 	// Load is the summed firing cost per worker (the list heuristic's
-	// balance objective).
+	// balance objective), up to the last worker that holds an actor.
 	Load []int64
 }
 
@@ -82,6 +81,9 @@ func (p *Partitioned) String() string {
 		if l > hi {
 			hi = l
 		}
+	}
+	if len(p.Load) < p.P {
+		lo = 0 // the workers past Load are idle
 	}
 	return fmt.Sprintf("P=%d phases=%d load=[%d..%d]", p.P, p.NumPhases, lo, hi)
 }
@@ -263,17 +265,17 @@ func Rebuild(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID, p int, assign
 // position sequence inside each worker's per-phase list, which fixes the
 // firing order completely.
 func build(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID, p int, assign, phaseOf []int, cost []int64) (*Partitioned, error) {
-	numPhases := 0
-	for _, ph := range phaseOf {
-		if ph+1 > numPhases {
-			numPhases = ph + 1
-		}
+	numPhases, busy := 0, 0
+	for a, ph := range phaseOf {
+		numPhases, busy = max(numPhases, ph+1), max(busy, assign[a]+1)
 	}
+	// Only the workers up to the last busy one get phase lists and loads,
+	// so the graph, not the worker count, bounds what a decode allocates.
 	phases := make([]Phase, numPhases)
 	for i := range phases {
-		phases[i].Workers = make([][]Block, p)
+		phases[i].Workers = make([][]Block, busy)
 	}
-	load := make([]int64, p)
+	load := make([]int64, busy)
 	var err error
 	for _, a := range order {
 		ph, w := phaseOf[a], assign[a]

@@ -15,13 +15,13 @@ import (
 // worker, a list of schedule terms fired in order, plus the layout of every
 // edge buffer in one memory image. The sequential schedule is the P=1 case
 // (one phase whose single worker runs the looped schedule body); a phased
-// partitioning gives one leaf term per firing block. A barrier-phased
-// executor passes a barrier between consecutive phases; a self-timed one
-// runs each worker's phases back to back and orders cross-worker traffic
-// by Links and Drains alone.
+// partitioning gives one leaf term per firing block. The self-timed
+// executors (internal/runtime, internal/sim) run each worker's phases back
+// to back and order cross-worker traffic by Links and Drains alone; only
+// the threaded C passes a barrier between consecutive phases.
 type Program struct {
-	// P is the worker count. At P=1 executors run on the caller's
-	// goroutine.
+	// P is the worker count. At P=1 the runtime runs on the caller's
+	// goroutine; the simulator does at every P.
 	P int
 	// Phases[ph][w] holds worker w's terms for phase ph.
 	Phases [][][]*sched.Node
@@ -40,10 +40,11 @@ type Program struct {
 }
 
 // Link is a cross-worker edge of a phased program. Its consumer may read a
-// token as soon as the producer has published it, not only after a
-// barrier: the buffer holds a whole period's tokens plus the delay, so the
-// producer has to wait for room only when more than the delay was queued
-// at the start of the period and its consumer runs in an earlier phase.
+// token as soon as the producer has published it, not only once the
+// producer's phase is over: the buffer holds a whole period's tokens plus
+// the delay, so the producer has to wait for room only when more than the
+// delay was queued at the start of the period and its consumer runs in an
+// earlier phase.
 type Link struct {
 	Edge sdf.EdgeID
 	// Src and Dst are the producing and consuming workers, SrcPhase and
@@ -57,11 +58,10 @@ type Link struct {
 }
 
 // Ahead reports whether the producer fires in an earlier phase than the
-// consumer, so that a barrier-phased run would hand the consumer every
-// token of the period: the consumer then waits on the producer's writes.
-// Otherwise the consumer runs on the tokens present when the period
-// starts, and the producer waits on the consumer's reads before it reuses
-// their cells.
+// consumer, so that the consumer may count on every token of the period:
+// it then waits on the producer's writes. Otherwise the consumer runs on
+// the tokens present when the period starts, and the producer waits on the
+// consumer's reads before it reuses their cells.
 func (l *Link) Ahead() bool { return l.SrcPhase < l.DstPhase }
 
 // Layout places every edge buffer inside a memory image of Total cells.
@@ -119,8 +119,8 @@ func Phased(g *sdf.Graph, part *Partitioned, seg *SegAlloc) (*Program, error) {
 	phases := make([][][]*sched.Node, len(part.Phases))
 	fired := make([]int64, g.NumActors())
 	for ph, phase := range part.Phases {
-		if len(phase.Workers) != part.P {
-			return nil, fmt.Errorf("partition: phase %d has %d workers, want %d", ph, len(phase.Workers), part.P)
+		if len(phase.Workers) > part.P {
+			return nil, fmt.Errorf("partition: phase %d has %d workers, want at most %d", ph, len(phase.Workers), part.P)
 		}
 		phases[ph] = make([][]*sched.Node, part.P)
 		for w, blocks := range phase.Workers {

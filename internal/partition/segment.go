@@ -112,8 +112,9 @@ func EdgeIntervals(g *sdf.Graph, q sdf.Repetitions, part *Partitioned) ([]*lifet
 // phase-axis intervals. Intra-worker edges (both endpoints on one worker)
 // go to that worker's private segment; everything else goes to the shared
 // segment. Buffers sharing cells within a segment never overlap in phase
-// time, so with barrier-separated phases the packing is race-free; without
-// barriers, Program.Drains orders the shared segment's cross-worker reuse.
+// time: a barrier after every phase (the threaded C) makes that packing
+// race-free, and in the self-timed executors Program.Drains orders the
+// shared segment's cross-worker reuse.
 func Allocate(g *sdf.Graph, q sdf.Repetitions, part *Partitioned) (*SegAlloc, error) {
 	ivs, sizes, err := EdgeIntervals(g, q, part)
 	if err != nil {

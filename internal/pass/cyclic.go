@@ -240,7 +240,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 		if periods <= 0 {
 			periods = 2
 		}
-		if err := sim.Run(full, q, intervals, res.Best, periods); err != nil {
+		if err := sim.Run(full, intervals, res.Best, periods); err != nil {
 			return nil, fmt.Errorf("core: cyclic verification failed: %w", err)
 		}
 	}

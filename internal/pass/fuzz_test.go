@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -220,23 +221,14 @@ func orderAllocBound(g *sdf.Graph) uint64 {
 	return uint64(2*g.NumActors()*(8+1)) + allocSlack
 }
 
-// declaredWorkers reads the worker count a partition payload declares,
-// clamped to what decodePartition accepts; 1 if there is none.
-func declaredWorkers(data []byte) int {
-	v, n := binary.Varint(data)
-	if n <= 0 || v < 1 || v > maxPartitions {
-		return 1
-	}
-	return int(v)
-}
-
-// partitionAllocBound is what decoding a partition payload declaring p
-// workers may allocate for g: the assign and phase maps, one list of p
-// workers per phase (at most n phases, each below n), one block per actor
-// and the per-actor costs and per-worker loads.
-func partitionAllocBound(g *sdf.Graph, p int) uint64 {
+// partitionAllocBound is what decoding a partition payload may allocate
+// for g, whatever worker count it declares: the assign and phase maps, at
+// most n phases each listing at most n workers (those up to the last one
+// that holds an actor), one block per actor, and the per-actor costs and
+// per-worker loads.
+func partitionAllocBound(g *sdf.Graph) uint64 {
 	n := g.NumActors()
-	return uint64(2*(2*n*8+n*(24+p*24)+2*n*16+n*8+p*8)) + allocSlack
+	return uint64(2*(2*n*8+n*(24+n*24)+2*n*16+n*8+n*8)) + allocSlack
 }
 
 // segallocAllocBound is what decoding a segalloc payload may allocate for g
@@ -290,8 +282,9 @@ func FuzzDecodeOrder(f *testing.F) {
 }
 
 // FuzzDecodePartition is FuzzDecodeLife for the partition decoder, decoding
-// against the seeded graph's RPMC order. Its allocation may grow with the
-// worker count the payload declares, never with a phase or actor index.
+// against the seeded graph's RPMC order. Its allocation is bounded by the
+// graph, never by the worker count the payload declares or by a phase or
+// actor index.
 func FuzzDecodePartition(f *testing.F) {
 	g := fuzzGraph()
 	rep, ords := fuzzOrders(f, g)
@@ -305,10 +298,10 @@ func FuzzDecodePartition(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{4, 28, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	bound := partitionAllocBound(g)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var part Partition
 		var err error
-		bound := partitionAllocBound(g, declaredWorkers(data))
 		if n := allocatedBy(func() { part, err = decodePartition(g, rep, ord, data) }); n > bound {
 			t.Fatalf("decodePartition allocated %d bytes, bound %d", n, bound)
 		}
@@ -319,6 +312,36 @@ func FuzzDecodePartition(f *testing.F) {
 			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
 		}
 	})
+}
+
+// TestDecodePartitionManyWorkers: a real partition payload rewritten to
+// declare 65 536 workers decodes to the same actor placement with idle
+// workers past the busy ones, and within the graph's allocation bound, not
+// one list per declared worker and phase.
+func TestDecodePartitionManyWorkers(t *testing.T) {
+	g := fuzzGraph()
+	rep, ords := fuzzOrders(t, g)
+	part, err := RunPartition(g, rep, ords[0], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n := binary.Varint(encodePartition(part))
+	data := append(binary.AppendVarint(nil, maxPartitions), encodePartition(part)[n:]...)
+	var got Partition
+	if alloc := allocatedBy(func() { got, err = decodePartition(g, rep, ords[0], data) }); alloc > partitionAllocBound(g) {
+		t.Fatalf("decodePartition allocated %d bytes for %d workers, bound %d", alloc, maxPartitions, partitionAllocBound(g))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Part.P != maxPartitions || !slices.Equal(got.Part.Assign, part.Part.Assign) ||
+		len(got.Part.Phases[0].Workers) != len(part.Part.Phases[0].Workers) {
+		t.Errorf("decoded P=%d with %d worker lists, want P=%d with %d", got.Part.P,
+			len(got.Part.Phases[0].Workers), maxPartitions, len(part.Part.Phases[0].Workers))
+	}
+	if !bytes.Equal(encodePartition(got), data) {
+		t.Error("the decoded partition re-encodes differently")
+	}
 }
 
 // FuzzDecodeSegalloc is FuzzDecodeLife for the segmented-allocation

@@ -245,11 +245,11 @@ func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitio
 		if periods <= 0 {
 			periods = 2
 		}
-		if err := sim.Run(ls.Schedule, rep.Q, lf.Intervals, res.Best, periods); err != nil {
+		if err := sim.Run(ls.Schedule, lf.Intervals, res.Best, periods); err != nil {
 			return nil, fmt.Errorf("core: verification failed: %w", err)
 		}
 		if res.Partition != nil {
-			if err := sim.RunPhased(g, rep.Q, res.Partition, res.Segmented, periods); err != nil {
+			if err := sim.RunPhased(g, res.Partition, res.Segmented, periods); err != nil {
 				return nil, fmt.Errorf("core: phased verification failed: %w", err)
 			}
 		}

@@ -282,7 +282,7 @@ func (e *Engine) write(st *edgeState, v float64) {
 // caller's goroutine; otherwise it spawns P workers and joins them before
 // returning. A worker that fails stops firing and publishes that it has
 // stopped, so a wait on it that can now never be met fails with the
-// underflow or overflow error a barrier-phased run raises at that firing,
+// underflow or overflow error of a firing whose tokens or room fall short,
 // and the lowest-indexed worker's error is returned. A Fire that panics at
 // P>=2 fails its worker the same way, and after the join RunPeriod
 // re-panics on the caller's goroutine with the lowest-indexed panicking
@@ -511,11 +511,10 @@ func (st *edgeState) reserve(eid sdf.EdgeID) error {
 }
 
 // take reads one firing's tokens from a cross-worker edge into vals,
-// waiting for the producer's writes when it runs in an earlier phase. A
-// barrier-phased run would hand this firing all of the period's writes in
-// that case and none otherwise; when that would not be enough, or the
-// producer stops short, the firing fails with the underflow error that run
-// raises here.
+// waiting for the producer's writes when it runs in an earlier phase. The
+// firing may count on all of the period's writes in that case and on none
+// otherwise; when that is not enough, or the producer stops short, it fails
+// with an underflow error.
 func (e *Engine) take(st *edgeState, eid sdf.EdgeID, vals []float64) error {
 	l, c := st.link, &st.link.cons
 	if need := c.moved + st.cons - l.count0; need > c.seen {
@@ -547,10 +546,9 @@ func (e *Engine) take(st *edgeState, eid sdf.EdgeID, vals []float64) error {
 // holds the delay plus the period's tokens, so a write needs the
 // consumer's reads only when more than the delay was queued at the start
 // of the period (Push); it then waits for them when the consumer runs in
-// an earlier phase. A barrier-phased run would have seen every read of the period in
-// that case and none otherwise; when that would not make room, or the
-// consumer stops short, the firing fails with the overflow error that run
-// raises here.
+// an earlier phase. The firing may count on every read of the period in
+// that case and on none otherwise; when that does not make room, or the
+// consumer stops short, it fails with an overflow error.
 func (e *Engine) give(st *edgeState, eid sdf.EdgeID, vals []float64, fill float64) error {
 	l, p := st.link, &st.link.prod
 	if need := l.count0 + p.moved + st.prod - l.size; need > p.seen {

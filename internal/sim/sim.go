@@ -2,22 +2,22 @@
 // concrete shared-memory allocation and verifies that the combination is
 // safe: no firing ever writes into cells owned by another live buffer, every
 // consumed token carries exactly the value that was produced, and every edge
-// returns to its initial state at the period boundary.
+// returns to its initial state at the period boundary. It is the end-to-end
+// correctness oracle for the whole compiler pipeline.
 //
-// It is the end-to-end correctness oracle for the whole compiler pipeline:
-// scheduling, lifetime extraction and storage allocation must all be right
-// for a multi-period run to pass. Sequential and phased systems run as one
-// partition.Program; the sequential one is its P=1 case.
+// A system runs as a partition.Program (the sequential one is its P=1 case)
+// on the caller's goroutine, self-timed: a firing waits where
+// internal/runtime's does by advancing the worker that owns the count until
+// the count holds. One run per root worker fires it as early as its waits
+// allow and the others only as far as they demand, so two accesses to one
+// cell that no chain of waits orders run both ways.
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/lifetime"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/sdf"
@@ -27,8 +27,7 @@ import (
 // memory image laid out by the allocation. intervals must be indexed by edge
 // ID (as produced by schedtree.Lifetimes) and each must have a placement in
 // the allocation. It returns the first safety violation found, or nil.
-func Run(s *sched.Schedule, q sdf.Repetitions, intervals []*lifetime.Interval,
-	a *alloc.Allocation, periods int) error {
+func Run(s *sched.Schedule, intervals []*lifetime.Interval, a *alloc.Allocation, periods int) error {
 	prog, err := partition.Sequential(s, intervals, a)
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -36,17 +35,11 @@ func Run(s *sched.Schedule, q sdf.Repetitions, intervals []*lifetime.Interval,
 	return run(s.Graph, prog, periods)
 }
 
-// RunPhased executes a phased partitioned schedule on P goroutines against
-// the segmented allocation and verifies the same token properties as Run.
-// Workers synchronize on a cyclic barrier between phases, so all
-// cross-worker buffer traffic is write-then-barrier-then-read; the
-// verification therefore also catches partitioning bugs (a same-phase
-// cross-worker edge, a shared buffer packed over a still-live neighbour) as
-// value corruption or count drift. The verdict is deterministic: a worker
-// that fails keeps joining every barrier so the others drain normally, and
-// the lowest-indexed worker's error is reported.
-func RunPhased(g *sdf.Graph, q sdf.Repetitions, part *partition.Partitioned,
-	seg *partition.SegAlloc, periods int) error {
+// RunPhased executes a phased partitioned schedule against the segmented
+// allocation and verifies the same properties as Run: partitioning bugs (a
+// same-phase cross-worker edge, a buffer packed over a live neighbour, a
+// missing drain) show as value corruption, count drift or a deadlock.
+func RunPhased(g *sdf.Graph, part *partition.Partitioned, seg *partition.SegAlloc, periods int) error {
 	prog, err := partition.Phased(g, part, seg)
 	if err != nil {
 		return fmt.Errorf("sim: phased: %w", err)
@@ -54,15 +47,27 @@ func RunPhased(g *sdf.Graph, q sdf.Repetitions, part *partition.Partitioned,
 	return run(g, prog, periods)
 }
 
-// state is the memory image of one run. The cell-ownership ledger (owner)
-// exists only at P=1, where a single goroutine makes its claims exact; at
-// P>=2 segments make private traffic disjoint by construction and the unique
-// token values turn any cross-buffer clobbering into a read mismatch.
+// DeadlockError reports a wait that is never met: worker Waiter waits on a
+// count of Edge that Owner advances, and Owner, through a chain, on Waiter.
+type DeadlockError struct {
+	Waiter, Owner int
+	Edge          sdf.EdgeID
+}
+
+func (e *DeadlockError) Error() string {
+	return fmt.Sprintf("deadlock: worker %d waits on worker %d over edge %d", e.Waiter, e.Owner, e.Edge)
+}
+
+// state is the memory image of one run. Its cell-ownership ledger (owner)
+// exists only at P=1, where program order makes it exact; at P>=2 segments
+// keep private traffic disjoint and unique token values expose clobbering.
 type state struct {
-	g     *sdf.Graph
-	mem   []int64
-	owner []int // edge ID owning each cell, -1 when free; nil without a ledger
-	edges []edgeState
+	g      *sdf.Graph
+	prog   *partition.Program
+	mem    []int64
+	owner  []int // edge ID + 1 owning each cell, 0 when free; nil without a ledger
+	edges  []edgeState
+	cursor []cursor // per worker
 }
 
 type edgeState struct {
@@ -71,129 +76,181 @@ type edgeState struct {
 	count         int64
 	writes, reads int64 // absolute token counters
 	live          bool
+	// link is the edge's cross-worker link (nil on one worker); count0,
+	// writes0 and reads0 are its counters at the period start.
+	link                    *partition.Link
+	count0, writes0, reads0 int64
 }
 
+// cursor is a worker's phase, term and firings done in that term; busy while it fires.
+type cursor struct {
+	ph, term int
+	done     int64
+	busy     bool
+}
+
+// run simulates prog once per root worker. prog comes from a partition
+// constructor: its Links and Drains may be wrong in content, not in range.
 func run(g *sdf.Graph, prog *partition.Program, periods int) error {
-	st := &state{
-		g:     g,
-		mem:   make([]int64, prog.Total),
-		edges: make([]edgeState, g.NumEdges()),
-	}
-	if prog.P == 1 {
-		st.owner = make([]int, prog.Total)
-		for i := range st.owner {
-			st.owner[i] = -1
+	for root := 0; root < prog.P; root++ {
+		st := &state{g: g, prog: prog, cursor: make([]cursor, prog.P)}
+		if err := st.run(root, periods); err != nil {
+			return fmt.Errorf("sim: %w", err)
 		}
 	}
-	for _, e := range g.Edges() {
+	return nil
+}
+
+// run seeds the delays and fires every period: worker root first, then the
+// others in turn from root+1, each to the end of its period.
+func (st *state) run(root, periods int) error {
+	st.mem, st.edges = make([]int64, st.prog.Total), make([]edgeState, st.g.NumEdges())
+	if st.prog.P == 1 {
+		st.owner = make([]int, st.prog.Total)
+	}
+	for i, l := range st.prog.Links {
+		st.edges[l.Edge].link = &st.prog.Links[i]
+	}
+	for _, e := range st.g.Edges() {
 		es := &st.edges[e.ID]
-		es.offset, es.size = prog.Offsets[e.ID], prog.Sizes[e.ID]
+		es.offset, es.size = st.prog.Offsets[e.ID], st.prog.Sizes[e.ID]
 		es.words = max(e.Words, 1)
 		es.count = e.Delay
-		if e.Delay > 0 {
+		for i := int64(0); i < e.Delay; i++ {
 			if err := st.claim(e.ID); err != nil {
-				return fmt.Errorf("sim: seeding delays: %w", err)
+				return fmt.Errorf("seeding delays: %w", err)
 			}
-			for i := int64(0); i < e.Delay; i++ {
-				es.write(st.mem, tokenValue(e.ID, es.writes))
-			}
+			es.write(st.mem, tokenValue(e.ID, es.writes))
 		}
-	}
-	var bar *par.Barrier
-	errs := make([]error, prog.P)
-	if prog.P > 1 {
-		bar = par.NewBarrier(prog.P)
 	}
 	for p := 0; p < periods; p++ {
-		if prog.P == 1 {
-			errs[0] = st.runWorker(prog, bar, p, 0)
-		} else {
-			var wg sync.WaitGroup
-			for w := range errs {
-				wg.Add(1)
-				// p goes in as an argument: captured, the loop variable
-				// would cost an allocation each period, also at P=1.
-				go func(p, w int) {
-					defer wg.Done()
-					errs[w] = errGoexit // stays set only if runWorker never returns
-					errs[w] = st.runWorker(prog, bar, p, w)
-				}(p, w)
-			}
-			wg.Wait()
+		for i := range st.edges {
+			es := &st.edges[i]
+			es.count0, es.writes0, es.reads0 = es.count, es.writes, es.reads
 		}
-		for _, err := range errs {
-			if err != nil {
-				return err
+		clear(st.cursor)
+		for i := range st.cursor {
+			w := (root + i) % len(st.cursor)
+			for st.next(w) != nil {
+				if err := st.step(w); err != nil {
+					return fmt.Errorf("period %d: %w", p, err)
+				}
 			}
 		}
-		// Period boundary invariants (workers are joined; no races).
-		for _, e := range g.Edges() {
+		for _, e := range st.g.Edges() {
 			if es := &st.edges[e.ID]; es.count != e.Delay {
-				return fmt.Errorf("sim: period %d: edge %d ends with %d tokens, want %d",
-					p, e.ID, es.count, e.Delay)
+				return fmt.Errorf("period %d: edge %d ends with %d tokens, want %d", p, e.ID, es.count, e.Delay)
 			}
 		}
 	}
 	return nil
 }
 
-// errGoexit reports a worker whose goroutine exited (runtime.Goexit) in the
-// middle of a period.
-var errGoexit = errors.New("sim: a worker goroutine called runtime.Goexit")
-
-// runWorker fires worker w's terms phase by phase for one period, joining
-// the barrier between phases (the join in run orders the last phase). With
-// a barrier, a failed worker stops firing (its local state is suspect), and
-// every early exit — an error or a Goexit unwinding through it — arrives at
-// the remaining barriers on the way out, so the other workers complete.
-func (st *state) runWorker(prog *partition.Program, bar *par.Barrier, period, w int) error {
-	last := len(prog.Phases) - 1
-	ph := 0
-	if bar != nil {
-		defer func() {
-			for ; ph < last; ph++ {
-				bar.Await()
+// next returns worker w's current term, or nil once its period is done.
+func (st *state) next(w int) *sched.Node {
+	for c := &st.cursor[w]; c.ph < len(st.prog.Phases); c.ph, c.term = c.ph+1, 0 {
+		for terms := st.prog.Phases[c.ph][w]; c.term < len(terms); c.term, c.done = c.term+1, 0 {
+			if c.done < terms[c.term].Count {
+				return terms[c.term]
 			}
-		}()
-	}
-	for ; ph <= last; ph++ {
-		if err := st.runTerms(prog.Phases[ph][w]); err != nil {
-			return fmt.Errorf("sim: period %d phase %d worker %d: %w", period, ph, w, err)
-		}
-		if bar != nil && ph < last {
-			bar.Await()
 		}
 	}
 	return nil
 }
 
-func (st *state) runTerms(terms []*sched.Node) error {
-	for _, n := range terms {
-		for i := int64(0); i < n.Count; i++ {
-			var err error
-			if n.IsLeaf() {
-				err = st.fire(n.Actor)
-			} else {
-				err = st.runTerms(n.Children)
+// step makes one iteration of worker w's current term. Its error names each
+// firing on the chain of waits that led to it.
+func (st *state) step(w int) error {
+	c := &st.cursor[w]
+	c.busy = true
+	err := st.fire(w, st.next(w))
+	c.busy = false
+	if err != nil {
+		return fmt.Errorf("phase %d worker %d: %w", c.ph, w, err)
+	}
+	c.done++
+	return nil
+}
+
+// await advances worker owner until *count reaches want or owner's period
+// is done; waiter waits on edge eid. A busy owner waits, further up this
+// chain, on the waiter: a deadlock.
+func (st *state) await(waiter, owner int, eid sdf.EdgeID, count *int64, want int64) error {
+	for *count < want && st.next(owner) != nil {
+		if st.cursor[owner].busy {
+			return &DeadlockError{Waiter: waiter, Owner: owner, Edge: eid}
+		}
+		if err := st.step(owner); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cross makes worker w wait where internal/runtime's take and give do before
+// it moves n tokens on edge eid's link: a consumer (in) for writes beyond
+// the tokens queued at the period start, a producer for reads when it needs
+// room, each only on an earlier phase, and fails as the runtime does.
+func (st *state) cross(w int, eid sdf.EdgeID, in bool, n int64) error {
+	es := &st.edges[eid]
+	l := es.link
+	if l == nil {
+		return nil
+	}
+	read, written, capacity := es.reads-es.reads0, es.writes-es.writes0, es.size/es.words
+	owner, count, base, need := l.Src, &es.writes, es.writes0, read+n-es.count0
+	if !in {
+		owner, count, base, need = l.Dst, &es.reads, es.reads0, es.count0+written+n-capacity
+	}
+	var have int64
+	if in == l.Ahead() {
+		have = l.Tokens
+	}
+	if need > 0 && need <= have {
+		if err := st.await(w, owner, eid, count, base+need); err != nil {
+			return err
+		}
+		have = *count - base
+	}
+	if need > have && in {
+		return fmt.Errorf("edge %d underflow: have %d, need %d", eid, es.count0+have-read, n)
+	} else if need > have {
+		return fmt.Errorf("edge %d overflow: count %d + %d > capacity %d", eid, es.count0+written-have, n, capacity)
+	}
+	return nil
+}
+
+// fire makes one iteration of term n on worker w. A firing waits for its
+// drains to be read in full, consumes its inputs, then produces outputs.
+func (st *state) fire(w int, n *sched.Node) error {
+	if !n.IsLeaf() {
+		for _, c := range n.Children {
+			for i := int64(0); i < c.Count; i++ {
+				if err := st.fire(w, c); err != nil {
+					return err
+				}
 			}
-			if err != nil {
+		}
+		return nil
+	}
+	g, actor := st.g, n.Actor
+	for _, eid := range g.Out(actor) {
+		if st.prog.Drains == nil {
+			break
+		}
+		for _, d := range st.prog.Drains[eid] {
+			ds := &st.edges[d]
+			if err := st.await(w, ds.link.Dst, d, &ds.reads, ds.reads0+ds.link.Tokens); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
-}
-
-// fire executes one firing of an actor: consume from all inputs, then
-// produce on all outputs. At P>=2 each edge's bookkeeping is touched by at
-// most one goroutine per phase (same-phase edges are intra-worker by
-// construction) and cross-phase access is ordered by the barrier, so the
-// plain field updates are race-free.
-func (st *state) fire(actor sdf.ActorID) error {
-	g := st.g
 	for _, eid := range g.In(actor) {
 		e := g.Edge(eid)
 		es := &st.edges[eid]
+		if err := st.cross(w, eid, true, e.Cons); err != nil {
+			return err
+		}
 		if es.count < e.Cons {
 			return fmt.Errorf("actor %s consumes %d from edge %d holding %d",
 				g.Actor(actor).Name, e.Cons, eid, es.count)
@@ -211,6 +268,9 @@ func (st *state) fire(actor sdf.ActorID) error {
 	for _, eid := range g.Out(actor) {
 		e := g.Edge(eid)
 		es := &st.edges[eid]
+		if err := st.cross(w, eid, false, e.Prod); err != nil {
+			return err
+		}
 		if err := st.claim(eid); err != nil {
 			return fmt.Errorf("actor %s producing on edge %d: %w", g.Actor(actor).Name, eid, err)
 		}
@@ -256,20 +316,19 @@ func tokenValue(e sdf.EdgeID, n int64) int64 {
 }
 
 // claim makes an edge's buffer live in the ownership ledger, failing if a
-// cell is still owned by another live buffer. Without a ledger it does
-// nothing.
+// cell is still owned by another live buffer; without a ledger, a no-op.
 func (st *state) claim(eid sdf.EdgeID) error {
 	es := &st.edges[eid]
 	if st.owner == nil || es.live {
 		return nil
 	}
 	for c := es.offset; c < es.offset+es.size; c++ {
-		if o := st.owner[c]; o != -1 && o != int(eid) {
-			return fmt.Errorf("buffer %d becoming live would clobber cell %d owned by buffer %d", eid, c, o)
+		if o := st.owner[c]; o != 0 && o != int(eid)+1 {
+			return fmt.Errorf("buffer %d becoming live would clobber cell %d owned by buffer %d", eid, c, o-1)
 		}
 	}
 	for c := es.offset; c < es.offset+es.size; c++ {
-		st.owner[c] = int(eid)
+		st.owner[c] = int(eid) + 1
 	}
 	es.live = true
 	return nil
@@ -282,8 +341,8 @@ func (st *state) release(eid sdf.EdgeID) {
 		return
 	}
 	for c := es.offset; c < es.offset+es.size; c++ {
-		if st.owner[c] == int(eid) {
-			st.owner[c] = -1
+		if st.owner[c] == int(eid)+1 {
+			st.owner[c] = 0
 		}
 	}
 	es.live = false

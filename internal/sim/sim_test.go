@@ -3,10 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	goruntime "runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/lifetime"
@@ -19,7 +17,7 @@ import (
 
 // pipeline compiles a schedule down to lifetimes + allocation for testing.
 func pipeline(t *testing.T, g *sdf.Graph, text string, strat alloc.Strategy) (
-	*sched.Schedule, sdf.Repetitions, []*lifetime.Interval, *alloc.Allocation) {
+	*sched.Schedule, []*lifetime.Interval, *alloc.Allocation) {
 	t.Helper()
 	q, err := g.Repetitions()
 	if err != nil {
@@ -41,7 +39,7 @@ func pipeline(t *testing.T, g *sdf.Graph, text string, strat alloc.Strategy) (
 	if err := a.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	return s, q, ivs, a
+	return s, ivs, a
 }
 
 func TestRunChain(t *testing.T) {
@@ -52,8 +50,8 @@ func TestRunChain(t *testing.T) {
 	g.AddEdge(a, b, 2, 1, 0)
 	g.AddEdge(b, c, 1, 3, 0)
 	for _, text := range []string{"(3A)(6B)(2C)", "(3A(2B))(2C)"} {
-		s, q, ivs, al := pipeline(t, g, text, alloc.FirstFitDuration)
-		if err := Run(s, q, ivs, al, 3); err != nil {
+		s, ivs, al := pipeline(t, g, text, alloc.FirstFitDuration)
+		if err := Run(s, ivs, al, 3); err != nil {
 			t.Errorf("%s: %v", text, err)
 		}
 	}
@@ -64,8 +62,8 @@ func TestRunWithDelays(t *testing.T) {
 	a := g.AddActor("A")
 	b := g.AddActor("B")
 	g.AddEdge(a, b, 2, 1, 1)
-	s, q, ivs, al := pipeline(t, g, "(A(2B))", alloc.FirstFitStart)
-	if err := Run(s, q, ivs, al, 4); err != nil {
+	s, ivs, al := pipeline(t, g, "(A(2B))", alloc.FirstFitStart)
+	if err := Run(s, ivs, al, 4); err != nil {
 		t.Error(err)
 	}
 }
@@ -97,7 +95,7 @@ func TestRunDetectsClobber(t *testing.T) {
 		},
 		Total: 1,
 	}
-	err = Run(s, q, ivs, bad, 1)
+	err = Run(s, ivs, bad, 1)
 	if err == nil {
 		t.Fatal("clobbering allocation passed the simulator")
 	}
@@ -111,12 +109,11 @@ func TestRunDetectsBadSchedule(t *testing.T) {
 	a := g.AddActor("A")
 	b := g.AddActor("B")
 	g.AddEdge(a, b, 1, 1, 0)
-	q := sdf.Repetitions{1, 1}
 	// B first: underflow.
 	s := sched.MustParse(g, "BA")
 	iv := &lifetime.Interval{Name: "x", Size: 1, Start: 0, Dur: 2}
 	al := &alloc.Allocation{Placements: []alloc.Placement{{Interval: iv, Offset: 0}}, Total: 1}
-	if err := Run(s, q, []*lifetime.Interval{iv}, al, 1); err == nil {
+	if err := Run(s, []*lifetime.Interval{iv}, al, 1); err == nil {
 		t.Error("underflowing schedule passed")
 	}
 }
@@ -150,7 +147,7 @@ func TestRunRandomPipelines(t *testing.T) {
 			if err := al.Verify(); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if err := Run(s, q, ivs, al, 3); err != nil {
+			if err := Run(s, ivs, al, 3); err != nil {
 				t.Fatalf("trial %d (%v): %v", trial, strat, err)
 			}
 		}
@@ -177,12 +174,11 @@ func TestRunRejectsPlacementOutsideImage(t *testing.T) {
 	a := g.AddActor("A")
 	b := g.AddActor("B")
 	g.AddEdge(a, b, 2, 2, 0)
-	q := sdf.Repetitions{1, 1}
 	s := sched.MustParse(g, "AB")
 	iv := &lifetime.Interval{Name: "A->B", Size: 2, Start: 0, Dur: 2}
 	for _, off := range []int64{-1, 1, 2} {
 		al := &alloc.Allocation{Placements: []alloc.Placement{{Interval: iv, Offset: off}}, Total: 2}
-		err := Run(s, q, []*lifetime.Interval{iv}, al, 1)
+		err := Run(s, []*lifetime.Interval{iv}, al, 1)
 		if err == nil || !strings.Contains(err.Error(), "outside image") {
 			t.Errorf("offset %d: got %v, want an outside-image error", off, err)
 		}
@@ -201,23 +197,10 @@ func chains(n int) *sdf.Graph {
 	return g
 }
 
-// waitGoroutines fails unless the goroutine count settles back to want:
-// workers that have signalled their WaitGroup may still be exiting.
-func waitGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for goruntime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines outlive the run, want %d", goruntime.NumGoroutine(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestRunPhasedWorkerFailure shrinks the buffers read by every worker but
 // worker 0 to one cell, so each of those workers reads a clobbered token in
-// phase 1. The phased run must return the lowest-indexed worker's error
-// without deadlocking, and leave no goroutine behind on either path.
+// phase 1. The run rooted at worker 0 fires the others in index order, so
+// it reports the lowest-indexed failing worker.
 func TestRunPhasedWorkerFailure(t *testing.T) {
 	g := chains(8)
 	q, err := g.Repetitions()
@@ -237,11 +220,9 @@ func TestRunPhasedWorkerFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := goruntime.NumGoroutine()
-		if err := RunPhased(g, q, part, seg, 3); err != nil {
+		if err := RunPhased(g, part, seg, 3); err != nil {
 			t.Fatalf("P=%d: clean run: %v", p, err)
 		}
-		waitGoroutines(t, before)
 
 		lowest, failing := p, map[int]bool{}
 		for _, e := range g.Edges() {
@@ -253,17 +234,10 @@ func TestRunPhasedWorkerFailure(t *testing.T) {
 		if len(failing) != p-1 {
 			t.Fatalf("P=%d: consumers on workers %v, want every worker but 0", p, failing)
 		}
-		done := make(chan error, 1)
-		go func() { done <- RunPhased(g, q, part, seg, 3) }()
-		select {
-		case err = <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("P=%d: phased run deadlocked after a worker failure", p)
-		}
-		want := fmt.Sprintf("phase 1 worker %d:", lowest)
+		err = RunPhased(g, part, seg, 3)
+		want := fmt.Sprintf("period 0: phase 1 worker %d:", lowest)
 		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "corrupted") {
 			t.Errorf("P=%d: got %v, want a corruption in %q", p, err, want)
 		}
-		waitGoroutines(t, before)
 	}
 }
