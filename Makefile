@@ -160,3 +160,4 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzAPGAN$$' -fuzztime=$(FUZZTIME) ./internal/apgan
 	$(GO) test -run='^$$' -fuzz='^FuzzParseFrame$$' -fuzztime=$(FUZZTIME) ./internal/nodestore
 	$(GO) test -run='^$$' -fuzz='^FuzzArtifactString$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzCompileRequest$$' -fuzztime=$(FUZZTIME) ./internal/service

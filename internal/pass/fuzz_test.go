@@ -221,14 +221,15 @@ func orderAllocBound(g *sdf.Graph) uint64 {
 	return uint64(2*g.NumActors()*(8+1)) + allocSlack
 }
 
-// partitionAllocBound is what decoding a partition payload may allocate
-// for g, whatever worker count it declares: the assign and phase maps, at
-// most n phases each listing at most n workers (those up to the last one
-// that holds an actor), one block per actor, and the per-actor costs and
+// partitionAllocBound is what decoding a partition payload for a node
+// keyed to p workers may allocate for g: the assign and phase maps, at most
+// n phases each listing at most min(n, p) workers (those up to the last one
+// that holds an actor), one block per actor, the per-actor costs and the
 // per-worker loads.
-func partitionAllocBound(g *sdf.Graph) uint64 {
+func partitionAllocBound(g *sdf.Graph, p int) uint64 {
 	n := g.NumActors()
-	return uint64(2*(2*n*8+n*(24+n*24)+2*n*16+n*8+n*8)) + allocSlack
+	w := min(n, p)
+	return uint64(2*(2*n*8+n*(24+w*24)+2*n*16+n*8+w*8)) + allocSlack
 }
 
 // segallocAllocBound is what decoding a segalloc payload may allocate for g
@@ -282,14 +283,16 @@ func FuzzDecodeOrder(f *testing.F) {
 }
 
 // FuzzDecodePartition is FuzzDecodeLife for the partition decoder, decoding
-// against the seeded graph's RPMC order. Its allocation is bounded by the
-// graph, never by the worker count the payload declares or by a phase or
-// actor index.
+// against the seeded graph's RPMC order for nodes keyed to 2, 3 and 4
+// workers. A payload is accepted only for the worker count it declares,
+// and its allocation is bounded by the graph and that key's P, never by a
+// larger worker count the payload declares or by a phase or actor index.
 func FuzzDecodePartition(f *testing.F) {
 	g := fuzzGraph()
 	rep, ords := fuzzOrders(f, g)
 	ord := ords[0]
-	for _, p := range []int{2, 3, 4} {
+	keys := []int{2, 3, 4}
+	for _, p := range keys {
 		part, err := RunPartition(g, rep, ord, p)
 		if err != nil {
 			f.Fatal(err)
@@ -298,26 +301,33 @@ func FuzzDecodePartition(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{4, 28, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	bound := partitionAllocBound(g)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var part Partition
-		var err error
-		if n := allocatedBy(func() { part, err = decodePartition(g, rep, ord, data) }); n > bound {
-			t.Fatalf("decodePartition allocated %d bytes, bound %d", n, bound)
-		}
-		if err != nil {
-			return
-		}
-		if got := encodePartition(part); !bytes.Equal(got, data) {
-			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
+		for _, p := range keys {
+			var part Partition
+			var err error
+			if n, bound := allocatedBy(func() { part, err = decodePartition(g, rep, ord, p, data) }), partitionAllocBound(g, p); n > bound {
+				t.Fatalf("decodePartition for P=%d allocated %d bytes, bound %d", p, n, bound)
+			}
+			if err != nil {
+				continue
+			}
+			if part.Part.P != p {
+				t.Fatalf("a node keyed to P=%d accepted a %d-worker partition", p, part.Part.P)
+			}
+			if got := encodePartition(part); !bytes.Equal(got, data) {
+				t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
+			}
 		}
 	})
 }
 
-// TestDecodePartitionManyWorkers: a real partition payload rewritten to
-// declare 65 536 workers decodes to the same actor placement with idle
-// workers past the busy ones, and within the graph's allocation bound, not
-// one list per declared worker and phase.
+// TestDecodePartitionManyWorkers: a real P=3 partition payload rewritten to
+// declare 4 or 65 536 workers is refused by the P=3 node it was stored for,
+// so the plan recomputes it as it would any corrupt frame instead of
+// handing executors that many workers. Under a key that does ask for that
+// many workers it decodes to the same actor placement with idle workers
+// past the busy ones, within the graph's allocation bound rather than one
+// list per declared worker and phase.
 func TestDecodePartitionManyWorkers(t *testing.T) {
 	g := fuzzGraph()
 	rep, ords := fuzzOrders(t, g)
@@ -325,22 +335,31 @@ func TestDecodePartitionManyWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n := binary.Varint(encodePartition(part))
-	data := append(binary.AppendVarint(nil, maxPartitions), encodePartition(part)[n:]...)
-	var got Partition
-	if alloc := allocatedBy(func() { got, err = decodePartition(g, rep, ords[0], data) }); alloc > partitionAllocBound(g) {
-		t.Fatalf("decodePartition allocated %d bytes for %d workers, bound %d", alloc, maxPartitions, partitionAllocBound(g))
+	enc := encodePartition(part)
+	if _, err := decodePartition(g, rep, ords[0], 3, enc); err != nil {
+		t.Fatalf("the P=3 payload for a P=3 node: %v", err)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Part.P != maxPartitions || !slices.Equal(got.Part.Assign, part.Part.Assign) ||
-		len(got.Part.Phases[0].Workers) != len(part.Part.Phases[0].Workers) {
-		t.Errorf("decoded P=%d with %d worker lists, want P=%d with %d", got.Part.P,
-			len(got.Part.Phases[0].Workers), maxPartitions, len(part.Part.Phases[0].Workers))
-	}
-	if !bytes.Equal(encodePartition(got), data) {
-		t.Error("the decoded partition re-encodes differently")
+	_, n := binary.Varint(enc)
+	for _, workers := range []int{4, maxPartitions} {
+		data := append(binary.AppendVarint(nil, int64(workers)), enc[n:]...)
+		if _, err := decodePartition(g, rep, ords[0], 3, data); err == nil {
+			t.Errorf("a P=3 node accepted the payload rewritten to %d workers", workers)
+		}
+		var got Partition
+		if alloc := allocatedBy(func() { got, err = decodePartition(g, rep, ords[0], workers, data) }); alloc > partitionAllocBound(g, workers) {
+			t.Fatalf("decodePartition allocated %d bytes for %d workers, bound %d", alloc, workers, partitionAllocBound(g, workers))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Part.P != workers || !slices.Equal(got.Part.Assign, part.Part.Assign) ||
+			len(got.Part.Phases[0].Workers) != len(part.Part.Phases[0].Workers) {
+			t.Errorf("decoded P=%d with %d worker lists, want P=%d with %d", got.Part.P,
+				len(got.Part.Phases[0].Workers), workers, len(part.Part.Phases[0].Workers))
+		}
+		if !bytes.Equal(encodePartition(got), data) {
+			t.Errorf("the %d-worker partition re-encodes differently", workers)
+		}
 	}
 }
 

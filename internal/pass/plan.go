@@ -449,9 +449,11 @@ func (p *Plan) Run(ctx context.Context) []Outcome {
 	// first-error order (alloc failures win).
 	level(p.parts, func(n *partNode) {
 		n.out = step(ctx, p, sk, &n.node, nodeStep[Partition]{
-			key:    func() string { return partitionStoreKey(sk, n.order.hash, n.partitions) },
-			run:    func() (Partition, error) { return RunPartition(g, rep.out, n.order.out, n.partitions) },
-			decode: func(data []byte) (Partition, error) { return decodePartition(g, rep.out, n.order.out, data) },
+			key: func() string { return partitionStoreKey(sk, n.order.hash, n.partitions) },
+			run: func() (Partition, error) { return RunPartition(g, rep.out, n.order.out, n.partitions) },
+			decode: func(data []byte) (Partition, error) {
+				return decodePartition(g, rep.out, n.order.out, n.partitions, data)
+			},
 			encode: infallible(encodePartition),
 		})
 	})

@@ -585,9 +585,16 @@ func encodePartition(part Partition) []byte {
 // far below this.
 const maxPartitions = 1 << 16
 
-func decodePartition(g *sdf.Graph, rep Repetitions, ord Order, data []byte) (Partition, error) {
+// decodePartition decodes a partition payload for the node that asked for
+// partitions workers. A payload declaring any other worker count is
+// corrupt: executors start one worker per declared worker, so it must never
+// stand in for the node's own P.
+func decodePartition(g *sdf.Graph, rep Repetitions, ord Order, partitions int, data []byte) (Partition, error) {
 	d := &decoder{data: data}
 	pw := d.count(maxPartitions)
+	if d.err == nil && pw != partitions {
+		return Partition{}, fmt.Errorf("pass: stored partition has %d workers, node wants %d", pw, partitions)
+	}
 	n := d.count(g.NumActors())
 	if d.err == nil && n != g.NumActors() {
 		return Partition{}, fmt.Errorf("pass: stored partition covers %d actors, graph has %d", n, g.NumActors())

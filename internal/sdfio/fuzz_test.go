@@ -1,13 +1,13 @@
 package sdfio
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
 
 // FuzzParse feeds arbitrary text to the .sdf reader; it must never panic,
-// and successful parses must survive a Write/Parse round trip unchanged.
+// and every graph it accepts must survive a Write/Parse round trip field
+// for field (sameGraph), with Write's text a fixed point.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"graph g\nactor A\nactor B\nedge A B 1 1\n",
@@ -17,6 +17,11 @@ func FuzzParse(f *testing.F) {
 		"graph\n",
 		"edge A A 1 1 1\n",
 		"edge A B 0 0\n",
+		// An edge line of 65 534 bytes, 2 short of bufio.MaxScanTokenSize:
+		// Write spells out its delay and its line grows past that size.
+		"edge " + strings.Repeat("a", 65523) + " B 1 1\n",
+		// A source line past bufio.MaxScanTokenSize.
+		"actor " + strings.Repeat("b", 1<<17) + "\n",
 	} {
 		f.Add(seed)
 	}
@@ -25,17 +30,15 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := Write(&buf, g); err != nil {
-			t.Fatalf("Write failed on parsed graph: %v", err)
-		}
-		back, err := Parse(bytes.NewReader(buf.Bytes()))
+		back, written, err := roundTrip(g)
 		if err != nil {
-			t.Fatalf("round trip failed: %v\n%s", err, buf.String())
+			t.Fatalf("round trip failed: %v\n%s", err, written)
 		}
-		if back.NumActors() != g.NumActors() || back.NumEdges() != g.NumEdges() {
-			t.Fatalf("round trip changed shape: %d/%d -> %d/%d",
-				g.NumActors(), g.NumEdges(), back.NumActors(), back.NumEdges())
+		if err := sameGraph(g, back); err != nil {
+			t.Fatalf("round trip changed the graph: %v\n%s", err, written)
+		}
+		if again, err := CanonicalString(back); err != nil || again != written {
+			t.Fatalf("written text is not a fixed point: %v\n%q\n%q", err, written, again)
 		}
 	})
 }

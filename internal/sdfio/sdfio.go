@@ -15,16 +15,20 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/sdf"
 )
 
-// Parse reads a graph from r.
+// Parse reads a graph from r. Lines may be of any length: the text Write
+// renders for a graph Parse accepted can be longer than its source (an
+// omitted delay is spelled out), and it must parse back.
 func Parse(r io.Reader) (*sdf.Graph, error) {
 	g := sdf.New("unnamed")
 	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, math.MaxInt)
 	lineNo := 0
 	ensure := func(name string) sdf.ActorID {
 		if a, ok := g.ActorByName(name); ok {

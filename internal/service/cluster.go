@@ -180,7 +180,9 @@ func (cn *clusterNode) ownedFraction() float64 {
 // fetchArtifact probes up to FetchPeers ranked alive peers for a cached
 // artifact before the caller recompiles. Transport errors retry with
 // backoff against the same peer; a miss (404) moves on immediately — a miss
-// is an answer. Returns the artifact bytes and the serving peer.
+// is an answer. Bytes that pass the checksum but are not in wire form
+// (wireForm) count as a failed fetch from that peer. Returns the artifact
+// bytes and the serving peer.
 func (cn *clusterNode) fetchArtifact(ctx context.Context, digest string) ([]byte, string, bool) {
 	probed := 0
 	for _, peer := range cn.ring.Ranked(digest) {
@@ -195,6 +197,11 @@ func (cn *clusterNode) fetchArtifact(ctx context.Context, digest string) ([]byte
 			pctx, cancel := context.WithTimeout(ctx, cn.cfg.PeerTimeout)
 			data, err := cn.fetch.Artifact(pctx, peer, digest)
 			cancel()
+			if err == nil && !wireForm(data) {
+				// The same peer would serve the same bytes again.
+				cn.peerReqs.With(peer, "error").Inc()
+				break
+			}
 			if err == nil {
 				cn.peerReqs.With(peer, "ok").Inc()
 				return data, peer, true
@@ -254,7 +261,8 @@ func (cn *clusterNode) postCompile(ctx context.Context, peer, canonical string, 
 // effective owner each attempt (so a peer dying mid-job rehashes the entry,
 // possibly back to self), post the compile, and back off between failures.
 // ok=false means the caller must compile locally — either the entry
-// rehashed home or every attempt failed (graceful degradation).
+// rehashed home, every attempt failed (graceful degradation), or the peer
+// answered an artifact not in wire form (wireForm).
 func (cn *clusterNode) compileRemote(ctx context.Context, canonical string, norm CompileOptions, digest string) (data []byte, peer string, ok bool) {
 	bo := cluster.NewBackoff(cn.cfg.RetryMin, cn.cfg.RetryMax, cn.cfg.Seed)
 	for attempt := 0; attempt < cn.cfg.PeerAttempts; attempt++ {
@@ -263,6 +271,10 @@ func (cn *clusterNode) compileRemote(ctx context.Context, canonical string, norm
 			return nil, "", false
 		}
 		resp, err := cn.postCompile(ctx, owner, canonical, norm)
+		if err == nil && !wireForm(resp.Artifact) {
+			cn.peerReqs.With(owner, "error").Inc()
+			return nil, "", false
+		}
 		if err == nil {
 			cn.peerReqs.With(owner, "ok").Inc()
 			return resp.Artifact, owner, true
@@ -331,10 +343,8 @@ func (cn *clusterNode) proxyCompile(w http.ResponseWriter, r *http.Request, owne
 		return false
 	}
 	cn.peerReqs.With(owner, "ok").Inc()
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(servedByHeader, owner)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
+	writeBody(w, resp.StatusCode, body)
 	return true
 }
 
@@ -361,8 +371,7 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(cluster.DigestHeader, digest)
 	w.Header().Set(cluster.SumHeader, cluster.Sum(data))
-	_, _ = w.Write(data)
+	writeBody(w, http.StatusOK, data)
 }

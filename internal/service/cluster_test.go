@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -459,5 +460,48 @@ func TestClusterJobSurvivesPeerDeath(t *testing.T) {
 	}
 	if degraded := submit.srv.cluster.ownedFraction(); degraded <= healthyFraction {
 		t.Errorf("owned fraction %v did not rise above healthy %v after peer death", degraded, healthyFraction)
+	}
+}
+
+// TestClusterLongLineGraph posts a graph whose edge line omits its delay
+// and is 65 534 bytes long, so its canonical text (delay spelled out) has a
+// line past bufio.MaxScanTokenSize. The node that parses the request and
+// the owner that parses the proxied canonical text must agree: every node
+// answers the same 200 body.
+func TestClusterLongLineGraph(t *testing.T) {
+	nodes := newTestCluster(t, 3, nil)
+	line := "edge " + strings.Repeat("a", 65523) + " B 1 1"
+	if len(line) != 65534 {
+		t.Fatalf("edge line is %d bytes", len(line))
+	}
+	body := mustJSON(t, CompileRequest{Graph: "graph long\n" + line + "\n"})
+	want := ""
+	for ni, node := range nodes {
+		resp, err := http.Post(node.http.URL+"/v1/compile", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := readAll(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("node %d: status %d: %.200s", ni, resp.StatusCode, got)
+		}
+		var cr CompileResponse
+		if err := json.Unmarshal([]byte(got), &cr); err != nil {
+			t.Fatalf("node %d: %v", ni, err)
+		}
+		// The first answer compiled; later ones are hits, on the node
+		// itself or through the owner.
+		cr.Cached = false
+		got = string(mustJSON(t, cr))
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("node %d answered another body than node 0", ni)
+		}
+	}
+	if okTotal := peerOutcomeTotal(t, nodes[0], "ok") + peerOutcomeTotal(t, nodes[1], "ok") +
+		peerOutcomeTotal(t, nodes[2], "ok"); okTotal == 0 {
+		t.Error("no request crossed to the owner")
 	}
 }

@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 
 	"repro/internal/pass"
 	"repro/internal/sdf"
-	"repro/internal/sdfio"
 )
 
 // GridRequest is the body of POST /v1/grid: one graph compiled across many
@@ -51,27 +48,14 @@ type GridResponse struct {
 	NaiveNodes   int               `json:"naive_nodes"`
 }
 
-// parseGridRequest decodes and validates a grid-shaped body — shared by
-// POST /v1/grid and POST /v1/jobs/grid, which differ only in their entry
-// cap — returning the request, the canonical graph text, and the parsed
-// graph.
-func (s *Server) parseGridRequest(w http.ResponseWriter, r *http.Request, maxEntries int) (*GridRequest, string, *sdf.Graph, *APIError) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+// parseGridRequest decodes and validates a grid-shaped body read by
+// readBody — shared by POST /v1/grid and POST /v1/jobs/grid, which differ
+// only in their entry cap — returning the request, the canonical graph
+// text, and the parsed graph.
+func (s *Server) parseGridRequest(body []byte, readErr error, maxEntries int) (*GridRequest, string, *sdf.Graph, *APIError) {
 	var req GridRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, "", nil, &APIError{
-				Status: http.StatusRequestEntityTooLarge, Reason: "too_large",
-				Message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxRequestBytes),
-			}
-		}
-		return nil, "", nil, &APIError{
-			Status: http.StatusBadRequest, Reason: "bad_request",
-			Message: fmt.Sprintf("decoding request: %v", err),
-		}
+	if apiErr := s.decodeBody(body, readErr, &req); apiErr != nil {
+		return nil, "", nil, apiErr
 	}
 	if len(req.Entries) == 0 {
 		return nil, "", nil, &APIError{
@@ -85,19 +69,9 @@ func (s *Server) parseGridRequest(w http.ResponseWriter, r *http.Request, maxEnt
 			Message: fmt.Sprintf("grid request has %d entries, limit is %d", len(req.Entries), maxEntries),
 		}
 	}
-	canonical, err := sdfio.Canonicalize(req.Graph)
-	if err != nil {
-		return nil, "", nil, &APIError{
-			Status: http.StatusBadRequest, Reason: "bad_request",
-			Message: fmt.Sprintf("parsing graph: %v", err),
-		}
-	}
-	g, err := sdfio.Parse(strings.NewReader(canonical))
-	if err != nil {
-		return nil, "", nil, &APIError{
-			Status: http.StatusInternalServerError, Reason: "bad_request",
-			Message: fmt.Sprintf("re-parsing canonical graph: %v", err),
-		}
+	g, canonical, apiErr := parseGraph(req.Graph)
+	if apiErr != nil {
+		return nil, "", nil, apiErr
 	}
 	return &req, canonical, g, nil
 }
@@ -107,7 +81,8 @@ func (s *Server) parseGridRequest(w http.ResponseWriter, r *http.Request, maxEnt
 // request deadline) produce a non-2xx envelope; per-entry compile failures
 // land inside the 200 response. Artifacts are cached under the same digests
 // POST /v1/compile uses, so a grid request warms the single-compile cache
-// and vice versa.
+// and vice versa. A body seen before whose every entry is still cached is
+// answered from the memo's digests without decoding it.
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.shed.With("shutting_down").Inc()
@@ -118,7 +93,14 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	req, canonical, g, apiErr := s.parseGridRequest(w, r, s.cfg.GridMaxEntries)
+	body, readErr := s.readBody(w, r)
+	bk := bodyKey(memoGrid, body)
+	if readErr == nil {
+		if digests, ok := s.memo.get(bk); ok && s.serveGridHits(w, digests) {
+			return
+		}
+	}
+	req, canonical, g, apiErr := s.parseGridRequest(body, readErr, s.cfg.GridMaxEntries)
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
@@ -147,17 +129,37 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	results := make([]GridEntryResult, len(req.Entries))
-	planned, naive, apiErr := s.resolveGrid(ctx, g, canonical, req.Entries, admit,
+	digests, planned, naive, apiErr := s.resolveGrid(ctx, g, canonical, req.Entries, admit,
 		func(i int, res GridEntryResult, _ string) { results[i] = res })
+	if digests != nil && readErr == nil {
+		s.memo.put(bk, digests)
+	}
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, &GridResponse{
+	writeGrid(w, &GridResponse{
 		Results:      results,
 		PlannedNodes: planned,
 		NaiveNodes:   naive,
 	})
+}
+
+// serveGridHits answers a grid from its entries' digests when every one is
+// cached, as the full path would (each entry a cache hit, no plan), and
+// reports false with nothing written otherwise.
+func (s *Server) serveGridHits(w http.ResponseWriter, digests []string) bool {
+	results := make([]GridEntryResult, len(digests))
+	for i, d := range digests {
+		data, ok := s.cache.get(d)
+		if !ok {
+			return false
+		}
+		results[i] = GridEntryResult{Digest: d, Cached: true, Artifact: data}
+	}
+	s.cacheHits.Add(float64(len(digests)))
+	writeGrid(w, &GridResponse{Results: results})
+	return true
 }
 
 // gridMiss is one deduplicated digest a grid must produce, and the entry
@@ -186,13 +188,16 @@ type gridReport func(i int, res GridEntryResult, servedBy string)
 // resolution and is returned as the request's error. ctx bounds the remote
 // dispatches; local plans run on the server's base context under
 // CompileTimeout, so they finish (and warm the cache) even after the caller
-// stops waiting. planned and naive sum plan.Stats over the local plans.
+// stops waiting. digests holds each entry's digest, nil when an entry's
+// options did not normalize; planned and naive sum plan.Stats over the
+// local plans.
 func (s *Server) resolveGrid(ctx context.Context, g *sdf.Graph, canonical string, entries []CompileOptions,
-	exec func(run func()) *APIError, report gridReport) (planned, naive int, apiErr *APIError) {
+	exec func(run func()) *APIError, report gridReport) (digests []string, planned, naive int, apiErr *APIError) {
 	var (
 		local, remote []*gridMiss
 		missFor       = map[string]*gridMiss{}
 	)
+	digests = make([]string, len(entries))
 	for i, entry := range entries {
 		norm, err := normalize(entry)
 		var opts pass.Options
@@ -204,9 +209,13 @@ func (s *Server) resolveGrid(ctx context.Context, g *sdf.Graph, canonical string
 				Status: http.StatusBadRequest, Reason: "bad_request",
 				Message: fmt.Sprintf("options: %v", err),
 			}}, "")
+			digests = nil
 			continue
 		}
 		digest := Digest(canonical, norm)
+		if digests != nil {
+			digests[i] = digest
+		}
 		if data, ok := s.cache.get(digest); ok {
 			s.cacheHits.Inc()
 			report(i, GridEntryResult{Digest: digest, Cached: true, Artifact: data}, "")
@@ -251,7 +260,7 @@ func (s *Server) resolveGrid(ctx context.Context, g *sdf.Graph, canonical string
 		p, n, apiErr = s.runGridPlan(g, fellBack, exec, report)
 		planned, naive = planned+p, naive+n
 	}
-	return planned, naive, apiErr
+	return digests, planned, naive, apiErr
 }
 
 // reportMiss reports one outcome to every entry behind a miss.

@@ -213,7 +213,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	req, canonical, g, apiErr := s.parseGridRequest(w, r, s.cfg.JobMaxEntries)
+	body, readErr := s.readBody(w, r)
+	req, canonical, g, apiErr := s.parseGridRequest(body, readErr, s.cfg.JobMaxEntries)
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return

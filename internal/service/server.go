@@ -149,7 +149,7 @@ type APIError struct {
 	Status int `json:"status"`
 	// Reason is a stable machine-readable cause: bad_request, not_found,
 	// too_large, compile_failed, verify_failed, deadline, queue_full,
-	// shutting_down.
+	// shutting_down, internal.
 	Reason  string `json:"reason"`
 	Message string `json:"message"`
 	// RetryAfterSeconds mirrors the Retry-After header on 429/503.
@@ -167,6 +167,7 @@ type Server struct {
 	cfg     Config
 	pool    *par.Pool
 	cache   *artifactCache
+	memo    *bodyMemo
 	flights *flightGroup
 	start   time.Time
 
@@ -214,6 +215,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		pool:    par.NewPool(cfg.Workers, cfg.QueueDepth),
 		cache:   newArtifactCache(cfg.CacheBudget),
+		memo:    newBodyMemo(),
 		flights: newFlightGroup(),
 		start:   time.Now(),
 		baseCtx: ctx,
@@ -423,11 +425,20 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// writeJSON answers code with v as json.Encoder writes it. v is encoded
+// before any status is committed: a value that fails to encode is answered
+// with a 500 internal envelope, never a 2xx with a truncated body.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = json.NewEncoder(&buf).Encode(map[string]*APIError{"error": {
+			Status: code, Reason: "internal",
+			Message: fmt.Sprintf("encoding response: %v", err),
+		}})
+	}
+	writeBody(w, code, buf.Bytes())
 }
 
 func (s *Server) writeError(w http.ResponseWriter, apiErr *APIError) {
@@ -486,47 +497,42 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Sdfd-Digest", digest)
-	_, _ = w.Write(data)
+	writeBody(w, http.StatusOK, data)
 }
 
-// parseCompileRequest decodes and validates the request, returning the
-// parsed graph, its canonical text, normalized options, and the content
-// digest.
-func (s *Server) parseCompileRequest(w http.ResponseWriter, r *http.Request) (*sdf.Graph, string, CompileOptions, string, *APIError) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	var req CompileRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, "", CompileOptions{}, "", &APIError{
-				Status: http.StatusRequestEntityTooLarge, Reason: "too_large",
-				Message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxRequestBytes),
-			}
-		}
-		return nil, "", CompileOptions{}, "", &APIError{
-			Status: http.StatusBadRequest, Reason: "bad_request",
-			Message: fmt.Sprintf("decoding request: %v", err),
-		}
+// parseGraph parses a request's graph text once and renders the canonical
+// text from that one graph. Parse numbers actors in first-mention order and
+// Write emits actors and edges in ID order, so the canonical text parses
+// back to this very graph (sdfio's TestWriteParseIdentity): the graph a
+// peer or a later request builds from the canonical text is the one
+// compiled here.
+func parseGraph(text string) (*sdf.Graph, string, *APIError) {
+	g, err := sdfio.Parse(strings.NewReader(text))
+	var canonical string
+	if err == nil {
+		canonical, err = sdfio.CanonicalString(g)
 	}
-	canonical, err := sdfio.Canonicalize(req.Graph)
 	if err != nil {
-		return nil, "", CompileOptions{}, "", &APIError{
+		return nil, "", &APIError{
 			Status: http.StatusBadRequest, Reason: "bad_request",
 			Message: fmt.Sprintf("parsing graph: %v", err),
 		}
 	}
-	g, err := sdfio.Parse(strings.NewReader(canonical))
-	if err != nil {
-		// Canonical text always re-parses; this is unreachable short of a
-		// serializer bug, but fail loudly rather than compile garbage.
-		return nil, "", CompileOptions{}, "", &APIError{
-			Status: http.StatusInternalServerError, Reason: "bad_request",
-			Message: fmt.Sprintf("re-parsing canonical graph: %v", err),
-		}
+	return g, canonical, nil
+}
+
+// parseCompileRequest decodes and validates a body read by readBody,
+// returning the parsed graph, its canonical text, normalized options, and
+// the content digest.
+func (s *Server) parseCompileRequest(body []byte, readErr error) (*sdf.Graph, string, CompileOptions, string, *APIError) {
+	var req CompileRequest
+	if apiErr := s.decodeBody(body, readErr, &req); apiErr != nil {
+		return nil, "", CompileOptions{}, "", apiErr
+	}
+	g, canonical, apiErr := parseGraph(req.Graph)
+	if apiErr != nil {
+		return nil, "", CompileOptions{}, "", apiErr
 	}
 	norm, err := normalize(req.Options)
 	if err != nil {
@@ -548,24 +554,37 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	g, canonical, norm, digest, apiErr := s.parseCompileRequest(w, r)
-	if apiErr != nil {
-		s.writeError(w, apiErr)
-		return
-	}
+	body, readErr := s.readBody(w, r)
 	verify := r.URL.Query().Get("verify") == "1"
 
 	// Warm path: cache hit, no pipeline, no queueing. Content addressing
 	// makes serving from the local cache correct on any cluster member —
 	// one digest is one byte sequence no matter who compiled it.
 	// Verification always recompiles (the oracle needs the in-memory
-	// result), so it skips this.
+	// result), so it skips this. A body seen before skips even the
+	// decoding: the memo names its digest.
+	bk := bodyKey(memoCompile, body)
+	if !verify && readErr == nil {
+		if digests, ok := s.memo.get(bk); ok {
+			if data, ok := s.cache.get(digests[0]); ok {
+				s.cacheHits.Inc()
+				writeCompile(w, &CompileResponse{Digest: digests[0], Cached: true, Artifact: data})
+				return
+			}
+		}
+	}
+	g, canonical, norm, digest, apiErr := s.parseCompileRequest(body, readErr)
+	if apiErr != nil {
+		s.writeError(w, apiErr)
+		return
+	}
+	if readErr == nil {
+		s.memo.put(bk, []string{digest})
+	}
 	if !verify {
 		if data, ok := s.cache.get(digest); ok {
 			s.cacheHits.Inc()
-			s.writeJSON(w, http.StatusOK, &CompileResponse{
-				Digest: digest, Cached: true, Artifact: data,
-			})
+			writeCompile(w, &CompileResponse{Digest: digest, Cached: true, Artifact: data})
 			return
 		}
 		s.cacheMisses.Inc()
@@ -585,12 +604,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		} else if data, peer, ok := cn.fetchArtifact(r.Context(), digest); ok {
 			// This node owns the digest but is cold (restart, membership
 			// change): a ranked fallback may still hold the artifact.
-			// Integrity was re-verified against the wire checksum.
+			// Integrity was re-verified against the wire checksum, and
+			// the bytes are in wire form.
 			s.cache.put(digest, data)
 			w.Header().Set(servedByHeader, peer)
-			s.writeJSON(w, http.StatusOK, &CompileResponse{
-				Digest: digest, Cached: true, Artifact: data,
-			})
+			writeCompile(w, &CompileResponse{Digest: digest, Cached: true, Artifact: data})
 			return
 		}
 	}
@@ -634,7 +652,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, apiErr)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, &CompileResponse{
+	writeCompile(w, &CompileResponse{
 		Digest: digest, Cached: false, Coalesced: !leader, Verified: verify,
 		Artifact: f.data,
 	})
