@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fast test race race-full race-service grid incremental cluster parallel tier1 bench bench-json fuzz-short serve load load-short bench-compare
+.PHONY: all build vet lint lint-fast test race race-full race-service grid incremental cluster parallel tier1 bench fuzz-short serve load load-short bench-compare
 
 all: tier1
 
@@ -119,13 +119,15 @@ load:
 	$(GO) build -o bin/sdfload ./cmd/sdfload
 	./bin/sdfload -spawn ./bin/sdfd -selfcheck $(LOAD_FLAGS)
 
-# bench-compare diffs a fresh quick trajectory against the committed
-# baseline and fails on regressions beyond the (generous, cross-machine)
-# threshold. BASELINE defaults to the checked-in file.
-BASELINE ?= BENCH_2026-08-06.json
+# bench-compare is the paired perf gate (scripts/bench-ab.sh): five
+# alternating pairs of 2-s bench/run.sh passes over every workload, from a
+# worktree of BASE and from this tree. It fails when bench/run.sh -compare
+# judges a metric worse under BENCHMARK.json's bounds, or when a metric is
+# worse by more than its bound in every pair. The default BASE measures
+# uncommitted changes; CI passes the pull request's base commit.
+BASE ?= HEAD
 bench-compare:
-	$(GO) run ./cmd/sdfbench -quick -json -out BENCH_ci.json >/dev/null
-	$(GO) run ./cmd/sdfbench -compare -threshold 5 $(BASELINE) BENCH_ci.json
+	bash scripts/bench-ab.sh $(BASE)
 
 # tier1 is the merge gate: everything must pass before a change lands.
 tier1: lint build test race
@@ -139,10 +141,6 @@ tier1: lint build test race
 bench:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload compile-cold --seconds 2 --trace 0
-
-# bench-json writes the BENCH_<date>.json performance trajectory file.
-bench-json:
-	$(GO) run ./cmd/sdfbench -quick -json >/dev/null
 
 # fuzz-short gives every native fuzz target a bounded budget (FUZZTIME per
 # target) on top of the checked-in corpora — the same loop CI runs.
@@ -161,3 +159,5 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseFrame$$' -fuzztime=$(FUZZTIME) ./internal/nodestore
 	$(GO) test -run='^$$' -fuzz='^FuzzArtifactString$$' -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzCompileRequest$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzGridRequest$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzWireForm$$' -fuzztime=$(FUZZTIME) ./internal/service

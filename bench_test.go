@@ -41,20 +41,6 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1System reports the per-system cost of the full shared
-// pipeline (ordering + sdppo + lifetimes + both first-fit allocations).
-func BenchmarkTable1System(b *testing.B) {
-	for _, g := range systems.Table1Systems() {
-		b.Run(g.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Table1([]*sdf.Graph{g}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFig27 regenerates the random-graph study at each population size
 // of Fig. 27 (10 graphs per size per iteration; the paper's 100 via
 // cmd/sdfbench).
@@ -259,22 +245,6 @@ func BenchmarkFirstFit(b *testing.B) {
 	}
 }
 
-func BenchmarkEndToEndCompile(b *testing.B) {
-	for _, g := range []*sdf.Graph{
-		systems.SatelliteReceiver(),
-		systems.TwoSidedFilterbank(3, systems.Ratio23),
-	} {
-		b.Run(g.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Compile(g, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkSimulatorVerify(b *testing.B) {
 	g := systems.SatelliteReceiver()
 	res, err := core.Compile(g, core.Options{})
@@ -458,25 +428,6 @@ func BenchmarkMaxTokensFiring(b *testing.B) {
 				if _, err := res.Schedule.SimulateByExpansion(); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAllocateFirstFit times first-fit packing on a large random
-// instance (the scratch-reuse and sorted-insertion fast path in
-// alloc.Allocate).
-func BenchmarkAllocateFirstFit(b *testing.B) {
-	g := benchGraph(150)
-	res, err := core.Compile(g, core.Options{Strategy: core.APGAN, Looping: core.SDPPOLoops})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, strat := range []alloc.Strategy{alloc.FirstFitDuration, alloc.FirstFitStart} {
-		b.Run(strat.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				alloc.Allocate(res.Intervals, strat)
 			}
 		})
 	}

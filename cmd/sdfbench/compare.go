@@ -1,17 +1,15 @@
 package main
 
-// sdfbench -compare old.json new.json: diff two BENCH_*.json trajectory
-// files phase by phase and system by system — or two LOAD_*.json saturation
-// reports from sdfload (recognized by their "version":"load/..." field) —
-// render a markdown report, and gate on a regression threshold so CI (or a
-// human before merging) can tell "this PR made the pipeline slower" from
-// noise.
+// sdfbench -compare old.json new.json: diff two LOAD_*.json saturation
+// reports from sdfload (their "version" must be load.ReportVersion), render
+// a markdown report, and gate on a regression threshold so a human can tell
+// "this change made the daemon slower under load" from noise. The repo's
+// performance benchmark, with its own paired compare, is bench/.
 //
 // Exit codes: 0 no regressions, 1 operational error (unreadable or
-// malformed file, or mixing a load report with a bench trajectory), 3 at
-// least one comparable series regressed beyond the threshold. Only series
-// present in BOTH files are compared — growing the trajectory schema never
-// breaks old baselines.
+// malformed file, a file that is not a load report, or no shared series),
+// 3 at least one comparable series regressed beyond the threshold. Only
+// ramp steps present in BOTH reports are compared.
 
 import (
 	"encoding/json"
@@ -22,7 +20,7 @@ import (
 	"repro/internal/load"
 )
 
-// compareRow is one comparable series across the two reports: a wall-time
+// compareRow is one comparable series across the two reports: a latency
 // series (OldNS/NewNS, lower is better) or, with HigherBetter set, a
 // throughput series (OldRPS/NewRPS — the saturation knee).
 type compareRow struct {
@@ -37,7 +35,7 @@ type compareRow struct {
 }
 
 // ratio normalizes both series kinds so that ratio > threshold always means
-// regression: new/old for wall times, old/new for throughput. 0 when the
+// regression: new/old for latencies, old/new for throughput. 0 when the
 // baseline side is empty (incomparable).
 func (r compareRow) ratio() float64 {
 	if r.HigherBetter {
@@ -60,34 +58,9 @@ func (r compareRow) values() (string, string) {
 	return formatNS(r.OldNS), formatNS(r.NewNS)
 }
 
-func loadReport(path string) (*benchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// isLoadReport sniffs whether path holds a sdfload LOAD_*.json report
-// (version "load/...") rather than a bench trajectory.
-func isLoadReport(path string) (bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	var sniff struct {
-		Version string `json:"version"`
-	}
-	if err := json.Unmarshal(data, &sniff); err != nil {
-		return false, fmt.Errorf("%s: %w", path, err)
-	}
-	return strings.HasPrefix(sniff.Version, "load/"), nil
-}
-
+// loadLoadReport reads a sdfload report, refusing any file whose version
+// field is not load.ReportVersion (a BENCH trajectory from the retired
+// sdfbench -json, a bench/ results file, or an older load schema).
 func loadLoadReport(path string) (*load.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -98,7 +71,7 @@ func loadLoadReport(path string) (*load.Report, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if rep.Version != load.ReportVersion {
-		return nil, fmt.Errorf("%s: load report version %q, this sdfbench understands %q",
+		return nil, fmt.Errorf("%s: report version %q, this sdfbench compares %q load reports",
 			path, rep.Version, load.ReportVersion)
 	}
 	return &rep, nil
@@ -139,92 +112,13 @@ func compareLoadRows(oldRep, newRep *load.Report) []compareRow {
 	return rows
 }
 
-// compareRows pairs every wall-time series the two reports share. Keys are
-// stable names, so rows line up even when the experiment order changed.
-func compareRows(oldRep, newRep *benchReport) []compareRow {
-	var rows []compareRow
-	add := func(section, key string, oldNS, newNS int64, ok bool) {
-		if ok {
-			rows = append(rows, compareRow{Section: section, Key: key, OldNS: oldNS, NewNS: newNS})
-		}
-	}
-
-	newPhase := map[string]int64{}
-	for _, p := range newRep.Phases {
-		newPhase[p.Name] = p.WallNS
-	}
-	for _, p := range oldRep.Phases {
-		ns, ok := newPhase[p.Name]
-		add("phase", p.Name, p.WallNS, ns, ok)
-	}
-
-	newSys := map[string]int64{}
-	for _, s := range newRep.Table1Systems {
-		newSys[s.System] = s.WallNS
-	}
-	for _, s := range oldRep.Table1Systems {
-		ns, ok := newSys[s.System]
-		add("table1", s.System, s.WallNS, ns, ok)
-	}
-
-	newFig := map[int]int64{}
-	for _, f := range newRep.Fig27 {
-		newFig[f.Size] = f.NSPerGraph
-	}
-	for _, f := range oldRep.Fig27 {
-		ns, ok := newFig[f.Size]
-		add("fig27", fmt.Sprintf("size=%d", f.Size), f.NSPerGraph, ns, ok)
-	}
-
-	newSim := map[string]benchMaxTokens{}
-	for _, m := range newRep.MaxTokens {
-		newSim[m.System] = m
-	}
-	for _, m := range oldRep.MaxTokens {
-		n, ok := newSim[m.System]
-		add("sim", m.System+"/loop_aware", m.LoopAwareNS, n.LoopAwareNS, ok)
-		add("sim", m.System+"/firing", m.FiringNS, n.FiringNS, ok)
-	}
-
-	add("alloc", "first_fit_150", oldRep.AllocFirstFitNS, newRep.AllocFirstFitNS,
-		oldRep.AllocFirstFitNS > 0 && newRep.AllocFirstFitNS > 0)
-
-	newGrid := map[string]benchGrid{}
-	for _, g := range newRep.Grid {
-		newGrid[g.System] = g
-	}
-	for _, g := range oldRep.Grid {
-		n, ok := newGrid[g.System]
-		add("grid", g.System+"/planned", g.PlannedNS, n.PlannedNS, ok)
-		add("grid", g.System+"/naive", g.NaiveNS, n.NaiveNS, ok)
-	}
-
-	if oldRep.Service != nil && newRep.Service != nil {
-		newSvc := map[string]benchServiceSystem{}
-		for _, s := range newRep.Service.Systems {
-			newSvc[s.System] = s
-		}
-		for _, s := range oldRep.Service.Systems {
-			n, ok := newSvc[s.System]
-			add("service", s.System+"/cold", s.ColdNS, n.ColdNS, ok)
-			add("service", s.System+"/warm", s.WarmNS, n.WarmNS, ok)
-		}
-	}
-
-	if oldRep.Incremental != nil && newRep.Incremental != nil {
-		add("incremental", "cold", oldRep.Incremental.ColdNS, newRep.Incremental.ColdNS, true)
-		add("incremental", "warm", oldRep.Incremental.WarmNS, newRep.Incremental.WarmNS, true)
-	}
-	return rows
-}
-
 // formatCompareMarkdown renders the comparison as a markdown document:
-// every shared series with old/new times and ratio, regressions flagged,
+// every shared series with old/new values and ratio, regressions flagged,
 // and a short verdict line CI logs surface well.
-func formatCompareMarkdown(title, oldPath, newPath string, rows []compareRow, threshold float64) (string, []compareRow) {
+func formatCompareMarkdown(oldPath, newPath string, rows []compareRow, threshold float64) (string, []compareRow) {
 	var regressions []compareRow
 	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n\n", title)
+	fmt.Fprintf(&b, "# Load comparison\n\n")
 	fmt.Fprintf(&b, "Old: `%s`\nNew: `%s`\nThreshold: %.2fx\n\n", oldPath, newPath, threshold)
 	fmt.Fprintf(&b, "| section | series | old | new | ratio | |\n")
 	fmt.Fprintf(&b, "|---|---|---:|---:|---:|---|\n")
@@ -278,54 +172,22 @@ func runCompare(oldPath, newPath, mdPath string, threshold float64) int {
 		fmt.Fprintf(os.Stderr, "sdfbench: -threshold must be > 1 (got %v)\n", threshold)
 		return 2
 	}
-	oldIsLoad, err := isLoadReport(oldPath)
+	oldRep, err := loadLoadReport(oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdfbench:", err)
 		return 1
 	}
-	newIsLoad, err := isLoadReport(newPath)
+	newRep, err := loadLoadReport(newPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdfbench:", err)
 		return 1
 	}
-	if oldIsLoad != newIsLoad {
-		fmt.Fprintln(os.Stderr, "sdfbench: cannot compare a load report against a bench trajectory")
-		return 1
-	}
-
-	var rows []compareRow
-	title := "Benchmark comparison"
-	if oldIsLoad {
-		title = "Load comparison"
-		oldRep, err := loadLoadReport(oldPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdfbench:", err)
-			return 1
-		}
-		newRep, err := loadLoadReport(newPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdfbench:", err)
-			return 1
-		}
-		rows = compareLoadRows(oldRep, newRep)
-	} else {
-		oldRep, err := loadReport(oldPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdfbench:", err)
-			return 1
-		}
-		newRep, err := loadReport(newPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdfbench:", err)
-			return 1
-		}
-		rows = compareRows(oldRep, newRep)
-	}
+	rows := compareLoadRows(oldRep, newRep)
 	if len(rows) == 0 {
 		fmt.Fprintln(os.Stderr, "sdfbench: the two reports share no comparable series")
 		return 1
 	}
-	md, regressions := formatCompareMarkdown(title, oldPath, newPath, rows, threshold)
+	md, regressions := formatCompareMarkdown(oldPath, newPath, rows, threshold)
 	if mdPath == "" {
 		fmt.Print(md)
 	} else {

@@ -11,125 +11,6 @@ import (
 	"repro/internal/load"
 )
 
-func sampleReport(scale int64) *benchReport {
-	return &benchReport{
-		Date: "2026-01-01T00:00:00Z",
-		Phases: []benchPhase{
-			{Name: "table1", WallNS: 100_000 * scale},
-			{Name: "fig27", WallNS: 900_000 * scale},
-		},
-		Table1Systems: []benchSystem{{System: "satrec", WallNS: 40_000 * scale}},
-		Fig27:         []benchFig27{{Size: 50, Graphs: 10, WallNS: 500_000 * scale, NSPerGraph: 50_000 * scale}},
-		MaxTokens:     []benchMaxTokens{{System: "satrec", LoopAwareNS: 2_000 * scale, FiringNS: 90_000 * scale}},
-		Grid:          []benchGrid{{System: "cddat", Configs: 24, NaiveNS: 700_000 * scale, PlannedNS: 200_000 * scale}},
-		Service: &benchService{Systems: []benchServiceSystem{
-			{System: "cddat", ColdNS: 3_000_000 * scale, WarmNS: 80_000 * scale},
-		}},
-		Incremental:     &benchIncremental{Actors: 150, ColdNS: 5_000_000 * scale, WarmNS: 400_000 * scale},
-		AllocFirstFitNS: 30_000 * scale,
-	}
-}
-
-func writeReport(t *testing.T, rep *benchReport, name string) string {
-	t.Helper()
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCompareNoRegression(t *testing.T) {
-	oldPath := writeReport(t, sampleReport(1), "old.json")
-	newPath := writeReport(t, sampleReport(1), "new.json")
-	md := filepath.Join(t.TempDir(), "report.md")
-	if code := runCompare(oldPath, newPath, md, 1.25); code != 0 {
-		t.Fatalf("identical reports: exit %d, want 0", code)
-	}
-	out, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := string(out)
-	if !strings.Contains(report, "No regressions") {
-		t.Errorf("report missing the no-regression verdict:\n%s", report)
-	}
-	for _, series := range []string{"table1", "size=50", "satrec/loop_aware", "cddat/planned", "cddat/warm", "incremental"} {
-		if !strings.Contains(report, series) {
-			t.Errorf("report missing series %q", series)
-		}
-	}
-}
-
-func TestCompareFlagsRegression(t *testing.T) {
-	oldPath := writeReport(t, sampleReport(1), "old.json")
-	slow := sampleReport(1)
-	slow.Incremental.WarmNS *= 3 // 3x warm-path regression
-	newPath := writeReport(t, sampleReport(1), "unused.json")
-	newPath = writeReport(t, slow, "new.json")
-	md := filepath.Join(t.TempDir(), "report.md")
-	if code := runCompare(oldPath, newPath, md, 1.25); code != 3 {
-		t.Fatalf("3x regression: exit %d, want 3", code)
-	}
-	out, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), "REGRESSION") || !strings.Contains(string(out), "incremental/warm") {
-		t.Errorf("report does not flag the incremental/warm regression:\n%s", out)
-	}
-}
-
-func TestCompareImprovementStaysGreen(t *testing.T) {
-	oldPath := writeReport(t, sampleReport(3), "old.json")
-	newPath := writeReport(t, sampleReport(1), "new.json")
-	if code := runCompare(oldPath, newPath, "", 1.25); code != 0 {
-		t.Fatalf("uniform 3x improvement: exit %d, want 0", code)
-	}
-}
-
-func TestCompareSchemaSkew(t *testing.T) {
-	// An old baseline with no incremental/service sections still compares
-	// cleanly against a new report that has them.
-	oldRep := sampleReport(1)
-	oldRep.Incremental = nil
-	oldRep.Service = nil
-	oldPath := writeReport(t, oldRep, "old.json")
-	newPath := writeReport(t, sampleReport(1), "new.json")
-	md := filepath.Join(t.TempDir(), "report.md")
-	if code := runCompare(oldPath, newPath, md, 1.25); code != 0 {
-		t.Fatalf("schema skew: exit %d, want 0", code)
-	}
-	out, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(out), "incremental") {
-		t.Error("report compares an incremental section the old baseline lacks")
-	}
-}
-
-func TestCompareBadInputs(t *testing.T) {
-	good := writeReport(t, sampleReport(1), "good.json")
-	if code := runCompare(filepath.Join(t.TempDir(), "missing.json"), good, "", 1.25); code != 1 {
-		t.Error("missing old file should exit 1")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := runCompare(good, bad, "", 1.25); code != 1 {
-		t.Error("malformed new file should exit 1")
-	}
-	if code := runCompare(good, good, "", 0.5); code != 2 {
-		t.Error("threshold <= 1 should exit 2")
-	}
-}
-
 func sampleLoadReport(latScale int64, kneeRPS float64) *load.Report {
 	step := func(rps float64, p50, p99 int64) load.StepResult {
 		var st load.StepResult
@@ -155,9 +36,9 @@ func sampleLoadReport(latScale int64, kneeRPS float64) *load.Report {
 	}
 }
 
-func writeLoadReport(t *testing.T, rep *load.Report, name string) string {
+func writeJSON(t *testing.T, v any, name string) string {
 	t.Helper()
-	data, err := json.Marshal(rep)
+	data, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,18 +49,110 @@ func writeLoadReport(t *testing.T, rep *load.Report, name string) string {
 	return path
 }
 
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+func TestCompareNoRegression(t *testing.T) {
+	oldPath := writeJSON(t, sampleLoadReport(1, 100), "old.json")
+	newPath := writeJSON(t, sampleLoadReport(1, 100), "new.json")
+	md := filepath.Join(t.TempDir(), "report.md")
+	if code := runCompare(oldPath, newPath, md, 1.25); code != 0 {
+		t.Fatalf("identical reports: exit %d, want 0", code)
+	}
+	report := readFile(t, md)
+	if !strings.Contains(report, "No regressions beyond 1.25x across 5 shared series") {
+		t.Errorf("report missing the no-regression verdict over all 5 series:\n%s", report)
+	}
+	for _, series := range []string{"50 rps/p50", "50 rps/p99", "100 rps/p50", "100 rps/p99", "sustained_rps"} {
+		if !strings.Contains(report, series) {
+			t.Errorf("report missing series %q", series)
+		}
+	}
+}
+
+func TestCompareFlagsRegression(t *testing.T) {
+	oldPath := writeJSON(t, sampleLoadReport(1, 100), "old.json")
+	slow := sampleLoadReport(1, 100)
+	slow.Steps[1].Latency.P99 *= 3 // 3x tail regression at one step only
+	newPath := writeJSON(t, slow, "new.json")
+	md := filepath.Join(t.TempDir(), "report.md")
+	if code := runCompare(oldPath, newPath, md, 1.25); code != 3 {
+		t.Fatalf("3x regression: exit %d, want 3", code)
+	}
+	report := readFile(t, md)
+	if !strings.Contains(report, "1 of 5 shared series regressed") ||
+		!strings.Contains(report, "- step/100 rps/p99: 20.0ms -> 60.0ms (3.00x)") {
+		t.Errorf("report does not flag exactly the 100 rps/p99 regression:\n%s", report)
+	}
+}
+
+func TestCompareImprovementStaysGreen(t *testing.T) {
+	oldPath := writeJSON(t, sampleLoadReport(3, 100), "old.json")
+	newPath := writeJSON(t, sampleLoadReport(1, 300), "new.json")
+	md := filepath.Join(t.TempDir(), "report.md")
+	if code := runCompare(oldPath, newPath, md, 1.25); code != 0 {
+		t.Fatalf("uniform 3x improvement: exit %d, want 0", code)
+	}
+	if report := readFile(t, md); strings.Count(report, "| improved |") != 5 {
+		t.Errorf("want all 5 series marked improved:\n%s", report)
+	}
+}
+
+func TestCompareSchemaSkew(t *testing.T) {
+	// A baseline whose ramp stopped earlier still compares cleanly against a
+	// report with more steps: only steps both sides ran without an SLO
+	// violation are compared.
+	oldRep := sampleLoadReport(1, 50)
+	oldRep.Steps[1].Violations = []string{"p99 over SLO"}
+	oldPath := writeJSON(t, oldRep, "old.json")
+	newRep := sampleLoadReport(1, 50)
+	newRep.Steps = append(newRep.Steps, newRep.Steps[1])
+	newRep.Steps[2].TargetRPS = 150
+	newPath := writeJSON(t, newRep, "new.json")
+	md := filepath.Join(t.TempDir(), "report.md")
+	if code := runCompare(oldPath, newPath, md, 1.25); code != 0 {
+		t.Fatalf("schema skew: exit %d, want 0", code)
+	}
+	report := readFile(t, md)
+	if strings.Contains(report, "100 rps") || strings.Contains(report, "150 rps") {
+		t.Errorf("report compares a step the baseline lacks or violated:\n%s", report)
+	}
+	if !strings.Contains(report, "across 3 shared series") {
+		t.Errorf("want the 50 rps step and the knee compared:\n%s", report)
+	}
+}
+
+func TestCompareBadInputs(t *testing.T) {
+	good := writeJSON(t, sampleLoadReport(1, 100), "good.json")
+	if code := runCompare(filepath.Join(t.TempDir(), "missing.json"), good, "", 1.25); code != 1 {
+		t.Error("missing old file should exit 1")
+	}
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := runCompare(good, bad, "", 1.25); code != 1 {
+		t.Error("malformed new file should exit 1")
+	}
+	if code := runCompare(good, good, "", 0.5); code != 2 {
+		t.Error("threshold <= 1 should exit 2")
+	}
+}
+
 func TestCompareLoadReports(t *testing.T) {
-	oldPath := writeLoadReport(t, sampleLoadReport(1, 100), "old.json")
-	newPath := writeLoadReport(t, sampleLoadReport(1, 100), "new.json")
+	oldPath := writeJSON(t, sampleLoadReport(1, 100), "old.json")
+	newPath := writeJSON(t, sampleLoadReport(1, 100), "new.json")
 	md := filepath.Join(t.TempDir(), "report.md")
 	if code := runCompare(oldPath, newPath, md, 1.25); code != 0 {
 		t.Fatalf("identical load reports: exit %d, want 0", code)
 	}
-	out, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := string(out)
+	report := readFile(t, md)
 	for _, want := range []string{"Load comparison", "50 rps/p50", "100 rps/p99", "sustained_rps"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("load report comparison missing %q:\n%s", want, report)
@@ -188,8 +161,8 @@ func TestCompareLoadReports(t *testing.T) {
 }
 
 func TestCompareLoadLatencyRegression(t *testing.T) {
-	oldPath := writeLoadReport(t, sampleLoadReport(1, 100), "old.json")
-	newPath := writeLoadReport(t, sampleLoadReport(3, 100), "new.json")
+	oldPath := writeJSON(t, sampleLoadReport(1, 100), "old.json")
+	newPath := writeJSON(t, sampleLoadReport(3, 100), "new.json")
 	md := filepath.Join(t.TempDir(), "report.md")
 	if code := runCompare(oldPath, newPath, md, 1.25); code != 3 {
 		t.Fatalf("3x latency regression: exit %d, want 3", code)
@@ -199,98 +172,98 @@ func TestCompareLoadLatencyRegression(t *testing.T) {
 func TestCompareLoadKneeRegression(t *testing.T) {
 	// The knee dropping from 100 to 50 rps is a regression even though every
 	// shared step's latency is unchanged: the throughput ratio inverts.
-	oldPath := writeLoadReport(t, sampleLoadReport(1, 100), "old.json")
-	newPath := writeLoadReport(t, sampleLoadReport(1, 50), "new.json")
+	oldPath := writeJSON(t, sampleLoadReport(1, 100), "old.json")
+	newPath := writeJSON(t, sampleLoadReport(1, 50), "new.json")
 	md := filepath.Join(t.TempDir(), "report.md")
 	if code := runCompare(oldPath, newPath, md, 1.25); code != 3 {
 		t.Fatalf("knee halved: exit %d, want 3", code)
 	}
-	out, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), "knee/sustained_rps") {
-		t.Errorf("knee regression not named:\n%s", out)
+	if report := readFile(t, md); !strings.Contains(report, "knee/sustained_rps") {
+		t.Errorf("knee regression not named:\n%s", report)
 	}
 	// A knee that RISES must stay green.
-	better := writeLoadReport(t, sampleLoadReport(1, 200), "better.json")
+	better := writeJSON(t, sampleLoadReport(1, 200), "better.json")
 	if code := runCompare(oldPath, better, "", 1.25); code != 0 {
 		t.Error("knee doubling flagged as regression")
 	}
 }
 
 func TestCompareMixedReportTypes(t *testing.T) {
-	bench := writeReport(t, sampleReport(1), "bench.json")
-	loadp := writeLoadReport(t, sampleLoadReport(1, 100), "load.json")
-	if code := runCompare(bench, loadp, "", 1.25); code != 1 {
+	// A BENCH trajectory from the retired sdfbench -json, and a load report
+	// of a schema this build does not know, are operational errors.
+	trajectory := writeJSON(t, map[string]any{
+		"schema": "sdfbench/v2", "date": "2026-01-01T00:00:00Z",
+		"phases": []map[string]any{{"name": "table1", "wall_ns": 100_000}},
+	}, "bench.json")
+	loadp := writeJSON(t, sampleLoadReport(1, 100), "load.json")
+	if code := runCompare(trajectory, loadp, "", 1.25); code != 1 {
 		t.Error("bench-vs-load should be an operational error (exit 1)")
 	}
-	if code := runCompare(loadp, bench, "", 1.25); code != 1 {
+	if code := runCompare(loadp, trajectory, "", 1.25); code != 1 {
 		t.Error("load-vs-bench should be an operational error (exit 1)")
+	}
+	future := sampleLoadReport(1, 100)
+	future.Version = "load/v999"
+	if code := runCompare(loadp, writeJSON(t, future, "future.json"), "", 1.25); code != 1 {
+		t.Error("an unknown load schema version should exit 1")
 	}
 }
 
 func TestCompareEmptySeriesOneSide(t *testing.T) {
-	// A baseline with no sections at all shares nothing with a full report:
-	// that is an operational error, not a silent green.
-	empty := writeReport(t, &benchReport{Date: "2026-01-01"}, "empty.json")
-	full := writeReport(t, sampleReport(1), "full.json")
-	if code := runCompare(empty, full, "", 1.25); code != 1 {
+	// An empty baseline shares no steps with a report that found no knee:
+	// nothing is comparable, which is an operational error, not a silent
+	// green.
+	emptyLoad := writeJSON(t, &load.Report{Version: load.ReportVersion}, "empty_load.json")
+	noKnee := writeJSON(t, sampleLoadReport(1, 0), "no_knee.json")
+	if code := runCompare(emptyLoad, noKnee, "", 1.25); code != 1 {
 		t.Error("no shared series should exit 1")
 	}
-	// An empty load baseline shares no steps; only the knee row remains,
-	// incomparable (old side 0) — reported n/a, never a regression.
-	emptyLoad := writeLoadReport(t, &load.Report{Version: load.ReportVersion}, "empty_load.json")
-	fullLoad := writeLoadReport(t, sampleLoadReport(1, 100), "full_load.json")
+	// Against a report with a knee, only the knee row remains, incomparable
+	// (old side 0) — reported n/a, never a regression.
+	fullLoad := writeJSON(t, sampleLoadReport(1, 100), "full_load.json")
 	md := filepath.Join(t.TempDir(), "report.md")
 	if code := runCompare(emptyLoad, fullLoad, md, 1.25); code != 0 {
 		t.Errorf("empty load baseline: exit %d, want 0 (knee row incomparable)", code)
 	}
-	out, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), "n/a") {
-		t.Errorf("incomparable knee row not marked n/a:\n%s", out)
+	if report := readFile(t, md); !strings.Contains(report, "n/a") {
+		t.Errorf("incomparable knee row not marked n/a:\n%s", report)
 	}
 }
 
 func TestCompareZeroBaselineIncomparable(t *testing.T) {
-	zero := sampleReport(1)
-	zero.Phases[0].WallNS = 0 // dead series in the baseline
-	oldPath := writeReport(t, zero, "old.json")
-	newPath := writeReport(t, sampleReport(1), "new.json")
+	zero := sampleLoadReport(1, 100)
+	zero.Steps[0].Latency.P50 = 0 // dead series in the baseline
+	oldPath := writeJSON(t, zero, "old.json")
+	newPath := writeJSON(t, sampleLoadReport(1, 0), "new.json") // and no knee on the new side
 	md := filepath.Join(t.TempDir(), "report.md")
 	if code := runCompare(oldPath, newPath, md, 1.25); code != 0 {
 		t.Fatalf("zero baseline series: exit %d, want 0 (incomparable, not a regression)", code)
 	}
-	out, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
+	report := readFile(t, md)
+	if strings.Contains(report, "NaN") || strings.Contains(report, "Inf") {
+		t.Errorf("zero baseline leaked NaN/Inf into the report:\n%s", report)
 	}
-	if strings.Contains(string(out), "NaN") || strings.Contains(string(out), "Inf") {
-		t.Errorf("zero baseline leaked NaN/Inf into the report:\n%s", out)
-	}
-	if !strings.Contains(string(out), "n/a") {
-		t.Errorf("zero-baseline row not marked n/a:\n%s", out)
+	if strings.Count(report, "| n/a |") != 2 {
+		t.Errorf("want the zero p50 row and the zero knee row marked n/a:\n%s", report)
 	}
 }
 
 func TestCompareGoldenMarkdown(t *testing.T) {
-	// Pin the exact rendering: a regression, an improvement, and an
-	// incomparable row in one deterministic bench comparison.
-	oldRep := sampleReport(1)
-	newRep := sampleReport(1)
-	newRep.Incremental.WarmNS *= 3 // regression
-	newRep.AllocFirstFitNS /= 2    // improvement
-	oldRep.Phases[1].WallNS = 0    // n/a row
-	md, _ := formatCompareMarkdown("Benchmark comparison", "old.json", "new.json",
-		compareRows(oldRep, newRep), 1.25)
-	goldentest.Compare(t, filepath.Join("testdata", "compare_bench.golden.md"), md)
-
+	// Pin the exact rendering: every series regressed (latency doubled,
+	// knee halved), then a regression, an improvement, and an incomparable
+	// row in one report.
 	oldLoad := sampleLoadReport(1, 100)
-	newLoad := sampleLoadReport(2, 50) // latency doubled, knee halved
-	mdLoad, _ := formatCompareMarkdown("Load comparison", "old.json", "new.json",
+	newLoad := sampleLoadReport(2, 50)
+	mdLoad, _ := formatCompareMarkdown("old.json", "new.json",
 		compareLoadRows(oldLoad, newLoad), 1.25)
 	goldentest.Compare(t, filepath.Join("testdata", "compare_load.golden.md"), mdLoad)
+
+	oldMixed := sampleLoadReport(1, 100)
+	newMixed := sampleLoadReport(1, 100)
+	newMixed.Steps[1].Latency.P99 *= 3 // regression
+	newMixed.Steps[0].Latency.P50 /= 2 // improvement
+	oldMixed.Steps[1].Latency.P50 = 0  // n/a row
+	mdMixed, _ := formatCompareMarkdown("old.json", "new.json",
+		compareLoadRows(oldMixed, newMixed), 1.25)
+	goldentest.Compare(t, filepath.Join("testdata", "compare_verdicts.golden.md"), mdMixed)
 }

@@ -15,148 +15,27 @@
 //	sdfbench -experiment parallel      # partitioned memory vs worker count P
 //	sdfbench -experiment all
 //
-// -quick reduces population sizes for a fast smoke run.
+// -quick reduces population sizes for a fast smoke run; -seed seeds the
+// stochastic studies. The repo's performance benchmark is bench/ (see
+// bench/README.md), not this command.
 //
-// With -json, results go to stdout as JSON and a benchmark trajectory file
-// BENCH_<date>.json (per-phase wall times, per-system and per-population
-// ns/op, loop-aware vs firing-expansion simulator micro timings) is written
-// so successive PRs can track performance regressions; -out overrides the
-// file path (a stable name, e.g. -out BENCH_baseline.json, lets CI find it
-// without globbing; -benchout is a deprecated alias).
-//
-// sdfbench -compare old.json new.json diffs two trajectory files — or two
-// LOAD_*.json saturation reports from sdfload — and gates on a regression
+// sdfbench -compare [-threshold r] [-md file] old.json new.json diffs two
+// LOAD_*.json saturation reports from sdfload and gates on a regression
 // threshold; see compare.go.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/nodestore"
 	"repro/internal/par"
-	"repro/internal/pass"
-	"repro/internal/randsdf"
-	"repro/internal/regularity"
 	"repro/internal/sdf"
 	"repro/internal/systems"
-
-	"math/rand"
 )
-
-// benchSchema versions the BENCH_<date>.json trajectory file. Bump it when a
-// section's meaning changes (not when sections are added — -compare already
-// ignores sections the other file lacks).
-const benchSchema = "sdfbench/v2"
-
-// benchReport is the schema of the BENCH_<date>.json trajectory file.
-type benchReport struct {
-	Schema     string       `json:"schema"`
-	Date       string       `json:"date"`
-	GoVersion  string       `json:"go_version"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Quick      bool         `json:"quick"`
-	Seed       int64        `json:"seed"`
-	Phases     []benchPhase `json:"phases"`
-	// Table1Systems is the single-run wall time of the full shared pipeline
-	// per practical system.
-	Table1Systems []benchSystem `json:"table1_systems,omitempty"`
-	// Fig27 is the wall time per random-graph population.
-	Fig27 []benchFig27 `json:"fig27,omitempty"`
-	// MaxTokens compares the loop-aware token simulation against the
-	// firing-expansion oracle per system (the tentpole speedup).
-	MaxTokens []benchMaxTokens `json:"max_tokens,omitempty"`
-	// AllocFirstFitNS times first-fit allocation on a 150-actor random
-	// graph's lifetime intervals.
-	AllocFirstFitNS int64 `json:"alloc_first_fit_ns,omitempty"`
-	// Grid compares the prefix-sharing plan executor against naive
-	// per-configuration compilation over the full option grid on the six
-	// example systems.
-	Grid []benchGrid `json:"grid,omitempty"`
-	// Service benchmarks the sdfd daemon over a loopback listener: cold vs
-	// warm compile latency per system and warm requests/sec at saturation.
-	Service *benchService `json:"service,omitempty"`
-	// Incremental measures the persistent pass-node store on the
-	// single-actor-edit scenario: cold compile of a 150-actor random graph
-	// into an empty store versus warm recompile after renaming one actor.
-	Incremental *benchIncremental `json:"incremental,omitempty"`
-	// Parallel tracks the partitioned runtime per (system, P): the segmented
-	// image's memory ratio over the sequential shared total, and wall time
-	// per period of the barrier-phased engine against the sequential engine
-	// with synthetic per-firing work.
-	Parallel []benchParallel `json:"parallel,omitempty"`
-}
-
-type benchPhase struct {
-	Name   string `json:"name"`
-	WallNS int64  `json:"wall_ns"`
-}
-
-type benchSystem struct {
-	System string `json:"system"`
-	WallNS int64  `json:"wall_ns"`
-}
-
-type benchFig27 struct {
-	Size       int   `json:"size"`
-	Graphs     int   `json:"graphs"`
-	WallNS     int64 `json:"wall_ns"`
-	NSPerGraph int64 `json:"ns_per_graph"`
-}
-
-type benchMaxTokens struct {
-	System      string  `json:"system"`
-	LoopAwareNS int64   `json:"loop_aware_ns"`
-	FiringNS    int64   `json:"firing_ns"`
-	Speedup     float64 `json:"speedup"`
-}
-
-type benchGrid struct {
-	System  string `json:"system"`
-	Configs int    `json:"configs"`
-	// NaiveNS compiles every grid point with core.Compile, one full pipeline
-	// each; PlannedNS runs the same points as one prefix-sharing plan.
-	NaiveNS   int64   `json:"naive_ns"`
-	PlannedNS int64   `json:"planned_ns"`
-	Speedup   float64 `json:"speedup"`
-	// PlannedNodes/NaiveNodes count executed pass nodes with and without
-	// deduplication — the structural (machine-independent) sharing win.
-	PlannedNodes int `json:"planned_nodes"`
-	NaiveNodes   int `json:"naive_nodes"`
-}
-
-type benchIncremental struct {
-	Actors int `json:"actors"`
-	// ColdNS is one full compile into an empty store; WarmNS recompiles
-	// after a single-actor rename against the populated store.
-	ColdNS int64 `json:"cold_ns"`
-	WarmNS int64 `json:"warm_ns"`
-	// Executed/loaded pass-node counts: the machine-independent work ratio.
-	ColdExecuted int     `json:"cold_executed_nodes"`
-	WarmExecuted int     `json:"warm_executed_nodes"`
-	WarmLoaded   int     `json:"warm_loaded_nodes"`
-	WorkRatio    float64 `json:"work_ratio"` // cold executed / warm executed
-	Speedup      float64 `json:"speedup"`    // cold ns / warm ns
-}
-
-type benchParallel struct {
-	System         string  `json:"system"`
-	Workers        int     `json:"workers"`
-	Phases         int     `json:"phases"`
-	SegmentedTotal int64   `json:"segmented_total"`
-	MemoryRatio    float64 `json:"memory_ratio"`
-	SeqNS          int64   `json:"seq_ns"`
-	PhasedNS       int64   `json:"phased_ns"`
-	Speedup        float64 `json:"speedup"`
-}
 
 func main() {
 	fs := flag.NewFlagSet("sdfbench", flag.ContinueOnError)
@@ -164,11 +43,8 @@ func main() {
 		exp       = fs.String("experiment", "all", "which experiment to run")
 		quick     = fs.Bool("quick", false, "reduced population sizes")
 		seed      = fs.Int64("seed", 2000, "random seed for stochastic studies")
-		jsonOut   = fs.Bool("json", false, "emit results as JSON and write a BENCH_<date>.json trajectory")
-		out       = fs.String("out", "", "trajectory file path (default BENCH_<date>.json; implies nothing unless -json)")
-		benchOut  = fs.String("benchout", "", "deprecated alias for -out")
-		compare   = fs.Bool("compare", false, "compare two trajectory files (sdfbench -compare old.json new.json) instead of running experiments")
-		threshold = fs.Float64("threshold", 1.25, "for -compare: flag a regression when new/old wall time exceeds this ratio")
+		compare   = fs.Bool("compare", false, "compare two sdfload reports (sdfbench -compare old.json new.json) instead of running experiments")
+		threshold = fs.Float64("threshold", 1.25, "for -compare: flag a regression when a series worsens beyond this ratio")
 		mdOut     = fs.String("md", "", "for -compare: write the markdown report to this file (default stdout)")
 	)
 	if code := core.ParseCLI(fs, os.Args[1:]); code >= 0 {
@@ -178,32 +54,10 @@ func main() {
 	if *compare {
 		args := fs.Args()
 		if len(args) != 2 {
-			fmt.Fprintln(os.Stderr, "sdfbench: -compare needs exactly two trajectory files: sdfbench -compare old.json new.json")
+			fmt.Fprintln(os.Stderr, "sdfbench: -compare needs exactly two load reports: sdfbench -compare old.json new.json")
 			os.Exit(2)
 		}
 		os.Exit(runCompare(args[0], args[1], *mdOut, *threshold))
-	}
-
-	report := &benchReport{
-		Schema:     benchSchema,
-		Date:       time.Now().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Quick:      *quick,
-		Seed:       *seed,
-	}
-
-	emit := func(name string, v interface{}, text func() string) {
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(map[string]interface{}{"experiment": name, "results": v}); err != nil {
-				fmt.Fprintln(os.Stderr, "sdfbench:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		fmt.Print(text())
 	}
 
 	ran := 0
@@ -213,18 +67,12 @@ func main() {
 		}
 		ran++
 		start := time.Now()
-		if !*jsonOut {
-			fmt.Printf("==== %s ====\n", name)
-		}
+		fmt.Printf("==== %s ====\n", name)
 		if err := f(); err != nil {
 			fmt.Fprintf(os.Stderr, "sdfbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start)
-		report.Phases = append(report.Phases, benchPhase{Name: name, WallNS: elapsed.Nanoseconds()})
-		if !*jsonOut {
-			fmt.Printf("(%s in %v)\n\n", name, elapsed.Round(time.Millisecond))
-		}
+		fmt.Printf("(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	run("table1", func() error {
@@ -232,22 +80,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if *jsonOut {
-			// Per-system trajectory: one timed sequential pass each, so the
-			// numbers are comparable across machines with different core
-			// counts.
-			for _, g := range systems.Table1Systems() {
-				start := time.Now()
-				if _, err := experiments.Table1([]*sdf.Graph{g}); err != nil {
-					return err
-				}
-				report.Table1Systems = append(report.Table1Systems,
-					benchSystem{System: g.Name, WallNS: time.Since(start).Nanoseconds()})
-			}
-		}
-		emit("table1", rows, func() string {
-			return experiments.FormatTable1(rows) + "\n" + experiments.FormatFig25(rows)
-		})
+		fmt.Print(experiments.FormatTable1(rows) + "\n" + experiments.FormatFig25(rows))
 		return nil
 	})
 
@@ -257,18 +90,11 @@ func main() {
 		if *quick {
 			cfg = experiments.Fig27Config{Sizes: []int{20, 50}, PerSize: 10, Seed: *seed}
 		}
-		cfg.OnSizeTimed = func(size, graphs int, elapsed time.Duration) {
-			report.Fig27 = append(report.Fig27, benchFig27{
-				Size: size, Graphs: graphs,
-				WallNS:     elapsed.Nanoseconds(),
-				NSPerGraph: elapsed.Nanoseconds() / int64(graphs),
-			})
-		}
 		pts, err := experiments.Fig27(cfg)
 		if err != nil {
 			return err
 		}
-		emit("fig27", pts, func() string { return experiments.FormatFig27(pts) })
+		fmt.Print(experiments.FormatFig27(pts))
 		return nil
 	})
 
@@ -293,7 +119,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("randomsort", results, func() string { return experiments.FormatRandomSort(results) })
+		fmt.Print(experiments.FormatRandomSort(results))
 		return nil
 	})
 
@@ -302,7 +128,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("homogeneous", rows, func() string { return experiments.FormatHomogeneous(rows) })
+		fmt.Print(experiments.FormatHomogeneous(rows))
 		return nil
 	})
 
@@ -311,7 +137,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("sdppo-vs-dppo", rows, func() string { return experiments.FormatSdppoVsDppo(rows) })
+		fmt.Print(experiments.FormatSdppoVsDppo(rows))
 		return nil
 	})
 
@@ -320,7 +146,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("satrec", cmp, func() string { return experiments.FormatSatrec(cmp) })
+		fmt.Print(experiments.FormatSatrec(cmp))
 		return nil
 	})
 
@@ -329,7 +155,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("cddat", rows, func() string { return experiments.FormatCDDAT(rows) })
+		fmt.Print(experiments.FormatCDDAT(rows))
 		return nil
 	})
 
@@ -338,7 +164,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("dynamic", rows, func() string { return experiments.FormatDynamic(rows) })
+		fmt.Print(experiments.FormatDynamic(rows))
 		return nil
 	})
 
@@ -347,7 +173,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("tradeoff", rows, func() string { return experiments.FormatTradeoff(rows) })
+		fmt.Print(experiments.FormatTradeoff(rows))
 		return nil
 	})
 
@@ -361,7 +187,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("exact", rows, func() string { return experiments.FormatExact(rows) })
+		fmt.Print(experiments.FormatExact(rows))
 		return nil
 	})
 
@@ -370,7 +196,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("parallel", rows, func() string { return experiments.FormatParallel(rows) })
+		fmt.Print(experiments.FormatParallel(rows))
 		return nil
 	})
 
@@ -379,335 +205,13 @@ func main() {
 		if err != nil {
 			return err
 		}
-		emit("merging", rows, func() string { return experiments.FormatMerging(rows) })
+		fmt.Print(experiments.FormatMerging(rows))
 		return nil
 	})
 
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "sdfbench: unknown experiment %q (see -h for the list)\n", *exp)
 		os.Exit(2)
-	}
-
-	if *jsonOut {
-		path := *out
-		if path == "" {
-			path = *benchOut // deprecated alias; -out wins when both are set
-		}
-		if err := writeBenchFile(report, path, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "sdfbench: bench trajectory:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeBenchFile appends the simulator and allocator micro timings to the
-// report and writes it to path (default BENCH_<date>.json).
-func writeBenchFile(report *benchReport, path string, quick bool) error {
-	microBudget := 50 * time.Millisecond
-	graphs := systems.Table1Systems()
-	if quick {
-		microBudget = 5 * time.Millisecond
-		// Keep the heavily multirate systems — the regime the loop-aware
-		// simulator targets — so even a quick trajectory file tracks the
-		// speedup that matters.
-		multirate := map[string]bool{
-			"satrec": true, "qmf235_5d": true, "phasedArray": true, "qmf235_3d": true,
-		}
-		var sub []*sdf.Graph
-		for _, g := range graphs {
-			if multirate[g.Name] {
-				sub = append(sub, g)
-			}
-		}
-		graphs = sub
-	}
-	for _, g := range graphs {
-		res, err := core.Compile(g, core.Options{Strategy: core.APGAN, Looping: core.SDPPOLoops})
-		if err != nil {
-			return err
-		}
-		s := res.Schedule
-		la := timeNsPerOp(microBudget, func() {
-			if _, err := s.SimulateLoopAware(); err != nil {
-				panic(err)
-			}
-		})
-		fe := timeNsPerOp(microBudget, func() {
-			if _, err := s.SimulateByExpansion(); err != nil {
-				panic(err)
-			}
-		})
-		m := benchMaxTokens{System: g.Name, LoopAwareNS: la, FiringNS: fe}
-		if la > 0 {
-			m.Speedup = float64(fe) / float64(la)
-		}
-		report.MaxTokens = append(report.MaxTokens, m)
-	}
-
-	g := randsdf.Graph(rand.New(rand.NewSource(150)), randsdf.Config{Actors: 150})
-	res, err := core.Compile(g, core.Options{})
-	if err != nil {
-		return err
-	}
-	report.AllocFirstFitNS = timeNsPerOp(microBudget, func() {
-		alloc.Allocate(res.Intervals, alloc.FirstFitDuration)
-	})
-
-	if err := benchGridSection(report, microBudget); err != nil {
-		return err
-	}
-
-	if err := benchIncrementalSection(report); err != nil {
-		return err
-	}
-
-	if err := benchParallelSection(report, microBudget, quick); err != nil {
-		return err
-	}
-
-	svc, err := benchServiceSection(quick)
-	if err != nil {
-		return err
-	}
-	report.Service = svc
-
-	if path == "" {
-		path = fmt.Sprintf("BENCH_%s.json", time.Now().Format("2006-01-02"))
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "sdfbench: wrote", path)
-	return nil
-}
-
-// benchGridSection times the full (strategy x looping x allocator) grid —
-// one single-allocator point per combination, 24 points — on the six example
-// systems, compiled naively (core.Compile per point, sequential, each point a
-// full pipeline) and as one prefix-sharing plan (shared passes, parallel
-// branches). The speedup trajectory is the tentpole's headline number.
-func benchGridSection(report *benchReport, budget time.Duration) error {
-	points := gridPoints()
-	for _, g := range gridSystems() {
-		// One dry run of both paths: surfaces compile errors before timing and
-		// yields the structural node counts.
-		plan, err := pass.NewPlan(g, points, pass.PlanConfig{})
-		if err != nil {
-			return fmt.Errorf("grid %s: %w", g.Name, err)
-		}
-		row := benchGrid{System: g.Name, Configs: len(points)}
-		for _, kc := range plan.Stats() {
-			row.PlannedNodes += kc.Nodes
-			row.NaiveNodes += kc.Naive
-		}
-		for _, pt := range points {
-			if _, err := core.Compile(g, pt); err != nil {
-				return fmt.Errorf("grid %s: %w", g.Name, err)
-			}
-		}
-		row.NaiveNS = timeNsPerOp(budget, func() {
-			for _, pt := range points {
-				if _, err := core.Compile(g, pt); err != nil {
-					panic(err)
-				}
-			}
-		})
-		row.PlannedNS = timeNsPerOp(budget, func() {
-			if _, err := pass.RunGrid(context.Background(), g, points, pass.PlanConfig{}); err != nil {
-				panic(err)
-			}
-		})
-		if row.PlannedNS > 0 {
-			row.Speedup = float64(row.NaiveNS) / float64(row.PlannedNS)
-		}
-		report.Grid = append(report.Grid, row)
-	}
-	return nil
-}
-
-// benchIncrementalSection times the persistent pass-node store on the
-// paper-pipeline edit loop: compile a 150-actor random graph cold (empty
-// store, every pass executes), rename one actor, recompile warm. Actor
-// names appear in no store key and no stored payload, so the warm run loads
-// every pipeline stage from the store and executes only the final assembly
-// — the work ratio is structural (executed-node counts), the speedup is
-// this machine's wall-time echo of it.
-func benchIncrementalSection(report *benchReport) error {
-	const actors = 150
-	g := randsdf.Graph(rand.New(rand.NewSource(151)), randsdf.Config{Actors: actors})
-	dir, err := os.MkdirTemp("", "sdfbench-store-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	st, err := nodestore.Open(dir, 256<<20)
-	if err != nil {
-		return err
-	}
-	points := []pass.Options{{}}
-
-	runOnce := func(g *sdf.Graph) (time.Duration, []pass.KindCount, error) {
-		start := time.Now()
-		plan, err := pass.NewPlan(g, points, pass.PlanConfig{Store: st})
-		if err != nil {
-			return 0, nil, err
-		}
-		outs := plan.Run(context.Background())
-		elapsed := time.Since(start)
-		if outs[0].Err != nil {
-			return 0, nil, outs[0].Err
-		}
-		return elapsed, plan.Stats(), nil
-	}
-
-	cold, coldStats, err := runOnce(g)
-	if err != nil {
-		return fmt.Errorf("incremental cold: %w", err)
-	}
-
-	// The edit: rename one actor, rebuild, recompile.
-	edited := sdf.New(g.Name)
-	for i, a := range g.Actors() {
-		name := a.Name
-		if i == 0 {
-			name = "renamed_" + name
-		}
-		edited.AddActor(name)
-	}
-	for _, e := range g.Edges() {
-		id := edited.AddEdge(e.Src, e.Dst, e.Prod, e.Cons, e.Delay)
-		edited.SetWords(id, e.Words)
-	}
-
-	warm, warmStats, err := runOnce(edited)
-	if err != nil {
-		return fmt.Errorf("incremental warm: %w", err)
-	}
-	// A few more warm runs, keeping the fastest: the first one pays cold
-	// page-cache and allocator noise that is not the store's cost.
-	for i := 0; i < 4; i++ {
-		again, _, err := runOnce(edited)
-		if err != nil {
-			return fmt.Errorf("incremental warm: %w", err)
-		}
-		if again < warm {
-			warm = again
-		}
-	}
-
-	inc := &benchIncremental{Actors: actors, ColdNS: cold.Nanoseconds(), WarmNS: warm.Nanoseconds()}
-	for _, kc := range coldStats {
-		inc.ColdExecuted += kc.Executed
-	}
-	for _, kc := range warmStats {
-		inc.WarmExecuted += kc.Executed
-		inc.WarmLoaded += kc.Loaded
-	}
-	if inc.WarmExecuted > 0 {
-		inc.WorkRatio = float64(inc.ColdExecuted) / float64(inc.WarmExecuted)
-	}
-	if inc.WarmNS > 0 {
-		inc.Speedup = float64(inc.ColdNS) / float64(inc.WarmNS)
-	}
-	report.Incremental = inc
-	return nil
-}
-
-// benchParallelSection tracks the partitioned runtime on two multirate
-// systems: per worker count, the segmented image's memory price and the
-// barrier-phased engine's wall time per period against the sequential engine.
-// Each firing burns a fixed arithmetic loop so the barrier cost is weighed
-// against actor work the way a deployment would see it; the speedup
-// trajectory catches both barrier regressions and segment-routing bloat.
-func benchParallelSection(report *benchReport, budget time.Duration, quick bool) error {
-	workers := []int{2, 4}
-	const workIters = 256
-	graphs := []*sdf.Graph{systems.SatelliteReceiver(), systems.CDDAT()}
-	if quick {
-		graphs = graphs[:1]
-	}
-	for _, g := range graphs {
-		mem, err := experiments.ParallelMemory([]*sdf.Graph{g}, workers)
-		if err != nil {
-			return err
-		}
-		sp, err := experiments.ParallelSpeedup(g, workers, workIters, budget)
-		if err != nil {
-			return err
-		}
-		for i, pt := range mem[0].Points {
-			row := benchParallel{
-				System:         g.Name,
-				Workers:        pt.Workers,
-				Phases:         pt.Phases,
-				SegmentedTotal: pt.SegmentedTotal,
-				MemoryRatio:    pt.MemoryRatio,
-				SeqNS:          sp.SeqNS,
-			}
-			if i < len(sp.Points) {
-				row.PhasedNS = sp.Points[i].WallNS
-				row.Speedup = sp.Points[i].Speedup
-			}
-			report.Parallel = append(report.Parallel, row)
-		}
-	}
-	return nil
-}
-
-// gridPoints enumerates the full grid with one allocator per point, so the
-// naive path pays one compilation per (order, looping, allocator) triple and
-// the planner gets the widest allocator fan-out to share lifetimes across.
-func gridPoints() []pass.Options {
-	var pts []pass.Options
-	for _, strat := range []core.OrderStrategy{core.APGAN, core.RPMC} {
-		for _, la := range []core.LoopAlg{core.SDPPOLoops, core.DPPOLoops, core.ChainPreciseLoops, core.FlatLoops} {
-			for _, a := range []alloc.Strategy{alloc.FirstFitDuration, alloc.FirstFitStart, alloc.BestFitDuration} {
-				pts = append(pts, pass.Options{
-					Strategy: strat, Looping: la, Allocators: []alloc.Strategy{a},
-				})
-			}
-		}
-	}
-	return pts
-}
-
-// gridSystems is the six-system example set the service quickstart uses.
-func gridSystems() []*sdf.Graph {
-	quick := sdf.New("quickstart")
-	a := quick.AddActor("A")
-	b := quick.AddActor("B")
-	c := quick.AddActor("C")
-	quick.AddEdge(a, b, 3, 2, 0)
-	quick.AddEdge(b, c, 5, 7, 0)
-	return []*sdf.Graph{
-		quick,
-		regularity.FIR(8),
-		systems.OneSidedFilterbank(4, systems.Ratio23),
-		systems.SatelliteReceiver(),
-		systems.Homogeneous(4, 4),
-		systems.CDDAT(),
-	}
-}
-
-// timeNsPerOp measures f's per-call wall time, doubling the iteration count
-// until the measurement spans the budget.
-func timeNsPerOp(budget time.Duration, f func()) int64 {
-	f() // warm-up
-	n := 1
-	for {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			f()
-		}
-		elapsed := time.Since(start)
-		if elapsed >= budget || n >= 1<<24 {
-			return elapsed.Nanoseconds() / int64(n)
-		}
-		n *= 2
 	}
 }
 

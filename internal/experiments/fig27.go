@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -18,10 +17,6 @@ type Fig27Config struct {
 	Sizes   []int // node counts; paper: 20, 50, 100, 150
 	PerSize int   // graphs per size; paper: 100
 	Seed    int64
-	// OnSizeTimed, if non-nil, receives the wall time of each population
-	// after it completes (the benchmark trajectory hook). It does not affect
-	// results.
-	OnSizeTimed func(size, graphs int, elapsed time.Duration)
 }
 
 // DefaultFig27Config reproduces the paper's populations.
@@ -63,7 +58,6 @@ type graphOutcome struct {
 func Fig27(cfg Fig27Config) ([]Fig27Point, error) {
 	var out []Fig27Point
 	for si, size := range cfg.Sizes {
-		sizeStart := time.Now()
 		outcomes, err := par.Map(cfg.PerSize, func(i int) (graphOutcome, error) {
 			seed := cfg.Seed + int64(si)*1_000_003 + int64(i)
 			g := randsdf.Graph(rand.New(rand.NewSource(seed)), randsdf.Config{Actors: size})
@@ -75,9 +69,6 @@ func Fig27(cfg Fig27Config) ([]Fig27Point, error) {
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig27 size %d: %w", size, err)
-		}
-		if cfg.OnSizeTimed != nil {
-			cfg.OnSizeTimed(size, cfg.PerSize, time.Since(sizeStart))
 		}
 		var p Fig27Point
 		p.Size = size

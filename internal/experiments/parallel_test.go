@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-
-	"repro/internal/systems"
-)
+import "testing"
 
 func TestParallelMemoryShape(t *testing.T) {
 	rows, err := ParallelMemory(smallSet(), []int{1, 2, 4})
@@ -41,25 +36,5 @@ func TestParallelMemoryShape(t *testing.T) {
 				t.Errorf("%s p%d: %d phases", r.System, pt.Workers, pt.Phases)
 			}
 		}
-	}
-}
-
-func TestParallelSpeedupMeasures(t *testing.T) {
-	row, err := ParallelSpeedup(systems.SatelliteReceiver(), []int{2}, 32, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.SeqNS <= 0 {
-		t.Fatalf("sequential period measured at %d ns", row.SeqNS)
-	}
-	if len(row.Points) != 1 {
-		t.Fatalf("got %d points, want 1", len(row.Points))
-	}
-	pt := row.Points[0]
-	if pt.WallNS <= 0 || pt.Speedup <= 0 {
-		t.Fatalf("phased period %d ns, speedup %.3f", pt.WallNS, pt.Speedup)
-	}
-	if pt.Workers != 2 || pt.Firings <= 0 {
-		t.Fatalf("point metadata: %+v", pt)
 	}
 }

@@ -7,10 +7,9 @@ import (
 	"repro/internal/hdr"
 )
 
-// ReportVersion identifies the LOAD_*.json schema. sdfbench -compare sniffs
-// this field to tell load reports from bench trajectory files; bump it on
-// incompatible schema changes so old baselines fail loudly instead of
-// comparing garbage.
+// ReportVersion identifies the LOAD_*.json schema; SelfCheck and sdfbench
+// -compare refuse a report that carries another. Bump it on incompatible
+// schema changes so old baselines fail loudly instead of comparing garbage.
 const ReportVersion = "load/v1"
 
 // Report is the versioned result of one staged ramp: the LOAD_<label>.json

@@ -119,7 +119,7 @@ func NewWorkload(seed int64, mix Mix, gridEntries int) (*Workload, error) {
 	})
 
 	// Warm pool: the six example systems, mirroring the repository's
-	// example programs (and sdfbench's grid section).
+	// example programs.
 	for _, g := range warmSystems() {
 		body, err := compileBody(g)
 		if err != nil {

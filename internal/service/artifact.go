@@ -16,9 +16,9 @@ import (
 // itself is determinism-linted, so one compile per digest is enough).
 type Artifact struct {
 	// Schema is the artifact schema version (the digest frame prefix).
-	// Consumers comparing artifacts across builds (sdfbench -compare) check
-	// it first so a schema skew reads as an explicit mismatch, not as a
-	// spurious metric regression.
+	// Consumers comparing artifacts across builds check it first so a
+	// schema skew reads as an explicit mismatch, not as a spurious metric
+	// regression.
 	Schema  string         `json:"schema"`
 	Graph   string         `json:"graph"`
 	Actors  int            `json:"actors"`

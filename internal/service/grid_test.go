@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/sdfio"
 	"repro/internal/systems"
 )
 
@@ -187,4 +189,56 @@ func TestGridArtifactRoundTrip(t *testing.T) {
 	if !bytes.Equal(fetched, res.Artifact) {
 		t.Error("GET /v1/artifact bytes differ from grid response")
 	}
+}
+
+// FuzzGridRequest drives the grid front end shared by POST /v1/grid and
+// POST /v1/jobs/grid — body read under the cap, decode, entry-count check,
+// one parse — with arbitrary bodies. It must not panic; a refused body
+// must carry a 400 bad_request or 413 too_large APIError; an accepted one
+// has 1..cap entries and a canonical text that is the parsed graph's and
+// parses back to itself.
+func FuzzGridRequest(f *testing.F) {
+	const maxEntries = 4
+	s := New(Config{Workers: 1, MaxRequestBytes: 1 << 11})
+	f.Cleanup(s.Close)
+	for _, seed := range []string{
+		`{"graph":"graph g\nedge A B 3 2 0\n","entries":[{}]}`,
+		`{"graph":"edge A B 2 3\nedge B C 1 1 4 2\n","entries":[{"strategy":"apgan"},{"looping":"flat","partitions":2},{}]}`,
+		`{"graph":"edge A B 1 1","entries":[]}`,
+		`{"graph":"edge A B 1 1","entries":[{},{},{},{},{}]}`,
+		`{"graph":"edge A B 1 1","entries":[{"nosuch":1}]}`,
+		`{"graph":"edge A B 0 1","entries":[{}]}`,
+		`{"graph":"edge A B 1 1","entries":[{}]} trailing`,
+		`{"graph":"edge A B 1 1","entries":[{}]}` + strings.Repeat(" ", 3000),
+		`{"graph":"` + strings.Repeat("edge A B 1 1\\n", 200) + `","entries":[{}]}`,
+		`{"graph":"edge A B 1 1"}`,
+		`{not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/grid", bytes.NewReader(body))
+		raw, readErr := s.readBody(rec, r)
+		req, canonical, g, apiErr := s.parseGridRequest(raw, readErr, maxEntries)
+		if apiErr != nil {
+			switch {
+			case apiErr.Status == http.StatusBadRequest && apiErr.Reason == "bad_request":
+			case apiErr.Status == http.StatusRequestEntityTooLarge && apiErr.Reason == "too_large":
+			default:
+				t.Fatalf("refused with %+v", apiErr)
+			}
+			return
+		}
+		if n := len(req.Entries); n < 1 || n > maxEntries {
+			t.Fatalf("accepted %d entries, cap %d", n, maxEntries)
+		}
+		if again, err := sdfio.CanonicalString(g); err != nil || again != canonical {
+			t.Fatalf("canonical text is not the parsed graph's: %q vs %q (%v)", canonical, again, err)
+		}
+		if again, err := sdfio.Canonicalize(canonical); err != nil || again != canonical {
+			t.Fatalf("canonical text does not parse back to itself: %q vs %q (%v)", canonical, again, err)
+		}
+	})
 }

@@ -114,6 +114,46 @@ func TestWireForm(t *testing.T) {
 	}
 }
 
+// FuzzWireForm: whenever wireForm accepts bytes, both response envelopes
+// that copy them verbatim equal json.Encoder's output for the same
+// response, byte for byte. That is what lets the cache hold peer bytes
+// once they pass wireForm. flags selects the envelope's booleans and entry
+// shapes; msg is an entry error's message.
+func FuzzWireForm(f *testing.F) {
+	f.Add(htmlArtifact(f), byte(0), "")
+	for _, seed := range []string{
+		`null`, `1e5`, `"<x>"`, `"\u003cx\u003e"`, `[1,{"a":[]}]`, "\"\u2028\"",
+		`"\u2028"`, "{\"a\":\"\xff\"}", `{ "a": 1 }`, `1 2`, ``,
+	} {
+		f.Add([]byte(seed), byte(0x2d), `options: <"x"> & more`)
+	}
+	digest := Digest("graph g\n", CompileOptions{})
+	f.Fuzz(func(t *testing.T, data []byte, flags byte, msg string) {
+		if !wireForm(data) {
+			return
+		}
+		c := CompileResponse{Digest: digest, Cached: flags&1 != 0, Coalesced: flags&2 != 0, Verified: flags&4 != 0, Artifact: data}
+		if got, want := appendCompileResponse(nil, &c), encoded(t, &c); !bytes.Equal(got, want) {
+			t.Fatalf("compile envelope:\n got %q\nwant %q", got, want)
+		}
+		entryErr := &APIError{Status: http.StatusBadRequest, Reason: "bad_request", Message: msg}
+		g := GridResponse{PlannedNodes: int(flags), NaiveNodes: 2 * int(flags)}
+		for i := range 4 {
+			res := GridEntryResult{Artifact: data}
+			if flags>>(4+i)&1 != 0 {
+				res = GridEntryResult{Digest: digest, Cached: flags&1 != 0, Error: entryErr}
+			}
+			if i == 0 {
+				res.Digest = digest
+			}
+			g.Results = append(g.Results, res)
+		}
+		if got, want := appendGridResponse(nil, &g), encoded(t, &g); !bytes.Equal(got, want) {
+			t.Fatalf("grid envelope:\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
 // TestWriteJSONEncodeFailure: a value that does not encode is answered
 // with a 500 internal envelope, not a 200 with an empty body.
 func TestWriteJSONEncodeFailure(t *testing.T) {
