@@ -28,10 +28,11 @@
 // executing it (docs/PIPELINE.md, "Incremental recompilation").
 //
 // With -peers, the daemon joins a sharded cluster: the listed members (plus
-// this node) form a consistent-hash ring over artifact digests, compile
-// requests proxy to their digest's owner, cache misses try peer fetch
-// before recompiling, and async grid jobs (POST /v1/jobs/grid) spread their
-// entries across the membership (docs/SERVICE.md, "Cluster mode"). On
+// this node) form a consistent-hash ring over artifact digests, every
+// route's cache misses are dispatched to their digest's owner, an owner's
+// misses try peer fetch before recompiling, and async grid jobs (POST
+// /v1/jobs/grid) spread their entries across the membership
+// (docs/SERVICE.md, "Cluster mode"). On
 // SIGINT/SIGTERM a clustered or job-serving daemon drains gracefully: new
 // work is refused with 503, /healthz flips to 503 so peers rotate it out,
 // and in-flight async jobs get up to -drain to finish.

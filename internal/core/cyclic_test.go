@@ -199,7 +199,7 @@ func TestCompileGeneralMergingUnsupportedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.MergedTotal != 0 && res.Metrics.MergedTotal != res.Metrics.SharedTotal {
+	if res.Metrics.MergedTotal != res.Metrics.SharedTotal {
 		t.Errorf("cyclic path merged total %d diverges from shared %d",
 			res.Metrics.MergedTotal, res.Metrics.SharedTotal)
 	}

@@ -196,8 +196,7 @@ func Run(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID, p int) (*Partitio
 	sortClusters(clusters)
 
 	// Greedy list assignment to the least-loaded worker (ties: lowest
-	// worker index).
-	assign := make([]int, n)
+	// worker index); every actor then takes its cluster's worker.
 	load := make([]int64, p)
 	for _, cl := range clusters {
 		w := 0
@@ -209,12 +208,11 @@ func Run(g *sdf.Graph, q sdf.Repetitions, order []sdf.ActorID, p int) (*Partitio
 		if load[w], err = num.CheckedAdd(load[w], cl.cost); err != nil {
 			return nil, fmt.Errorf("partition: worker load: %w", err)
 		}
-		root := find(cl.minID)
-		for a := 0; a < n; a++ {
-			if find(a) == root {
-				assign[a] = w
-			}
-		}
+		cl.worker = w
+	}
+	assign := make([]int, n)
+	for a := range assign {
+		assign[a] = byRoot[find(a)].worker
 	}
 
 	return build(g, q, order, p, assign, level, cost)
@@ -322,9 +320,10 @@ func actorCosts(g *sdf.Graph, q sdf.Repetitions) ([]int64, error) {
 // cluster is a union-find component of same-level actors, the unit of the
 // greedy list assignment.
 type cluster struct {
-	level int
-	cost  int64
-	minID int
+	level  int
+	cost   int64
+	minID  int
+	worker int // set by the greedy assignment
 }
 
 // sortClusters orders the greedy list: level ascending, cost descending,

@@ -216,6 +216,10 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	}
 	res.Metrics.DPCost = condRes.Metrics.DPCost
 	res.Metrics.SharedTotal = res.Best.Total
+	// Merging is unsupported on the cyclic path (the option is ignored), so
+	// the merged total is the shared one, as on an acyclic compile without
+	// merging.
+	res.Metrics.MergedTotal = res.Metrics.SharedTotal
 	res.Metrics.MCO, res.Metrics.MCP = lifetime.CliqueWeights(intervals)
 	bmlb, err := g.BMLB()
 	if err != nil {

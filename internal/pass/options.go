@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
-	"repro/internal/merge"
 	"repro/internal/sdf"
 )
 
@@ -90,14 +89,11 @@ type Options struct {
 	// a combined memory image that the token-level simulator cannot check,
 	// so Verify covers the unmerged allocation and merging is applied after.
 	Merging bool
-	// MergePolicy optionally marks actors whose outputs overlap their
-	// inputs (merge.Overlap); nil treats every actor as consume-before-
-	// produce.
-	MergePolicy func(sdf.ActorID) merge.Policy
 	// Partitions, when >= 2, additionally compiles a P-way phased parallel
 	// schedule (internal/partition) with a per-segment storage allocation:
 	// one private segment per worker plus a shared segment for cross-worker
-	// edges, barriers between phases. Values <= 1 select the sequential
+	// edges, run self-timed: each worker waits only on the links and drains
+	// its next firing needs. Values <= 1 select the sequential
 	// single-address-space path unchanged — a P=1 "partitioning" is the
 	// sequential schedule, so it is never materialized and the artifact
 	// bytes stay byte-identical to a compilation without the field.

@@ -169,8 +169,8 @@ type segNode struct {
 }
 
 // assembleNode is one grid point's leaf: verify/merge/metrics assembly over
-// the shared artifacts. Never shared — Verify, VerifyPeriods, Merging and
-// MergePolicy are per-point. Its id is the point's index.
+// the shared artifacts. Never shared — Verify, VerifyPeriods and Merging
+// are per-point. Its id is the point's index.
 type assembleNode struct {
 	node
 	opts   Options

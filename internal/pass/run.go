@@ -275,7 +275,7 @@ func finishResult(ctx context.Context, g *sdf.Graph, opts Options, rep Repetitio
 // if the packed total shrinks. Merge trials operate on fresh interval
 // enumerations (merge.Apply copies), never on the shared Lifetimes artifact.
 func applyMerging(res *Result, opts Options, allocators []alloc.Strategy) (int64, int, error) {
-	cands := merge.Candidates(res.Schedule, opts.MergePolicy)
+	cands := merge.Candidates(res.Schedule, nil)
 	var solid []merge.Candidate
 	for _, c := range cands {
 		if len(res.Intervals[c.In].Periods) == 0 && len(res.Intervals[c.Out].Periods) == 0 {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/lifetime"
-	"repro/internal/merge"
 	"repro/internal/num"
 	"repro/internal/partition"
 	"repro/internal/sched"
@@ -48,15 +47,14 @@ const StoreVersion = "pass-node/v2"
 //
 //lint:keymap Options
 type storeKeyMap struct {
-	Strategy      OrderStrategy                  // orderOpts (and every node and key chained below the order)
-	Order         []sdf.ActorID                  // orderOpts, custom strategies only
-	Looping       LoopAlg                        // schedOpts; FlatLoops additionally pulls the words projection into the store key (its DP cost reads Words)
-	Allocators    []alloc.Strategy               // allocOpts, one alloc node and key per allocator
-	Verify        bool                           // assemble-only: per-point leaf, never shared or stored
-	VerifyPeriods int                            // assemble-only: per-point leaf, never shared or stored
-	Merging       bool                           // assemble-only: per-point leaf, never shared or stored
-	MergePolicy   func(sdf.ActorID) merge.Policy // assemble-only: per-point leaf, never shared or stored
-	Partitions    int                            // partitionOpts (segalloc inherits it through its parent partition node and chained hash)
+	Strategy      OrderStrategy    // orderOpts (and every node and key chained below the order)
+	Order         []sdf.ActorID    // orderOpts, custom strategies only
+	Looping       LoopAlg          // schedOpts; FlatLoops additionally pulls the words projection into the store key (its DP cost reads Words)
+	Allocators    []alloc.Strategy // allocOpts, one alloc node and key per allocator
+	Verify        bool             // assemble-only: per-point leaf, never shared or stored
+	VerifyPeriods int              // assemble-only: per-point leaf, never shared or stored
+	Merging       bool             // assemble-only: per-point leaf, never shared or stored
+	Partitions    int              // partitionOpts (segalloc inherits it through its parent partition node and chained hash)
 }
 
 // Option projections: one function per pass kind that reads options, each

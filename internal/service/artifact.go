@@ -180,22 +180,20 @@ func buildArtifact(res *core.Result, o CompileOptions) *Artifact {
 
 // ArtifactBytes marshals an already-computed compilation result as the wire
 // artifact for normalized options opts. It is the same rendering
-// CompileArtifact performs after compiling, split out so the grid planner —
-// which produces many Results from one shared pass graph — can cache each
-// entry under the identical bytes a direct /v1/compile of that entry would
-// produce. The bytes are encoding/json's for the Artifact, written without
+// CompileArtifact performs after compiling, split out so the daemon's plans
+// — which produce many Results from one shared pass graph — cache each
+// point under the identical bytes CompileArtifact produces for it. The bytes are encoding/json's for the Artifact, written without
 // reflection (encode.go); the error is kept for callers and is always nil.
 func ArtifactBytes(res *core.Result, opts CompileOptions) ([]byte, error) {
 	return encodeArtifact(buildArtifact(res, opts)), nil
 }
 
 // CompileArtifact runs the in-process pipeline on g under opts and returns
-// the marshaled artifact bytes plus the compilation result. It is the
-// single code path shared by the daemon's worker jobs and by offline
-// clients that need a reference artifact to compare server responses
-// against (sdffuzz -daemon): both sides producing bytes through this one
-// function is what makes "server response == in-process output" a
-// byte-equality assertion.
+// the marshaled artifact bytes plus the compilation result. Offline clients
+// use it as the reference artifact to compare server responses against
+// (sdffuzz -daemon); the daemon renders its plans' results through the same
+// ArtifactBytes, which is what makes "server response == in-process
+// output" a byte-equality assertion.
 func CompileArtifact(g *sdf.Graph, opts CompileOptions) ([]byte, *core.Result, error) {
 	norm, err := normalize(opts)
 	if err != nil {

@@ -63,31 +63,43 @@ func (c *Client) do(req *http.Request) ([]byte, error) {
 	return body, nil
 }
 
+// call sends one request to path, with in as its JSON body unless in is
+// nil, and decodes the 2xx answer into a fresh T.
+func call[T any](c *Client, method, path string, in any) (*T, error) {
+	var body io.Reader
+	if in != nil {
+		payload, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(payload)
+	}
+	httpReq, err := http.NewRequest(method, c.base()+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if in != nil {
+		httpReq.Header.Set("Content-Type", "application/json")
+	}
+	data, err := c.do(httpReq)
+	if err != nil {
+		return nil, err
+	}
+	out := new(T)
+	if err := json.Unmarshal(data, out); err != nil {
+		return nil, fmt.Errorf("sdfd: decoding %s response: %w", path, err)
+	}
+	return out, nil
+}
+
 // Compile POSTs one compile request. verify=true adds ?verify=1, asking the
 // server to run the invariant oracle on the compilation.
 func (c *Client) Compile(req CompileRequest, verify bool) (*CompileResponse, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	url := c.base() + "/v1/compile"
+	path := "/v1/compile"
 	if verify {
-		url += "?verify=1"
+		path += "?verify=1"
 	}
-	httpReq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	body, err := c.do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	var out CompileResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("sdfd: decoding compile response: %w", err)
-	}
-	return &out, nil
+	return call[CompileResponse](c, http.MethodPost, path, req)
 }
 
 // Artifact fetches the raw cached artifact bytes for a digest.

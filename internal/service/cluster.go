@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -15,11 +14,11 @@ import (
 )
 
 // forwardedHeader marks a request as already routed by a peer: the receiving
-// node must serve it locally, never re-proxy. It carries the forwarding
+// node must serve it locally, never route it again. It carries the forwarding
 // node's identity for observability.
 const forwardedHeader = "X-Sdfd-Forwarded"
 
-// servedByHeader names the peer that actually produced a proxied or
+// servedByHeader names the peer that actually produced a dispatched or
 // peer-fetched response.
 const servedByHeader = "X-Sdfd-Served-By"
 
@@ -47,14 +46,14 @@ type ClusterConfig struct {
 	// re-probing dead peers and between retries of failed peer calls.
 	// Defaults 50ms/2s.
 	RetryMin, RetryMax time.Duration
-	// PeerAttempts bounds attempts per peer operation (fetch, job
+	// PeerAttempts bounds attempts per peer operation (fetch, compile
 	// dispatch). Default 3.
 	PeerAttempts int
 	// FetchPeers is how many ranked peers a cache miss probes for the
 	// artifact before recompiling. Default 2.
 	FetchPeers int
 	// PeerTimeout bounds one peer artifact-fetch or healthz round trip.
-	// Default 5s. (Proxied compiles use the server's RequestTimeout — they
+	// Default 5s. (Compile dispatches use the server's RequestTimeout — they
 	// wait on real pipeline work.)
 	PeerTimeout time.Duration
 	// Seed feeds the backoff jitter generators. Default 1.
@@ -145,7 +144,7 @@ func newClusterNode(cfg ClusterConfig, reg *metrics.Registry) *clusterNode {
 		},
 	})
 	cn.peerReqs = reg.CounterVec("sdfd_peer_requests_total",
-		"outbound peer calls (artifact fetch, proxied compile, job dispatch) by peer and outcome (ok, miss, error)",
+		"outbound peer calls (artifact fetch, compile dispatch to an owner) by peer and outcome (ok, miss, error)",
 		"peer", "outcome")
 	return cn
 }
@@ -224,9 +223,9 @@ func (cn *clusterNode) fetchArtifact(ctx context.Context, digest string) ([]byte
 }
 
 // postCompile sends one already-canonicalized compile request to a peer
-// with the forwarded marker set, returning the peer's decoded response or
+// with the forwarded marker set, returning the peer's 2xx body undecoded or
 // its structured error.
-func (cn *clusterNode) postCompile(ctx context.Context, peer, canonical string, norm CompileOptions) (*CompileResponse, error) {
+func (cn *clusterNode) postCompile(ctx context.Context, peer, canonical string, norm CompileOptions) ([]byte, error) {
 	payload, err := json.Marshal(CompileRequest{Graph: canonical, Options: norm})
 	if err != nil {
 		return nil, err
@@ -238,46 +237,46 @@ func (cn *clusterNode) postCompile(ctx context.Context, peer, canonical string, 
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(forwardedHeader, cn.cfg.Self)
-	resp, err := cn.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, decodeError(resp.StatusCode, body)
-	}
-	var out CompileResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("sdfd: decoding peer compile response: %w", err)
-	}
-	return &out, nil
+	return (&Client{HTTPClient: cn.cfg.HTTPClient}).do(req)
 }
 
-// compileRemote drives one job entry's remote dispatch: re-evaluate the
-// effective owner each attempt (so a peer dying mid-job rehashes the entry,
+// decoded replaces a relayed owner answer by its decoding, and reports
+// false when it does not decode or its artifact is not in wire form
+// (wireForm): this node must not serve such bytes as the digest's.
+func (res entryResult) decoded() (entryResult, bool) {
+	var resp CompileResponse
+	if json.Unmarshal(res.relay, &resp) != nil || !wireForm(resp.Artifact) {
+		return res, false
+	}
+	res.Cached, res.coalesced, res.Artifact, res.relay = resp.Cached, resp.Coalesced, resp.Artifact, nil
+	return res, true
+}
+
+// compileRemote dispatches one miss to its owner: re-evaluate the effective
+// owner each attempt (so a peer dying mid-request rehashes the miss,
 // possibly back to self), post the compile, and back off between failures.
-// ok=false means the caller must compile locally — either the entry
-// rehashed home, every attempt failed (graceful degradation), or the peer
-// answered an artifact not in wire form (wireForm).
-func (cn *clusterNode) compileRemote(ctx context.Context, canonical string, norm CompileOptions, digest string) (data []byte, peer string, ok bool) {
-	bo := cluster.NewBackoff(cn.cfg.RetryMin, cn.cfg.RetryMax, cn.cfg.Seed)
+// It returns the owner's answer, decoded unless relay is set. false means
+// the caller must compile locally — either the miss rehashed home, every
+// attempt failed (graceful degradation), the owner's answer was a
+// definitive 4xx, or it did not decode.
+func (cn *clusterNode) compileRemote(ctx context.Context, canonical string, norm CompileOptions, digest string, relay bool) (entryResult, bool) {
+	var bo *cluster.Backoff // made on the first retry: most dispatches need none
 	for attempt := 0; attempt < cn.cfg.PeerAttempts; attempt++ {
 		owner := cn.ownerOf(digest)
 		if owner == cn.cfg.Self {
-			return nil, "", false
+			return entryResult{}, false
 		}
-		resp, err := cn.postCompile(ctx, owner, canonical, norm)
-		if err == nil && !wireForm(resp.Artifact) {
-			cn.peerReqs.With(owner, "error").Inc()
-			return nil, "", false
+		body, err := cn.postCompile(ctx, owner, canonical, norm)
+		res, ok := entryResult{GridEntryResult: GridEntryResult{Digest: digest}, servedBy: owner, relay: body}, err == nil
+		if ok && !relay {
+			if res, ok = res.decoded(); !ok {
+				cn.peerReqs.With(owner, "error").Inc()
+				return entryResult{}, false
+			}
 		}
-		if err == nil {
+		if ok {
 			cn.peerReqs.With(owner, "ok").Inc()
-			return resp.Artifact, owner, true
+			return res, true
 		}
 		cn.peerReqs.With(owner, "error").Inc()
 		// Definitive peer-side verdicts (bad options, infeasible point)
@@ -287,72 +286,20 @@ func (cn *clusterNode) compileRemote(ctx context.Context, canonical string, norm
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.Status < 500 &&
 			apiErr.Status != http.StatusTooManyRequests && apiErr.Status != http.StatusRequestTimeout {
-			return nil, "", false
+			return entryResult{}, false
 		}
 		if attempt+1 < cn.cfg.PeerAttempts {
+			if bo == nil {
+				bo = cluster.NewBackoff(cn.cfg.RetryMin, cn.cfg.RetryMax, cn.cfg.Seed)
+			}
 			select {
 			case <-ctx.Done():
-				return nil, "", false
+				return entryResult{}, false
 			case <-cn.clock.After(bo.Next()):
 			}
 		}
 	}
-	return nil, "", false
-}
-
-// proxyCompile relays a synchronous compile request to its owning peer,
-// writing the peer's response through verbatim (the artifact envelope is
-// content-addressed, so relaying bytes preserves the digest contract).
-// Returns false — response unwritten — when the peer's answer is not
-// definitive (transport failure, peer shedding or shutting down): the
-// caller then degrades to local compilation.
-func (cn *clusterNode) proxyCompile(w http.ResponseWriter, r *http.Request, owner, canonical string, norm CompileOptions, timeout time.Duration) bool {
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	payload, err := json.Marshal(CompileRequest{Graph: canonical, Options: norm})
-	if err != nil {
-		return false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		cluster.BaseURL(owner)+"/v1/compile", bytes.NewReader(payload))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, cn.cfg.Self)
-	resp, err := cn.http().Do(req)
-	if err != nil {
-		cn.peerReqs.With(owner, "error").Inc()
-		return false
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		cn.peerReqs.With(owner, "error").Inc()
-		return false
-	}
-	definitive := resp.StatusCode/100 == 2 ||
-		(resp.StatusCode/100 == 4 &&
-			resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusRequestTimeout)
-	if !definitive {
-		cn.peerReqs.With(owner, "error").Inc()
-		return false
-	}
-	cn.peerReqs.With(owner, "ok").Inc()
-	w.Header().Set(servedByHeader, owner)
-	writeBody(w, resp.StatusCode, body)
-	return true
-}
-
-func (cn *clusterNode) http() *http.Client {
-	if cn.cfg.HTTPClient != nil {
-		return cn.cfg.HTTPClient
-	}
-	return http.DefaultClient
+	return entryResult{}, false
 }
 
 // handlePeerArtifact serves GET /v1/peer/artifact/{digest}: the internal

@@ -505,3 +505,141 @@ func TestClusterLongLineGraph(t *testing.T) {
 		t.Error("no request crossed to the owner")
 	}
 }
+
+// TestClusterGridEntryPeerFetch: a grid entry owned by a node whose cache
+// is cold, while its peer holds the artifact, is served by peer fetch. The
+// job names the peer as served_by, and the owner runs no plan and keeps
+// the bytes.
+func TestClusterGridEntryPeerFetch(t *testing.T) {
+	nodes := newTestCluster(t, 2, nil)
+	owner, peer := nodes[0], nodes[1]
+	var text, digest string
+	for i := 0; ; i++ {
+		g := systems.SatelliteReceiver()
+		g.Name = fmt.Sprintf("own%d", i)
+		text, digest = graphText(t, g), mustDigest(t, g)
+		if owner.srv.cluster.ownerOf(digest) == owner.addr {
+			break
+		}
+	}
+	parsed, err := sdfio.Parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := CompileArtifact(parsed, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.srv.cache.put(digest, want)
+
+	job, err := owner.cl.SubmitGridJob(GridRequest{Graph: text, Entries: []CompileOptions{{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := owner.cl.AwaitJob(job.ID, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := fin.Results[0]
+	if res.Error != nil || res.Digest != digest || res.ServedBy != peer.addr {
+		t.Fatalf("entry %+v served by %q, want digest %s served by %s", res.Error, res.ServedBy, digest, peer.addr)
+	}
+	ownerTS := &testServer{srv: owner.srv, http: owner.http}
+	ownerTS.mustMetric(t, "sdfd_grid_runs_total", "0")
+	ownerTS.mustMetric(t, "sdfd_pipeline_runs_total", "0")
+	if got, ok := owner.srv.cache.get(digest); !ok || string(got) != string(want) {
+		t.Error("the owner did not keep the fetched artifact")
+	}
+}
+
+// TestClusterRoutedCompileRelayAndFollower: a compile on a non-owner
+// relays the owner's response byte for byte, and a grid entry that waits
+// on the compile's dispatch decodes the same answer into its artifact.
+// One dispatch and one owner-side run serve both, and the routing node
+// keeps the grid's artifact.
+func TestClusterRoutedCompileRelayAndFollower(t *testing.T) {
+	nodes := newTestCluster(t, 2, nil)
+	router, owner := nodes[0], nodes[1]
+	var text, digest string
+	for i := 0; ; i++ {
+		g := systems.SatelliteReceiver()
+		g.Name = fmt.Sprintf("routed%d", i)
+		text, digest = graphText(t, g), mustDigest(t, g)
+		if router.srv.cluster.ownerOf(digest) == owner.addr {
+			break
+		}
+	}
+	release := make(chan struct{})
+	started := make(chan struct{}, 2)
+	owner.srv.testHookCompileStart = func() {
+		started <- struct{}{}
+		<-release
+	}
+
+	var (
+		wg       sync.WaitGroup
+		relayed  string
+		servedBy string
+		grid     *GridResponse
+		errs     [2]error
+		routerTS = &testServer{srv: router.srv, http: router.http}
+		payload  = fmt.Sprintf(`{"graph":%q}`, text)
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		resp, err := http.Post(router.http.URL+"/v1/compile", "application/json", strings.NewReader(payload))
+		if err != nil {
+			errs[0] = err
+			return
+		}
+		relayed, servedBy = readAll(t, resp), resp.Header.Get(servedByHeader)
+	}()
+	<-started // the owner compiles the router's dispatch
+	go func() {
+		defer wg.Done()
+		grid, errs[1] = router.cl.Grid(GridRequest{Graph: text, Entries: []CompileOptions{{}}})
+	}()
+	for deadline := time.Now().Add(10 * time.Second); routerTS.metricValue(t, "sdfd_cache_misses_total") != "2"; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the grid entry never missed the cache")
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("compile: %v, grid: %v", errs[0], errs[1])
+	}
+
+	// The owner's own answer to the same request is what the router relayed.
+	resp, err := http.Post(owner.http.URL+"/v1/compile", "application/json", strings.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerBody := readAll(t, resp)
+	var fromOwner CompileResponse
+	if err := json.Unmarshal([]byte(ownerBody), &fromOwner); err != nil {
+		t.Fatal(err)
+	}
+	var got CompileResponse
+	if err := json.Unmarshal([]byte(relayed), &got); err != nil {
+		t.Fatal(err)
+	}
+	if servedBy != owner.addr || got.Digest != digest || got.Cached || string(got.Artifact) != string(fromOwner.Artifact) {
+		t.Fatalf("relayed compile served by %q: %s", servedBy, relayed)
+	}
+	res := grid.Results[0]
+	if res.Error != nil || res.Digest != digest || res.Cached || string(res.Artifact) != string(fromOwner.Artifact) {
+		t.Fatalf("grid entry %+v, want the owner's artifact %s", res.Error, digest)
+	}
+	if n := peerOutcomeTotal(t, router, "ok"); n != 1 {
+		t.Errorf("router made %v successful dispatches, want 1", n)
+	}
+	ownerTS := &testServer{srv: owner.srv, http: owner.http}
+	ownerTS.mustMetric(t, "sdfd_pipeline_runs_total", "1")
+	if kept, ok := router.srv.cache.get(digest); !ok || string(kept) != string(fromOwner.Artifact) {
+		t.Error("the router did not keep the grid entry's artifact")
+	}
+}

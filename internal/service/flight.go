@@ -3,11 +3,13 @@ package service
 import "sync"
 
 // flightGroup collapses concurrent identical compilations: the first
-// request for a digest becomes the leader and actually runs the pipeline;
-// every request that arrives while that flight is open just waits for the
-// leader's bytes. Combined with the determinism-linted pipeline this gives
-// the cache its headline property — N concurrent identical requests cost
-// one compilation and all N observers receive byte-identical artifacts.
+// resolution to miss a digest becomes the leader and actually produces it
+// (a local plan, a peer fetch or a dispatch to the owner); every
+// resolution, of any route, that misses it while that flight is open just
+// waits for the leader's result. Combined with the determinism-linted
+// pipeline this gives the cache its headline property — N concurrent
+// identical requests cost one compilation and all N observers receive
+// byte-identical artifacts.
 //
 // Unlike x/sync/singleflight, the waiting side is channel-based so each
 // waiter can give up independently when its own request deadline expires
@@ -19,11 +21,10 @@ type flightGroup struct {
 }
 
 // flight is one in-progress compilation. done is closed exactly once, after
-// data/err are set.
+// res is set.
 type flight struct {
 	done chan struct{}
-	data []byte
-	err  error
+	res  entryResult
 }
 
 func newFlightGroup() *flightGroup {
@@ -31,7 +32,7 @@ func newFlightGroup() *flightGroup {
 }
 
 // join returns the open flight for key, creating it if absent. leader is
-// true for the caller that must run the work and then call finish.
+// true for the caller that must produce the result and then call finish.
 func (g *flightGroup) join(key string) (f *flight, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -46,10 +47,10 @@ func (g *flightGroup) join(key string) (f *flight, leader bool) {
 // finish publishes the leader's outcome and closes the flight. The entry is
 // removed from the map first, so requests arriving after finish start a
 // fresh flight (or, on success, hit the cache the leader populated).
-func (g *flightGroup) finish(key string, f *flight, data []byte, err error) {
+func (g *flightGroup) finish(key string, f *flight, res entryResult) {
 	g.mu.Lock()
 	delete(g.flights, key)
 	g.mu.Unlock()
-	f.data, f.err = data, err
+	f.res = res
 	close(f.done)
 }

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/sdfio"
 	"repro/internal/systems"
@@ -241,4 +243,62 @@ func FuzzGridRequest(f *testing.F) {
 			t.Fatalf("canonical text does not parse back to itself: %q vs %q (%v)", canonical, again, err)
 		}
 	})
+}
+
+// TestGridEntryJoinsCompileFlight: a grid entry whose digest an open
+// /v1/compile flight is producing waits on that flight. The grid runs no
+// plan of its own, and its entry carries the compile's bytes.
+func TestGridEntryJoinsCompileFlight(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 2})
+	release := make(chan struct{})
+	started := make(chan struct{}, 4)
+	ts.srv.testHookCompileStart = func() {
+		started <- struct{}{}
+		<-release
+	}
+	text := graphText(t, systems.SatelliteReceiver())
+
+	var (
+		wg                  sync.WaitGroup
+		compiled            *CompileResponse
+		grid                *GridResponse
+		compileErr, gridErr error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		compiled, compileErr = ts.cl.Compile(CompileRequest{Graph: text}, false)
+	}()
+	<-started // the compile leads the digest's flight and holds its worker
+	go func() {
+		defer wg.Done()
+		grid, gridErr = ts.cl.Grid(GridRequest{Graph: text, Entries: []CompileOptions{{}}})
+	}()
+	// The grid's entry has missed the cache once it counts its miss; it
+	// joins the flight right after.
+	for deadline := time.Now().Add(10 * time.Second); ts.metricValue(t, "sdfd_cache_misses_total") != "2"; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the grid entry never missed the cache")
+		}
+	}
+	select {
+	case <-started:
+		t.Error("the grid entry started a plan of its own")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	wg.Wait()
+	if compileErr != nil || gridErr != nil {
+		t.Fatalf("compile: %v, grid: %v", compileErr, gridErr)
+	}
+	res := grid.Results[0]
+	if res.Error != nil || res.Cached || res.Digest != compiled.Digest || !bytes.Equal(res.Artifact, compiled.Artifact) {
+		t.Errorf("grid entry %+v, want the compile's uncached artifact %s", res.Error, compiled.Digest)
+	}
+	if grid.PlannedNodes != 0 {
+		t.Errorf("grid planned %d nodes, want 0", grid.PlannedNodes)
+	}
+	ts.mustMetric(t, "sdfd_pipeline_runs_total", "1")
+	ts.mustMetric(t, "sdfd_grid_runs_total", "0")
 }

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -204,13 +202,7 @@ func (st *jobStore) inflight() int {
 // resource. Per-entry work — normalization, cache probes, planning, peer
 // dispatch — all happens in the runner; a submission only pays for parsing.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.shed.With("shutting_down").Inc()
-		s.writeError(w, &APIError{
-			Status: http.StatusServiceUnavailable, Reason: "shutting_down",
-			Message:           "server is shutting down",
-			RetryAfterSeconds: s.retryAfterSeconds(),
-		})
+	if s.refuseDraining(w) {
 		return
 	}
 	body, readErr := s.readBody(w, r)
@@ -249,24 +241,17 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	offset, limit := 0, 0
-	if v := q.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.writeError(w, &APIError{Status: http.StatusBadRequest, Reason: "bad_request",
-				Message: fmt.Sprintf("offset %q must be a non-negative integer", v)})
-			return
+	var page [2]int // offset, limit
+	for k, name := range []string{"offset", "limit"} {
+		if v := q.Get(name); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				s.writeError(w, &APIError{Status: http.StatusBadRequest, Reason: "bad_request",
+					Message: fmt.Sprintf("%s %q must be a non-negative integer", name, v)})
+				return
+			}
+			page[k] = n
 		}
-		offset = n
-	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.writeError(w, &APIError{Status: http.StatusBadRequest, Reason: "bad_request",
-				Message: fmt.Sprintf("limit %q must be a non-negative integer", v)})
-			return
-		}
-		limit = n
 	}
 	if v := q.Get("wait"); v != "" {
 		wait, err := time.ParseDuration(v)
@@ -280,11 +265,11 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		}
 		j.awaitChange(r.Context(), wait)
 	}
-	s.writeJSON(w, http.StatusOK, j.resource(offset, limit))
+	s.writeJSON(w, http.StatusOK, j.resource(page[0], page[1]))
 }
 
 // runJob is the job runner goroutine: it resolves the job's entries through
-// the one grid path, running the local plan inline on this goroutine (not
+// the one resolver, running the local plans inline on this goroutine (not
 // through the admission pool: an accepted job must finish even under
 // synchronous load, and the plan's own executor already bounds
 // parallelism). Runs on the server's base context so a graceful drain lets
@@ -293,61 +278,36 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // either way.
 func (s *Server) runJob(j *job, g *sdf.Graph, canonical string, entries []CompileOptions) {
 	defer s.jobsWG.Done()
-	inline := func(run func()) *APIError { run(); return nil }
-	s.resolveGrid(s.baseCtx, g, canonical, entries, inline, func(i int, res GridEntryResult, servedBy string) {
-		j.complete(JobEntryResult{Index: i, Digest: res.Digest, Cached: res.Cached, ServedBy: servedBy, Error: res.Error})
-		if res.Error == nil {
-			s.jobEntries.With("ok").Inc()
-		} else {
-			s.jobEntries.With("error").Inc()
-		}
+	s.resolveGrid(s.baseCtx, g, canonical, entries, false, false, gridHooks{
+		exec: func(run func()) error { run(); return nil },
+		ran:  s.countGridPlan,
+		report: func(i int, res entryResult) {
+			s.keepRouted(res)
+			j.complete(JobEntryResult{Index: i, Digest: res.Digest, Cached: res.Cached, ServedBy: res.servedBy, Error: res.Error})
+			if res.Error == nil {
+				s.jobEntries.With("ok").Inc()
+			} else {
+				s.jobEntries.With("error").Inc()
+			}
+		},
 	})
 }
 
 // SubmitGridJob POSTs one async grid job, returning the freshly created job
 // resource (state running).
 func (c *Client) SubmitGridJob(req GridRequest) (*JobResource, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	httpReq, err := http.NewRequest(http.MethodPost, c.base()+"/v1/jobs/grid", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	body, err := c.do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	var out JobResource
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("sdfd: decoding job resource: %w", err)
-	}
-	return &out, nil
+	return call[JobResource](c, http.MethodPost, "/v1/jobs/grid", req)
 }
 
 // Job fetches a job resource. wait > 0 long-polls until progress or the
 // wait elapses; offset/limit page the results by entry index (limit 0 means
 // no limit).
 func (c *Client) Job(id string, wait time.Duration, offset, limit int) (*JobResource, error) {
-	url := fmt.Sprintf("%s/v1/jobs/%s?offset=%d&limit=%d", c.base(), id, offset, limit)
+	path := fmt.Sprintf("/v1/jobs/%s?offset=%d&limit=%d", id, offset, limit)
 	if wait > 0 {
-		url += "&wait=" + wait.String()
+		path += "&wait=" + wait.String()
 	}
-	httpReq, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	var out JobResource
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("sdfd: decoding job resource: %w", err)
-	}
-	return &out, nil
+	return call[JobResource](c, http.MethodGet, path, nil)
 }
 
 // AwaitJob long-polls a job until it is done or the deadline passes,

@@ -2,12 +2,16 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/par"
+	"repro/internal/pass"
 	"repro/internal/sdfio"
 	"repro/internal/systems"
 )
@@ -315,4 +319,122 @@ func TestShedCountsOnlyRefusedRequests(t *testing.T) {
 		t.Fatalf("compile status %d, want 408", resp.StatusCode)
 	}
 	ts.mustMetric(t, `sdfd_load_shed_total{reason="deadline"}`, "1")
+}
+
+// TestJobFollowingRefusedCompileCompletes: a job entry that waits on the
+// flight of a compile whose plan the admission pool then refuses joins the
+// digest again and compiles it. The refusal answers the compile alone.
+func TestJobFollowingRefusedCompileCompletes(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	sys := systems.SatelliteReceiver()
+	text := graphText(t, sys)
+	g, canonical, apiErr := parseGraph(text)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	// The compile leads its flight through the resolver as handleCompile
+	// does, holds it open until the job follows, and is then refused as a
+	// full queue refuses it.
+	entered, refuse := make(chan struct{}), make(chan struct{})
+	var compiled entryResult
+	leaderErr := make(chan *APIError, 1)
+	go func() {
+		_, _, _, err := ts.srv.resolveGrid(context.Background(), g, canonical, []CompileOptions{{}}, false, false, gridHooks{
+			exec:   func(func()) error { close(entered); <-refuse; return par.ErrPoolFull },
+			ran:    func([]pass.KindCount) {},
+			report: func(_ int, res entryResult) { compiled = res },
+		})
+		leaderErr <- err
+	}()
+	<-entered
+	job, err := ts.cl.SubmitGridJob(GridRequest{Graph: text, Entries: []CompileOptions{{}}})
+	if err != nil {
+		close(refuse)
+		t.Fatal(err)
+	}
+	// The job's entry has missed the cache once it counts its miss; it
+	// joins the flight right after.
+	for deadline := time.Now().Add(10 * time.Second); ts.metricValue(t, "sdfd_cache_misses_total") != "2"; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(refuse)
+			t.Fatal("the job entry never missed the cache")
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(refuse)
+	if err := <-leaderErr; err == nil || err.Reason != "queue_full" {
+		t.Fatalf("compile error %+v, want queue_full", err)
+	}
+	if compiled.Error == nil || compiled.Error.Reason != "queue_full" {
+		t.Fatalf("compile result %+v, want queue_full", compiled.Error)
+	}
+
+	fin, err := ts.cl.AwaitJob(job.ID, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != JobStateDone || fin.Failed != 0 || len(fin.Results) != 1 {
+		t.Fatalf("job finished %+v, want its entry compiled", fin)
+	}
+	want, _, err := CompileArtifact(sys, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := mustDigest(t, sys)
+	if r := fin.Results[0]; r.Error != nil || r.Digest != digest {
+		t.Fatalf("job entry %+v, want digest %s", r, digest)
+	}
+	got, err := ts.cl.Artifact(digest)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("artifact %v: bytes differ from the in-process pipeline", err)
+	}
+	ts.mustMetric(t, "sdfd_grid_runs_total", "1")
+}
+
+// TestJobFollowerHardCloseShutsDown: a job entry waiting on another
+// request's flight when a hard Close cancels the server completes with the
+// shutdown error, not a request deadline.
+func TestJobFollowerHardCloseShutsDown(t *testing.T) {
+	srv := New(Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	ts := &testServer{srv: srv, http: hs, cl: &Client{BaseURL: hs.URL}}
+	text := graphText(t, systems.SatelliteReceiver())
+	g, canonical, apiErr := parseGraph(text)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		ts.srv.resolveGrid(context.Background(), g, canonical, []CompileOptions{{}}, false, false, gridHooks{
+			exec:   func(func()) error { close(entered); <-release; return par.ErrPoolClosed },
+			ran:    func([]pass.KindCount) {},
+			report: func(int, entryResult) {},
+		})
+	}()
+	<-entered
+	defer func() { close(release); <-leaderDone }()
+	job, err := ts.cl.SubmitGridJob(GridRequest{Graph: text, Entries: []CompileOptions{{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ts.metricValue(t, "sdfd_cache_misses_total") != "2"; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the job entry never missed the cache")
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	ts.srv.Close()
+	fin, err := ts.cl.Job(job.ID, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != JobStateDone || fin.Failed != 1 {
+		t.Fatalf("job %+v, want its entry failed by the shutdown", fin)
+	}
+	if e := fin.Results[0].Error; e == nil || e.Reason != "shutting_down" {
+		t.Fatalf("entry error %+v, want shutting_down", e)
+	}
 }

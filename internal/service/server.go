@@ -26,8 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/check"
-	"repro/internal/core"
 	"repro/internal/nodestore"
 	"repro/internal/par"
 	"repro/internal/pass"
@@ -50,8 +48,8 @@ type Config struct {
 	// RequestTimeout bounds how long one HTTP request waits for its
 	// artifact (queue time included) before 408. Default 30s.
 	RequestTimeout time.Duration
-	// CompileTimeout bounds one pipeline run, enforced via
-	// core.CompileGeneralContext stage deadlines. Default 60s.
+	// CompileTimeout bounds one local plan, enforced by the plan executor's
+	// checkpoint before each pass. Default 60s.
 	CompileTimeout time.Duration
 	// MaxRequestBytes bounds the request body. Default 1 MiB.
 	MaxRequestBytes int64
@@ -68,14 +66,14 @@ type Config struct {
 	// hold a /v1/grid connection open, so the default is much higher: 4096.
 	JobMaxEntries int
 	// Cluster, when non-nil, makes this server one member of a sharded sdfd
-	// cluster: compile requests route to their digest's ring owner, cache
-	// misses attempt peer fetch before recompiling, and async jobs dispatch
-	// their entries across the membership (docs/SERVICE.md, "Cluster
-	// mode"). Nil runs the classic single-node daemon.
+	// cluster: every route's cache misses are dispatched to their digest's
+	// ring owner, and an owner's misses attempt peer fetch before they
+	// compile (docs/SERVICE.md, "Cluster mode"). Nil runs the classic
+	// single-node daemon.
 	Cluster *ClusterConfig
 	// NodeStore is an already-opened persistent pass-node store
-	// (internal/nodestore). When non-nil, /v1/compile and /v1/grid consult
-	// it before executing each pass node and publish freshly computed
+	// (internal/nodestore). When non-nil, every local plan consults it
+	// before executing each pass node and publishes freshly computed
 	// artifacts into it, so recompilations after small edits reuse every
 	// unaffected stage across requests AND daemon restarts. Nil disables
 	// store-assisted compilation. The caller owns the store's lifetime;
@@ -201,8 +199,8 @@ type Server struct {
 	storeLoads   *metrics.CounterVec
 	jobEntries   *metrics.CounterVec
 
-	// testHookCompileStart, when set, runs at the start of every pipeline
-	// job (inside the worker). Tests use it to hold workers busy so the
+	// testHookCompileStart, when set, runs at the start of every local plan
+	// (inside the worker). Tests use it to hold workers busy so the
 	// load-shedding and deadline paths become deterministic.
 	testHookCompileStart func()
 }
@@ -456,6 +454,18 @@ func (s *Server) retryAfterSeconds() int {
 	return sec
 }
 
+// refuseDraining answers a work-accepting request with the shutting_down
+// envelope while the server drains, and reports whether it did.
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	apiErr := s.classifyCompileError(par.ErrPoolClosed)
+	s.countShed(apiErr)
+	s.writeError(w, apiErr)
+	return true
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		// 503 rotates this node out of peers' rings (healthz-gated
@@ -544,14 +554,12 @@ func (s *Server) parseCompileRequest(body []byte, readErr error) (*sdf.Graph, st
 	return g, canonical, norm, Digest(canonical, norm), nil
 }
 
+// handleCompile serves POST /v1/compile. Hits are answered here, from the
+// memo and the cache (verification always recompiles, so it skips both); a
+// miss resolves as a one-entry grid, whose one result becomes the response
+// or the request's error.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.shed.With("shutting_down").Inc()
-		s.writeError(w, &APIError{
-			Status: http.StatusServiceUnavailable, Reason: "shutting_down",
-			Message:           "server is shutting down",
-			RetryAfterSeconds: s.retryAfterSeconds(),
-		})
+	if s.refuseDraining(w) {
 		return
 	}
 	body, readErr := s.readBody(w, r)
@@ -559,10 +567,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	// Warm path: cache hit, no pipeline, no queueing. Content addressing
 	// makes serving from the local cache correct on any cluster member —
-	// one digest is one byte sequence no matter who compiled it.
-	// Verification always recompiles (the oracle needs the in-memory
-	// result), so it skips this. A body seen before skips even the
-	// decoding: the memo names its digest.
+	// one digest is one byte sequence no matter who compiled it. A body
+	// seen before skips even the decoding: the memo names its digest.
 	bk := bodyKey(memoCompile, body)
 	if !verify && readErr == nil {
 		if digests, ok := s.memo.get(bk); ok {
@@ -587,157 +593,53 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			writeCompile(w, &CompileResponse{Digest: digest, Cached: true, Artifact: data})
 			return
 		}
-		s.cacheMisses.Inc()
 	}
 
-	// Cluster routing, for cold plain compiles only (verify stays local —
-	// the oracle wants this node's own pipeline). Requests a peer already
-	// routed carry the forwarded marker and must be served here.
-	if cn := s.cluster; cn != nil && !verify && r.Header.Get(forwardedHeader) == "" {
-		if owner := cn.ownerOf(digest); owner != cn.cfg.Self {
-			// Wrong peer: proxy to the owner so its shard of the cache does
-			// the work. A non-definitive answer (owner died, is shedding,
-			// or is draining) degrades to compiling locally below.
-			if cn.proxyCompile(w, r, owner, canonical, norm, s.cfg.RequestTimeout) {
-				return
-			}
-		} else if data, peer, ok := cn.fetchArtifact(r.Context(), digest); ok {
-			// This node owns the digest but is cold (restart, membership
-			// change): a ranked fallback may still hold the artifact.
-			// Integrity was re-verified against the wire checksum, and
-			// the bytes are in wire form.
-			s.cache.put(digest, data)
-			w.Header().Set(servedByHeader, peer)
-			writeCompile(w, &CompileResponse{Digest: digest, Cached: true, Artifact: data})
-			return
-		}
-	}
-
-	// Cold path: join (or open) the flight for this digest. Verifying
-	// flights are keyed separately so a plain request never waits on the
-	// slower compile+oracle run of a concurrent verify request.
-	key := digest
-	if verify {
-		key = "verify:" + digest
-	}
-	f, leader := s.flights.join(key)
-	if leader {
-		job := func() { s.runCompileJob(key, f, g, norm, digest, verify) }
-		if err := s.pool.TrySubmit(job); err != nil {
-			// The flight never started: fail it so concurrent joiners see
-			// the same shed instead of waiting forever.
-			s.flights.finish(key, f, nil, err)
-		}
-	}
-
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		s.shed.With("deadline").Inc()
-		s.writeError(w, &APIError{
-			Status: http.StatusRequestTimeout, Reason: "deadline",
-			Message: fmt.Sprintf("request deadline expired after %v while waiting for compilation (the compile itself may still complete and populate the cache)", s.cfg.RequestTimeout),
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	var res entryResult
+	_, _, _, apiErr = s.resolveGrid(ctx, g, canonical, []CompileOptions{norm}, verify, r.Header.Get(forwardedHeader) != "",
+		gridHooks{
+			exec:   s.admit,
+			ran:    func([]pass.KindCount) { s.pipelineRuns.Inc() },
+			report: func(_ int, got entryResult) { res = got },
+			relay:  true,
 		})
-		return
+	if apiErr == nil {
+		apiErr = res.Error
 	}
-	if f.err != nil {
-		apiErr := s.classifyCompileError(f.err)
+	if apiErr != nil {
 		s.countShed(apiErr)
 		s.writeError(w, apiErr)
 		return
 	}
+	if res.servedBy != "" {
+		w.Header().Set(servedByHeader, res.servedBy)
+	}
+	if res.relay != nil { // the owner's envelope is content-addressed
+		writeBody(w, http.StatusOK, res.relay)
+		return
+	}
 	writeCompile(w, &CompileResponse{
-		Digest: digest, Cached: false, Coalesced: !leader, Verified: verify,
-		Artifact: f.data,
+		Digest: digest, Cached: res.Cached, Coalesced: res.coalesced, Verified: verify,
+		Artifact: res.Artifact,
 	})
-}
-
-// runCompileJob executes one pipeline run inside a worker: compile with the
-// server-side deadline, optionally run the invariant oracle, insert the
-// complete artifact into the cache, and publish the outcome to every
-// request waiting on the flight. Cache insertion happens only on full
-// success — a deadline, compile error, or oracle violation leaves no entry.
-func (s *Server) runCompileJob(key string, f *flight, g *sdf.Graph, norm CompileOptions, digest string, verify bool) {
-	if s.testHookCompileStart != nil {
-		s.testHookCompileStart()
-	}
-	data, err := func() (data []byte, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("service: pipeline panic: %v", r)
-			}
-		}()
-		// A request that missed the cache can become leader of a fresh
-		// flight just after the previous leader finished and cached; the
-		// re-check here keeps "one pipeline run per digest" exact instead
-		// of merely likely.
-		if !verify {
-			if cached, ok := s.cache.get(digest); ok {
-				return cached, nil
-			}
-		}
-		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.CompileTimeout)
-		defer cancel()
-		s.pipelineRuns.Inc()
-		data, res, err := s.compileArtifact(ctx, g, norm)
-		if err != nil {
-			return nil, err
-		}
-		if verify {
-			if verr := check.Pipeline(res, check.Options{}); verr != nil {
-				return nil, fmt.Errorf("%w: %w", errVerifyFailed, verr)
-			}
-			// The digest contract says one digest -> one byte sequence. If
-			// a cached artifact exists it must match the fresh compile;
-			// anything else is cache poisoning or lost determinism.
-			if cached, ok := s.cache.get(digest); ok && !bytes.Equal(cached, data) {
-				return nil, fmt.Errorf("%w: cached artifact for digest %s differs from recompilation", errVerifyFailed, digest)
-			}
-		}
-		s.cache.put(digest, data)
-		return data, nil
-	}()
-	s.flights.finish(key, f, data, err)
-}
-
-// compileArtifact runs one normalized compilation as a single-point plan.
-// With a node store the plan probes it before each pass and publishes
-// after, so warm passes are loaded, not executed; without one every pass
-// runs. Either way each executed pass is timed into sdfd_stage_seconds
-// under its kind, and the result renders through the one artifact encoder,
-// so the bytes for a digest do not depend on the store — or on which
-// process lifetime produced them — and equal CompileArtifact's.
-func (s *Server) compileArtifact(ctx context.Context, g *sdf.Graph, norm CompileOptions) ([]byte, *core.Result, error) {
-	copts, err := coreOptions(norm)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := pass.NewPlan(g, []core.Options{copts}, pass.PlanConfig{
-		Store:   s.planStore(),
-		OnEvent: s.stageEvents(),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	outs := p.Run(ctx)
-	s.countLoads(p.Stats())
-	if outs[0].Err != nil {
-		return nil, nil, outs[0].Err
-	}
-	data, err := ArtifactBytes(outs[0].Result, norm)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, outs[0].Result, nil
 }
 
 var errVerifyFailed = errors.New("verification failed")
+
+// waitError is the error of a request that stopped waiting for its
+// compilation: shutting_down once a hard Close cancelled the server's base
+// context, its deadline otherwise.
+func (s *Server) waitError() *APIError {
+	if s.baseCtx.Err() != nil {
+		return s.classifyCompileError(par.ErrPoolClosed)
+	}
+	return &APIError{
+		Status: http.StatusRequestTimeout, Reason: "deadline",
+		Message: fmt.Sprintf("request deadline expired after %v while waiting for compilation (the compilation itself may still complete and populate the cache)", s.cfg.RequestTimeout),
+	}
+}
 
 // countShed counts a refused request in sdfd_load_shed_total when its error
 // is an admission or deadline refusal.
