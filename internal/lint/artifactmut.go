@@ -13,7 +13,7 @@ package lint
 // function that passes its own parameter into a writing parameter of a callee
 // writes through that parameter too. Then every function reachable from the
 // artifact-publishing roots (pass.Plan.Run, RunGrid/RunGridOutcomes, and the
-// nodestore decode functions) is checked: a write through a value whose
+// store payload parsers) is checked: a write through a value whose
 // access path passes through an artifact type — received as a parameter,
 // receiver, or call result — is reported at the mutation site, with the call
 // path that reaches it named in the message.
@@ -52,15 +52,16 @@ var artifactTypeSpecs = []struct{ pkg, name string }{
 
 // artifactRootSpecs names the functions artifacts flow out of: the plan
 // executor (its node outputs are shared by every grid point and the service
-// cache) and the store decoders (their results are handed to every warm hit).
+// cache) and the store payload parsers (the in-memory tier hands one parse
+// to every plan that recalls it).
 var artifactRootSpecs = []struct{ pkg, recv, name string }{
 	{"internal/pass", "Plan", "Run"},
 	{"internal/pass", "", "RunGrid"},
 	{"internal/pass", "", "RunGridOutcomes"},
-	{"internal/pass", "", "decodeOrder"},
-	{"internal/pass", "", "decodeSched"},
-	{"internal/pass", "", "decodeLife"},
-	{"internal/pass", "", "decodeAlloc"},
+	{"internal/pass", "", "parseOrder"},
+	{"internal/pass", "", "parseSched"},
+	{"internal/pass", "", "parseLife"},
+	{"internal/pass", "", "parseAlloc"},
 }
 
 const (

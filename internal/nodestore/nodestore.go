@@ -15,10 +15,20 @@
 // On disk each entry is a single file written via temp-file + atomic rename,
 // so a crash mid-write never leaves a partial frame under a final name. Each
 // frame carries a magic string, the key, the payload, and a SHA-256 checksum
-// over both; Get verifies the checksum on every read and evicts (rather than
-// serves) anything corrupted or truncated out-of-band. An LRU byte budget
-// bounds the footprint; reopening a directory rebuilds the index (recency
-// approximated by file modification time) and re-enforces the budget.
+// over both; Get verifies the checksum on every disk read and evicts (rather
+// than serves) anything corrupted or truncated out-of-band. An LRU byte
+// budget bounds the footprint; reopening a directory rebuilds the index
+// (recency approximated by file modification time) and re-enforces the
+// budget.
+//
+// Beside the frames the store keeps a bounded in-memory tier (Recall,
+// Keep): the parsed form of payloads its caller read through Get, after
+// the checksum verified them, or has just published with Put. A recall
+// costs no I/O and no parse. A tier entry lives only as long as its frame
+// is indexed: evicting the frame, or finding it corrupt, drops the entry
+// too. The tier is charged by the sizes its caller declares, under the
+// fixed cap tierCap, and evicts least recently used entries first. It is
+// not persisted: a reopened store starts with an empty tier.
 package nodestore
 
 import (
@@ -39,6 +49,11 @@ import (
 // evicted instead of misdecoded.
 const magic = "sdfnode1"
 
+// tierCap bounds the in-memory tier, in the bytes Keep is charged. A
+// parsed 150-actor graph (every stored node of one compile) is charged
+// about 40 KiB, so the tier holds some hundred graph versions.
+const tierCap = 4 << 20
+
 // maxKeyLen bounds the key length accepted by Put and trusted during frame
 // parsing; pass-node keys are 64-character hex digests, so the bound is
 // generous while still rejecting absurd length fields in corrupted frames.
@@ -46,8 +61,10 @@ const maxKeyLen = 256
 
 // Stats is a point-in-time snapshot of the store's counters and footprint.
 type Stats struct {
-	// Hits and Misses count Get outcomes; Puts counts entries actually
-	// written (re-publishing an existing key only refreshes recency).
+	// Hits and Misses count Get outcomes, and Hits also counts Recall
+	// hits (a Recall miss counts nothing: its caller goes on to Get); Puts
+	// counts entries actually written (re-publishing an existing key only
+	// refreshes recency).
 	Hits, Misses, Puts int64
 	// Evictions counts entries removed to satisfy the byte budget; Corrupt
 	// counts frames dropped because they failed validation (bad magic,
@@ -57,6 +74,9 @@ type Stats struct {
 	// (frame bytes, not just payload bytes).
 	Entries int
 	Bytes   int64
+	// Kept and KeptBytes are the in-memory tier's entry count and charge.
+	Kept      int
+	KeptBytes int64
 }
 
 // Store is a content-addressed artifact store rooted at one directory. All
@@ -70,14 +90,21 @@ type Store struct {
 	lru   *list.List               // guarded by mu; front = most recently used
 	index map[string]*list.Element // guarded by mu; key -> element holding *entry
 	bytes int64                    // guarded by mu
+	tier  *list.List               // guarded by mu; the kept entries, front = most recently used
+	kept  int64                    // guarded by mu; the tier's charge
 
 	hits, misses, puts, evictions, corrupt int64 // guarded by mu
 }
 
-// entry is the in-memory index record for one on-disk frame.
+// entry is the in-memory index record for one on-disk frame, and its
+// tier entry when it has one. Its fields are guarded by the store's mu.
 type entry struct {
 	key  string
 	size int64 // frame size on disk
+
+	parsed any           // the kept value
+	charge int64         // what parsed costs the tier
+	tierEl *list.Element // the entry's element in the tier; nil when nothing is kept
 }
 
 // Open creates (or reopens) a store rooted at dir holding at most budget
@@ -95,6 +122,7 @@ func Open(dir string, budget int64) (*Store, error) {
 		budget: budget,
 		lru:    list.New(),
 		index:  make(map[string]*list.Element),
+		tier:   list.New(),
 	}
 	if budget <= 0 {
 		return s, nil
@@ -165,7 +193,7 @@ func (s *Store) rescan() error {
 
 // Get returns the payload stored under key, refreshing its recency. The
 // frame checksum is verified on every read; a frame that fails validation is
-// evicted and reported as a miss, never served.
+// evicted, with its tier entry, and reported as a miss, never served.
 //
 // The file is read and checked outside s.mu, so concurrent readers do not
 // queue on each other's I/O. The index may change meanwhile: a failed read
@@ -201,6 +229,66 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	s.hits++
 	return payload, true
+}
+
+// Recall returns the value kept under key, refreshing the recency of the
+// value and of its frame, and counts a hit. It misses when the tier holds
+// nothing for key, and reads no file either way.
+func (s *Store) Recall(key string) (any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.index[key]
+	if !ok {
+		return nil, false
+	}
+	e := el.Value.(*entry)
+	if e.tierEl == nil {
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	s.tier.MoveToFront(e.tierEl)
+	s.hits++
+	return e.parsed, true
+}
+
+// Keep puts v in the tier under key, charged size bytes: the parsed form of
+// the payload the store holds under key, which the caller has just read
+// through Get or published with Put. The tier keeps nothing for a key whose
+// frame is not indexed, nor a value larger than the whole tier; a key
+// already kept only has its recency refreshed. Keep evicts the least
+// recently used values until the tier is within its cap.
+func (s *Store) Keep(key string, v any, size int64) {
+	if size < 0 || size > tierCap {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.index[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*entry)
+	if e.tierEl != nil {
+		s.tier.MoveToFront(e.tierEl)
+		return
+	}
+	e.parsed, e.charge = v, size
+	e.tierEl = s.tier.PushFront(e)
+	s.kept += size
+	for s.kept > tierCap {
+		s.forgetLocked(s.tier.Back().Value.(*entry))
+	}
+}
+
+// forgetLocked drops an entry's kept value, if it has one. Callers hold
+// s.mu.
+func (s *Store) forgetLocked(e *entry) {
+	if e.tierEl == nil {
+		return
+	}
+	s.tier.Remove(e.tierEl)
+	s.kept -= e.charge
+	e.parsed, e.charge, e.tierEl = nil, 0, nil
 }
 
 // Put publishes payload under key. Publishing is idempotent — an existing
@@ -246,9 +334,10 @@ func (s *Store) evictLocked() {
 	}
 }
 
-// dropLocked removes one entry from the index and from disk.
+// dropLocked removes one entry from the index, the tier and the disk.
 func (s *Store) dropLocked(el *list.Element) {
 	e := el.Value.(*entry)
+	s.forgetLocked(e)
 	s.lru.Remove(el)
 	delete(s.index, e.key)
 	s.bytes -= e.size
@@ -263,6 +352,7 @@ func (s *Store) Stats() Stats {
 		Hits: s.hits, Misses: s.misses, Puts: s.puts,
 		Evictions: s.evictions, Corrupt: s.corrupt,
 		Entries: s.lru.Len(), Bytes: s.bytes,
+		Kept: s.tier.Len(), KeptBytes: s.kept,
 	}
 }
 

@@ -464,3 +464,153 @@ func FuzzParseFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestRecallServesKeptValue checks a kept value is recalled under its key
+// only, refreshes nothing on disk, and counts as a store hit.
+func TestRecallServesKeptValue(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 1<<20)
+	key := hexKey(1)
+	s.Put(key, []byte("payload"))
+	if _, ok := s.Recall(key); ok {
+		t.Fatal("Recall before Keep should miss")
+	}
+	s.Keep(key, "parsed", 100)
+	v, ok := s.Recall(key)
+	if !ok || v != "parsed" {
+		t.Fatalf("Recall = %v, %v; want the kept value", v, ok)
+	}
+	if _, ok := s.Recall(hexKey(2)); ok {
+		t.Fatal("Recall of an unpublished key should miss")
+	}
+	st := s.Stats()
+	if st.Hits != 1 || st.Misses != 0 || st.Kept != 1 || st.KeptBytes != 100 {
+		t.Fatalf("stats = %+v; want 1 hit, 0 misses, 1 kept value of 100 bytes", st)
+	}
+}
+
+// TestKeepNeedsFrame checks the tier keeps nothing beside a frame the store
+// does not hold: an unpublished key, a dropped oversized payload, or a
+// disabled store.
+func TestKeepNeedsFrame(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 64)
+	s.Keep(hexKey(1), "parsed", 10)
+	s.Put(hexKey(2), bytes.Repeat([]byte("z"), 1024))
+	s.Keep(hexKey(2), "parsed", 10)
+	if st := s.Stats(); st.Kept != 0 {
+		t.Fatalf("tier holds %d values without frames", st.Kept)
+	}
+	off := mustOpen(t, t.TempDir(), 0)
+	off.Put(hexKey(1), []byte("bytes"))
+	off.Keep(hexKey(1), "parsed", 10)
+	if _, ok := off.Recall(hexKey(1)); ok {
+		t.Fatal("disabled store recalled a value")
+	}
+}
+
+// TestTierRespectsCap keeps values whose charges overflow the cap: the tier
+// never holds more than tierCap, evicts least recently used values first,
+// and drops a value larger than the whole tier.
+func TestTierRespectsCap(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 1<<20)
+	for i := 0; i < 6; i++ {
+		s.Put(hexKey(i), []byte("payload"))
+	}
+	third := int64(tierCap / 3)
+	for i := 0; i < 3; i++ {
+		s.Keep(hexKey(i), i, third)
+	}
+	// Recalling key 0 makes key 1 the least recently used value.
+	if _, ok := s.Recall(hexKey(0)); !ok {
+		t.Fatal("key 0 should be kept")
+	}
+	s.Keep(hexKey(3), 3, third)
+	if _, ok := s.Recall(hexKey(1)); ok {
+		t.Fatal("the least recently used value survived")
+	}
+	for _, i := range []int{0, 2, 3} {
+		if _, ok := s.Recall(hexKey(i)); !ok {
+			t.Fatalf("key %d evicted from the tier; want kept", i)
+		}
+	}
+	s.Keep(hexKey(4), 4, tierCap+1)
+	if _, ok := s.Recall(hexKey(4)); ok {
+		t.Fatal("a value larger than the tier was kept")
+	}
+	s.Keep(hexKey(5), 5, tierCap)
+	st := s.Stats()
+	if st.KeptBytes > tierCap || st.Kept != 1 {
+		t.Fatalf("stats = %+v; want one value within the %d-byte cap", st, tierCap)
+	}
+	if st.Entries != 6 {
+		t.Fatalf("tier eviction removed frames: %d entries, want 6", st.Entries)
+	}
+}
+
+// TestTierDropsEvictedAndCorruptFrames checks a value lives only as long
+// as its frame: evicting the frame for the byte budget, or finding it
+// corrupt on a read, drops the kept value too.
+func TestTierDropsEvictedAndCorruptFrames(t *testing.T) {
+	dir := t.TempDir()
+	payload := bytes.Repeat([]byte("x"), 100)
+	one := frameSize(hexKey(0), payload)
+	s := mustOpen(t, dir, 3*one)
+	for i := 0; i < 3; i++ {
+		s.Put(hexKey(i), payload)
+		s.Keep(hexKey(i), i, 10)
+	}
+	// Recalling key 0 refreshes its frame too, so key 1's frame is evicted.
+	if _, ok := s.Recall(hexKey(0)); !ok {
+		t.Fatal("key 0 should be kept")
+	}
+	s.Put(hexKey(3), payload)
+	if _, ok := s.Recall(hexKey(1)); ok {
+		t.Fatal("an evicted frame's value was recalled")
+	}
+	if st := s.Stats(); st.Kept != 2 || st.KeptBytes != 20 || st.Evictions != 1 {
+		t.Fatalf("stats after eviction = %+v; want 2 kept values of 20 bytes, 1 eviction", st)
+	}
+
+	path := filepath.Join(dir, fileName(hexKey(2)))
+	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Recall(hexKey(2)); !ok || v != 2 {
+		t.Fatalf("Recall reads no file: got %v, %v; want the kept value", v, ok)
+	}
+	if _, ok := s.Get(hexKey(2)); ok {
+		t.Fatal("corrupt frame was served")
+	}
+	if _, ok := s.Recall(hexKey(2)); ok {
+		t.Fatal("a corrupt frame's value was recalled")
+	}
+	if st := s.Stats(); st.Kept != 1 || st.Corrupt != 1 {
+		t.Fatalf("stats after corruption = %+v; want 1 kept value, 1 corrupt frame", st)
+	}
+}
+
+// TestTierConcurrent races recalls, keeps, puts and budget evictions on a
+// few keys; run under -race it checks the tier shares the store's lock.
+func TestTierConcurrent(t *testing.T) {
+	payload := bytes.Repeat([]byte("c"), 64)
+	s := mustOpen(t, t.TempDir(), 4*frameSize(hexKey(0), payload))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := hexKey((w + i) % 6)
+				if v, ok := s.Recall(k); ok && v != k {
+					t.Errorf("Recall(%s) = %v", k, v)
+					return
+				}
+				s.Put(k, payload)
+				s.Keep(k, k, tierCap/3)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.KeptBytes > tierCap || st.Kept > st.Entries {
+		t.Fatalf("stats = %+v; the tier outgrew its cap or its frames", st)
+	}
+}

@@ -13,6 +13,47 @@ import (
 	"repro/internal/sdf"
 )
 
+// The decode helpers are the load path of one payload, bind∘parse, as the
+// plan runs it on a store read or a tier recall.
+
+func decodeOrder(g *sdf.Graph, data []byte) (Order, error) { return parseOrder(g, data) }
+
+func decodeSched(g *sdf.Graph, data []byte) (LoopedSchedule, error) {
+	ps, err := parseSched(g, data)
+	if err != nil {
+		return LoopedSchedule{}, err
+	}
+	return ps.bind(g), nil
+}
+
+func decodeLife(g *sdf.Graph, data []byte) (Lifetimes, error) {
+	pl, err := parseLife(g, data)
+	if err != nil {
+		return Lifetimes{}, err
+	}
+	return pl.bind(g), nil
+}
+
+func decodeAlloc(lf Lifetimes, strat alloc.Strategy, data []byte) (Allocation, error) {
+	pa, err := parseAlloc(lf, data)
+	if err != nil {
+		return Allocation{}, err
+	}
+	return pa.bind(lf, strat), nil
+}
+
+func decodePartition(g *sdf.Graph, rep Repetitions, ord Order, partitions int, data []byte) (Partition, error) {
+	return parsePartition(g, rep, ord, partitions, data)
+}
+
+func decodeSegalloc(g *sdf.Graph, rep Repetitions, part Partition, data []byte) (SegmentedAllocation, error) {
+	ps, err := parseSegalloc(g, rep, part, data)
+	if err != nil {
+		return SegmentedAllocation{}, err
+	}
+	return ps.bind(g), nil
+}
+
 // fuzzGraph is the seeded graph the decoder fuzz targets decode against:
 // some delays (whole-period intervals) and some vector tokens, so real
 // payloads carry every interval shape.

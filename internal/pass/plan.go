@@ -27,13 +27,16 @@ type PlanConfig struct {
 	OnOutcome func(point int, o Outcome)
 	// Store, when non-nil, is the persistent pass-node store: before
 	// executing a node the executor probes it under the node's projected
-	// content key (store.go) and decodes the artifact on a hit; after a
-	// successful execution it publishes the encoded artifact. Keys cover
-	// exactly the graph fields each pass reads, chained through upstream
-	// artifact hashes, so an edit invalidates only the DAG suffix that can
-	// observe it. The repetitions node (NewPlan already solved for q),
-	// assemble nodes and the cyclic fallback never touch the store. The
-	// store must be safe for concurrent use.
+	// content key (store.go) and parses and binds the artifact on a hit;
+	// after a successful execution it publishes the encoded artifact. When
+	// the store is also a Tier, a level's nodes first recall their parses
+	// from it on the caller's goroutine, and only the rest are read, parsed
+	// or run on the par pool. Keys cover exactly the graph fields each pass
+	// reads, chained through upstream artifact hashes, so an edit
+	// invalidates only the DAG suffix that can observe it. The repetitions
+	// node (NewPlan already solved for q), assemble nodes and the cyclic
+	// fallback never touch the store. The store must be safe for concurrent
+	// use.
 	Store Store
 }
 
@@ -77,6 +80,7 @@ type KindCount struct {
 type Plan struct {
 	g      *sdf.Graph
 	cfg    PlanConfig
+	tier   Tier // cfg.Store's tier, if it has one
 	points []Options
 	cyclic bool
 
@@ -92,16 +96,17 @@ type Plan struct {
 
 // node is the state every pass node carries, whatever its artifact: its
 // kind and index among the plan's nodes of that kind (the Event identity),
-// the parent whose failure it inherits, its error, the payload hash that
-// chains into its children's store keys, and how it was satisfied — ran is
-// set around the actual pass execution, loaded when the artifact came from
-// the persistent store. At most one of the two is set; neither on upstream
-// failure.
+// the parent whose failure it inherits, its error, its store key, the
+// payload hash that chains into its children's store keys, and how it was
+// satisfied — ran is set around the actual pass execution, loaded when the
+// artifact came from the persistent store or its tier. At most one of the
+// two is set; neither on upstream failure.
 type node struct {
 	kind   Kind
 	id     int
 	parent *node // nil for repetitions and assemble nodes
 	err    error
+	key    string // store key; empty unless the node is stored
 	hash   []byte
 	ran    bool
 	loaded bool
@@ -322,13 +327,16 @@ func (p *Plan) emit(n *node, enter bool) {
 	}
 }
 
-// nodeStep is one node's kind-specific half of step: its store key, its
-// pass, and its artifact codec. A nil key marks a kind that is never
-// stored.
-type nodeStep[T any] struct {
+// nodeStep is one node's kind-specific half of stepLevel: where its
+// artifact goes, its store key, its pass, and its artifact codec. A nil key
+// marks a kind that is never stored. parse and bind split the load of a
+// payload (store.go); P is the parse, which the store's tier holds.
+type nodeStep[T any, P parsed] struct {
+	out    *T
 	key    func() string
 	run    func() (T, error)
-	decode func(data []byte) (T, error)
+	parse  func(data []byte) (P, error)
+	bind   func(P) T
 	encode func(T) ([]byte, error)
 }
 
@@ -337,42 +345,93 @@ func infallible[T any](enc func(T) []byte) func(T) ([]byte, error) {
 	return func(v T) ([]byte, error) { return enc(v), nil }
 }
 
-// step is the one store-aware node step every pass level runs: it
-// propagates the parent's error, checks the context, loads the artifact
-// from the store when a decodable payload is published under the node's
-// key, and otherwise runs the pass between an Enter and a Leave event and
-// publishes the encoded artifact. It returns the node's artifact (the zero
-// value on failure); sk is nil without a store.
-func step[T any](ctx context.Context, p *Plan, sk *storeKeys, n *node, s nodeStep[T]) (out T) {
+// same is the bind of the kinds whose parse is the artifact itself.
+func same[T any](v T) T { return v }
+
+// unstored is the parse type of the steps that are never stored.
+type unstored struct{}
+
+func (unstored) size() int64 { return 0 }
+
+// kept is what the tier holds for one key: the parse of its payload and the
+// payload's chaining hash.
+type kept[P parsed] struct {
+	hash   []byte
+	parsed P
+}
+
+// recall resolves a node on the caller's goroutine when that costs no pass
+// work and no I/O: it propagates the parent's error, checks the context,
+// and binds the parse the store's tier recalls under the node's key. It
+// reports whether the node is resolved, and leaves a stored node's key in
+// n.key for load.
+func recall[T any, P parsed](ctx context.Context, p *Plan, sk *storeKeys, n *node, s nodeStep[T, P]) bool {
 	if n.parent != nil && n.parent.err != nil {
 		n.err = n.parent.err
-		return out
+		return true
 	}
 	if n.err = checkpoint(ctx, n.kind); n.err != nil {
-		return out
+		return true
 	}
-	stored := sk != nil && s.key != nil
-	var key string
-	if stored {
-		key = s.key()
-		if data, ok := p.cfg.Store.Get(key); ok {
-			if v, err := s.decode(data); err == nil {
+	if sk == nil || s.key == nil {
+		return false
+	}
+	n.key = s.key()
+	if p.tier == nil {
+		return false
+	}
+	if v, ok := p.tier.Recall(n.key); ok {
+		if k, ok := v.(kept[P]); ok {
+			n.loaded, n.hash = true, k.hash
+			*s.out = s.bind(k.parsed)
+			return true
+		}
+	}
+	return false
+}
+
+// load resolves a node recall left open: it loads the artifact from the
+// store when a parsable payload is published under the node's key, and
+// otherwise runs the pass between an Enter and a Leave event and publishes
+// the encoded artifact. Either way the tier keeps the payload's parse. The
+// artifact is the zero value on failure.
+func load[T any, P parsed](p *Plan, n *node, s nodeStep[T, P]) {
+	if n.key != "" {
+		if data, ok := p.cfg.Store.Get(n.key); ok {
+			if v, err := s.parse(data); err == nil {
 				n.loaded, n.hash = true, payloadHash(data)
-				return v
+				keep(p, n, v)
+				*s.out = s.bind(v)
+				return
 			}
 		}
 	}
 	p.emit(n, true)
 	n.ran = true
-	out, n.err = s.run()
+	*s.out, n.err = s.run()
 	p.emit(n, false)
-	if stored && n.err == nil {
-		if data, err := s.encode(out); err == nil {
-			n.hash = payloadHash(data)
-			p.cfg.Store.Put(key, data)
+	if n.key == "" || n.err != nil {
+		return
+	}
+	data, err := s.encode(*s.out)
+	if err != nil {
+		return
+	}
+	n.hash = payloadHash(data)
+	p.cfg.Store.Put(n.key, data)
+	if p.tier != nil {
+		if v, err := s.parse(data); err == nil {
+			keep(p, n, v)
 		}
 	}
-	return out
+}
+
+// keep hands the parse of a node's payload to the store's tier, if it has
+// one.
+func keep[P parsed](p *Plan, n *node, v P) {
+	if p.tier != nil {
+		p.tier.Keep(n.key, kept[P]{n.hash, v}, v.size())
+	}
 }
 
 // level runs fn on every node of one DAG level in parallel on the
@@ -382,6 +441,21 @@ func level[N any](nodes []N, fn func(N)) {
 		fn(nodes[i])
 		return nil
 	})
+}
+
+// stepLevel is the one store-aware step every pass level runs; mk builds a
+// node's step. recall checks every node of the level against its parent
+// and the context, one checkpoint per node as in the direct pipeline, and
+// resolves what the tier holds on the caller's goroutine; only the rest
+// load or run, in parallel on the par pool.
+func stepLevel[N passNode, T any, P parsed](ctx context.Context, p *Plan, sk *storeKeys, nodes []N, mk func(N) nodeStep[T, P]) {
+	var rest []N
+	for _, n := range nodes {
+		if !recall(ctx, p, sk, n.head(), mk(n)) {
+			rest = append(rest, n)
+		}
+	}
+	level(rest, func(n N) { load(p, n.head(), mk(n)) })
 }
 
 // Run executes the plan: level by level down the DAG, independent nodes of a
@@ -405,65 +479,81 @@ func (p *Plan) Run(ctx context.Context) []Outcome {
 	var sk *storeKeys
 	if p.cfg.Store != nil {
 		sk = newStoreKeys(p.g)
+		p.tier, _ = p.cfg.Store.(Tier)
 	}
 	g, rep := p.g, p.rep
-	rep.out = step(ctx, p, sk, &rep.node, nodeStep[Repetitions]{
-		run: func() (Repetitions, error) { return rep.out, nil },
+	stepLevel(ctx, p, sk, []*repNode{rep}, func(*repNode) nodeStep[Repetitions, unstored] {
+		return nodeStep[Repetitions, unstored]{
+			out: &rep.out,
+			run: func() (Repetitions, error) { return rep.out, nil },
+		}
 	})
-	level(p.orders, func(n *orderNode) {
-		n.out = step(ctx, p, sk, &n.node, nodeStep[Order]{
+	stepLevel(ctx, p, sk, p.orders, func(n *orderNode) nodeStep[Order, Order] {
+		return nodeStep[Order, Order]{
+			out:    &n.out,
 			key:    func() string { return sk.orderKey(n.strategy, n.custom) },
 			run:    func() (Order, error) { return RunOrder(g, rep.out, n.strategy, n.custom) },
-			decode: func(data []byte) (Order, error) { return decodeOrder(g, data) },
+			parse:  func(data []byte) (Order, error) { return parseOrder(g, data) },
+			bind:   same[Order],
 			encode: infallible(encodeOrder),
-		})
+		}
 	})
-	level(p.scheds, func(n *schedNode) {
-		n.out = step(ctx, p, sk, &n.node, nodeStep[LoopedSchedule]{
+	stepLevel(ctx, p, sk, p.scheds, func(n *schedNode) nodeStep[LoopedSchedule, parsedSched] {
+		return nodeStep[LoopedSchedule, parsedSched]{
+			out:    &n.out,
 			key:    func() string { return sk.schedKey(n.order.hash, n.looping) },
 			run:    func() (LoopedSchedule, error) { return RunSchedule(g, rep.out, n.order.out, n.looping) },
-			decode: func(data []byte) (LoopedSchedule, error) { return decodeSched(g, data) },
+			parse:  func(data []byte) (parsedSched, error) { return parseSched(g, data) },
+			bind:   func(ps parsedSched) LoopedSchedule { return ps.bind(g) },
 			encode: infallible(encodeSched),
-		})
+		}
 	})
-	level(p.lifes, func(n *lifeNode) {
-		n.out = step(ctx, p, sk, &n.node, nodeStep[Lifetimes]{
+	stepLevel(ctx, p, sk, p.lifes, func(n *lifeNode) nodeStep[Lifetimes, parsedLife] {
+		return nodeStep[Lifetimes, parsedLife]{
+			out:    &n.out,
 			key:    func() string { return sk.lifeKey(n.sched.hash) },
 			run:    func() (Lifetimes, error) { return RunLifetimes(rep.out, n.sched.out) },
-			decode: func(data []byte) (Lifetimes, error) { return decodeLife(g, data) },
+			parse:  func(data []byte) (parsedLife, error) { return parseLife(g, data) },
+			bind:   func(pl parsedLife) Lifetimes { return pl.bind(g) },
 			encode: infallible(encodeLife),
-		})
+		}
 	})
 	// Many allocator leaves read one Lifetimes artifact concurrently;
 	// RunAlloc never writes it.
-	level(p.allocs, func(n *allocNode) {
-		n.out = step(ctx, p, sk, &n.node, nodeStep[Allocation]{
+	stepLevel(ctx, p, sk, p.allocs, func(n *allocNode) nodeStep[Allocation, parsedAlloc] {
+		return nodeStep[Allocation, parsedAlloc]{
+			out:    &n.out,
 			key:    func() string { return allocStoreKey(n.life.hash, n.strat) },
 			run:    func() (Allocation, error) { return RunAlloc(n.life.out, n.strat) },
-			decode: func(data []byte) (Allocation, error) { return decodeAlloc(n.life.out, n.strat, data) },
+			parse:  func(data []byte) (parsedAlloc, error) { return parseAlloc(n.life.out, data) },
+			bind:   func(pa parsedAlloc) Allocation { return pa.bind(n.life.out, n.strat) },
 			encode: func(a Allocation) ([]byte, error) { return encodeAlloc(n.life.out, a) },
-		})
+		}
 	})
 	// Partitions depend only on the lexical order, like schedules; they run
 	// after the allocator leaves to keep the sequential pipeline's
 	// first-error order (alloc failures win).
-	level(p.parts, func(n *partNode) {
-		n.out = step(ctx, p, sk, &n.node, nodeStep[Partition]{
+	stepLevel(ctx, p, sk, p.parts, func(n *partNode) nodeStep[Partition, Partition] {
+		return nodeStep[Partition, Partition]{
+			out: &n.out,
 			key: func() string { return partitionStoreKey(sk, n.order.hash, n.partitions) },
 			run: func() (Partition, error) { return RunPartition(g, rep.out, n.order.out, n.partitions) },
-			decode: func(data []byte) (Partition, error) {
-				return decodePartition(g, rep.out, n.order.out, n.partitions, data)
+			parse: func(data []byte) (Partition, error) {
+				return parsePartition(g, rep.out, n.order.out, n.partitions, data)
 			},
+			bind:   same[Partition],
 			encode: infallible(encodePartition),
-		})
+		}
 	})
-	level(p.segs, func(n *segNode) {
-		n.out = step(ctx, p, sk, &n.node, nodeStep[SegmentedAllocation]{
+	stepLevel(ctx, p, sk, p.segs, func(n *segNode) nodeStep[SegmentedAllocation, parsedSeg] {
+		return nodeStep[SegmentedAllocation, parsedSeg]{
+			out:    &n.out,
 			key:    func() string { return segallocStoreKey(sk, n.part.hash) },
 			run:    func() (SegmentedAllocation, error) { return RunSegAlloc(g, rep.out, n.part.out) },
-			decode: func(data []byte) (SegmentedAllocation, error) { return decodeSegalloc(g, rep.out, n.part.out, data) },
+			parse:  func(data []byte) (parsedSeg, error) { return parseSegalloc(g, rep.out, n.part.out, data) },
+			bind:   func(ps parsedSeg) SegmentedAllocation { return ps.bind(g) },
 			encode: infallible(encodeSegalloc),
-		})
+		}
 	})
 
 	// Per-point assembly (verify, merge, metrics). Upstream errors are

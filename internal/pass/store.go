@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/alloc"
 	"repro/internal/lifetime"
@@ -22,9 +23,29 @@ import (
 // Both must be safe for concurrent use — plan levels run their nodes in
 // parallel. Put may be dropped silently (the store is a cache); Get must
 // never return bytes other than those Put under the same key.
+//
+// A Store that also implements Tier (a *nodestore.Store does) keeps parsed
+// payloads beside its bytes: the executor recalls a node from the tier
+// before it calls Get, and a store without one has every payload read and
+// parsed.
 type Store interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, data []byte)
+}
+
+// Tier is the optional in-memory tier of a Store: parsed payloads, held by
+// key. The executor keeps the parse of every payload it reads through Get
+// (after the store verified it) or has just published under key, and
+// recalls it on the next probe of key instead of reading and parsing the
+// payload again. A parse is name-free and shared by every plan that recalls
+// it; the executor binds it to its own graph. Keep may drop the value (the
+// tier is a cache, and it holds nothing for a key whose payload the store
+// does not hold); Recall must return only a value kept under the same key.
+// size is what the value costs the tier, in bytes. Both must be safe for
+// concurrent use.
+type Tier interface {
+	Recall(key string) (any, bool)
+	Keep(key string, v any, size int64)
 }
 
 // StoreVersion is the version preamble mixed into every store key. Bump it
@@ -132,7 +153,7 @@ func kindTag(k Kind) string {
 //
 // Two consequences. First, actor NAMES appear in no projection and no
 // artifact encoding (interval names are reconstructed from the live graph at
-// decode), so renaming an actor invalidates nothing below assemble — the
+// bind), so renaming an actor invalidates nothing below assemble — the
 // whole pipeline is loaded and only the per-point assembly re-runs. Second,
 // downstream keys chain through the upstream artifact's payload hash rather
 // than its inputs: if a delay edit happens to produce the identical lexical
@@ -146,9 +167,16 @@ type storeKeys struct {
 	words  []byte // per-edge words
 }
 
-// newStoreKeys precomputes the graph projections once per plan run.
+// newStoreKeys precomputes the graph projections once per plan run. The
+// buffers are sized for two-byte varints (values below 8192), so a typical
+// graph's projections allocate once each.
 func newStoreKeys(g *sdf.Graph) *storeKeys {
-	sk := &storeKeys{}
+	ne := g.NumEdges()
+	sk := &storeKeys{
+		rates:  make([]byte, 0, 2*binary.MaxVarintLen64+8*ne),
+		delays: make([]byte, 0, 2*ne),
+		words:  make([]byte, 0, 2*ne),
+	}
 	sk.rates = binary.AppendVarint(sk.rates, int64(g.NumActors()))
 	sk.rates = binary.AppendVarint(sk.rates, int64(g.NumEdges()))
 	for _, e := range g.Edges() {
@@ -224,12 +252,33 @@ func payloadHash(data []byte) []byte {
 	return sum[:]
 }
 
-// Artifact encodings. All varint-based, all name-free, all deterministic
-// (the determinism lint covers this package): encode(decode(b)) == b and
-// decode(encode(a)) is semantically identical to a. Decoders validate
-// shape against the live graph and reject trailing bytes, so a payload from
-// a mismatched key version fails loudly into the recompute path instead of
-// misdecoding.
+// Artifact encodings. All varints, all name-free, all deterministic (the
+// determinism lint covers this package). A payload loads in two steps, on
+// every path: parse walks the varints and checks every bound against the
+// graph shape its key covers, reading no actor name, and bind ties the
+// parse to the live graph (a Schedule header, interval names, placements
+// pointing at the intervals). A parse therefore serves every graph whose
+// key matches, renames included, and is what the Tier holds.
+// encode(bind(parse(b))) == b, and bind(parse(encode(a))) is semantically
+// identical to a. Parsers reject trailing bytes and padded varints, so a
+// payload from a mismatched key version fails loudly into the recompute
+// path instead of misdecoding.
+
+// parsed is the name-free parse of one payload; size is its heap
+// footprint in bytes, which the tier is charged.
+type parsed interface{ size() int64 }
+
+// Heap sizes of the parsed forms' elements.
+const (
+	ptrSize      = int64(unsafe.Sizeof(uintptr(0)))
+	intSize      = int64(unsafe.Sizeof(0))
+	nodeSize     = int64(unsafe.Sizeof(sched.Node{}))
+	intervalSize = int64(unsafe.Sizeof(lifetime.Interval{}))
+	periodSize   = int64(unsafe.Sizeof(lifetime.Period{}))
+	blockSize    = int64(unsafe.Sizeof(partition.Block{}))
+	segmentSize  = int64(unsafe.Sizeof(partition.Segment{}))
+	sliceSize    = 3 * ptrSize
+)
 
 type decoder struct {
 	data []byte
@@ -279,7 +328,7 @@ func (d *decoder) finish() error {
 }
 
 // varints counts the varints in data: each ends in the one byte of it below
-// 0x80. It sizes a decoder's slabs from the payload in hand, exactly when
+// 0x80. It sizes a parser's slabs from the payload in hand, exactly when
 // the payload is well formed; a corrupt one is rejected either way.
 func varints(data []byte) int {
 	n := 0
@@ -297,7 +346,9 @@ func encodeOrder(ord Order) []byte {
 	return out
 }
 
-func decodeOrder(g *sdf.Graph, data []byte) (Order, error) {
+// parseOrder parses an order payload. An order is name-free as it stands,
+// so it binds to any graph unchanged.
+func parseOrder(g *sdf.Graph, data []byte) (Order, error) {
 	d := &decoder{data: data}
 	n := d.count(g.NumActors())
 	if d.err == nil && n != g.NumActors() {
@@ -321,6 +372,8 @@ func decodeOrder(g *sdf.Graph, data []byte) (Order, error) {
 	}
 	return Order{Actors: actors}, nil
 }
+
+func (o Order) size() int64 { return sliceSize + int64(len(o.Actors))*intSize }
 
 // Schedule terms are encoded structurally (preorder, tagged), not through
 // the textual round-trip: the text form is canonical for humans, but the
@@ -355,20 +408,36 @@ func appendSchedNode(out []byte, n *sched.Node) []byte {
 	return out
 }
 
-// schedDecoder bounds a decoded schedule to budget terms in all: every body
+// parsedSched is a schedule payload: the term tree and the DP cost, without
+// the Schedule header that names a graph.
+type parsedSched struct {
+	body  []*sched.Node
+	cost  int64
+	terms int
+}
+
+func (ps parsedSched) bind(g *sdf.Graph) LoopedSchedule {
+	return LoopedSchedule{Schedule: &sched.Schedule{Graph: g, Body: ps.body}, DPCost: ps.cost}
+}
+
+// size counts the node slab and the body pointer slab: every term sits in
+// one of each.
+func (ps parsedSched) size() int64 { return 2*sliceSize + int64(ps.terms)*(nodeSize+ptrSize) }
+
+// schedDecoder bounds a parsed schedule to budget terms in all: every body
 // reserves its length from the budget before taking it, so a corrupt
 // payload can neither allocate nor nest past the graph's bound. Terms come
-// from one node slab and bodies from one pointer slab, so a decode
+// from one node slab and bodies from one pointer slab, so a parse
 // allocates a constant number of times whatever the term count.
 type schedDecoder struct {
 	decoder
-	g      *sdf.Graph
+	actors int
 	budget int
 	nodes  []sched.Node
 	ptrs   []*sched.Node
 }
 
-func decodeSched(g *sdf.Graph, data []byte) (LoopedSchedule, error) {
+func parseSched(g *sdf.Graph, data []byte) (parsedSched, error) {
 	// A single appearance schedule has one leaf per actor and, after any
 	// sane looping pass, fewer loops than leaves; 4n+4 terms leave headroom
 	// for degenerate (but valid) nests. The payload is the cost, the body
@@ -377,19 +446,19 @@ func decodeSched(g *sdf.Graph, data []byte) (LoopedSchedule, error) {
 	budget := 4*g.NumActors() + 4
 	slab := min(budget, max(varints(data)-2, 0)/3)
 	d := &schedDecoder{
-		decoder: decoder{data: data}, g: g, budget: budget,
+		decoder: decoder{data: data}, actors: g.NumActors(), budget: budget,
 		nodes: make([]sched.Node, 0, slab),
 		ptrs:  make([]*sched.Node, 0, slab),
 	}
 	cost := d.int64()
 	body := d.body()
 	if err := d.finish(); err != nil {
-		return LoopedSchedule{}, err
+		return parsedSched{}, err
 	}
-	return LoopedSchedule{Schedule: &sched.Schedule{Graph: g, Body: body}, DPCost: cost}, nil
+	return parsedSched{body: body, cost: cost, terms: len(d.nodes)}, nil
 }
 
-// body reserves n contiguous pointer slots before decoding any child, so
+// body reserves n contiguous pointer slots before parsing any child, so
 // nested bodies land after it; the capacity is clipped so no body can grow
 // into its neighbour.
 func (d *schedDecoder) body() []*sched.Node {
@@ -420,7 +489,7 @@ func (d *schedDecoder) node() *sched.Node {
 	switch tag {
 	case schedLeafTag:
 		a := d.int64()
-		if d.err == nil && (a < 0 || a >= int64(d.g.NumActors())) {
+		if d.err == nil && (a < 0 || a >= int64(d.actors)) {
 			d.err = fmt.Errorf("pass: stored schedule fires unknown actor %d", a)
 		}
 		n.Count, n.Actor = count, sdf.ActorID(a)
@@ -459,37 +528,52 @@ func encodeLife(lf Lifetimes) []byte {
 	return out
 }
 
-// decodeLife rebuilds the Lifetimes artifact: intervals and metrics from the
-// payload (interval names reconstructed from the live graph — names are
-// deliberately not stored) and a fresh intersection-graph cache. Every
+// parsedLife is a lifetimes payload: the metrics and one unnamed interval
+// per edge, whose periods share one array.
+type parsedLife struct {
+	periodLen, bufMem, mco, mcp int64
+	intervals                   []lifetime.Interval
+	periods                     int
+}
+
+// bind names a copy of the intervals from g and gives the artifact a fresh
+// intersection-graph cache; the periods stay shared.
+func (pl parsedLife) bind(g *sdf.Graph) Lifetimes {
+	return Lifetimes{
+		Intervals: named(g, pl.intervals),
+		PeriodLen: pl.periodLen, BufMem: pl.bufMem, MCO: pl.mco, MCP: pl.mcp,
+		wig: &wigOnce{},
+	}
+}
+
+func (pl parsedLife) size() int64 {
+	return 2*sliceSize + int64(len(pl.intervals))*intervalSize + int64(pl.periods)*periodSize
+}
+
+// parseLife parses a lifetimes payload: intervals and metrics. Every
 // interval must pass Validate: the intersection test and the liveness test
 // divide by its shifts. The metrics must be consistent with the intervals
 // (0 < max size <= MCO <= MCP <= sum of sizes), the bufmem non-negative and
 // the period non-empty; a payload that fails any bound is a miss, never a
 // wrong metric.
-func decodeLife(g *sdf.Graph, data []byte) (Lifetimes, error) {
+func parseLife(g *sdf.Graph, data []byte) (parsedLife, error) {
 	d := &decoder{data: data}
-	lf := Lifetimes{PeriodLen: d.int64(), BufMem: d.int64(), MCO: d.int64(), MCP: d.int64(), wig: &wigOnce{}}
+	pl := parsedLife{periodLen: d.int64(), bufMem: d.int64(), mco: d.int64(), mcp: d.int64()}
 	n := d.count(g.NumEdges())
 	if d.err == nil && n != g.NumEdges() {
-		return Lifetimes{}, fmt.Errorf("pass: stored lifetimes cover %d edges, graph has %d", n, g.NumEdges())
+		return parsedLife{}, fmt.Errorf("pass: stored lifetimes cover %d edges, graph has %d", n, g.NumEdges())
 	}
 	// Each period is one enclosing loop of the edge's firing blocks, and a
 	// schedule tree over n actors has fewer than 2n loops. The intervals
-	// come from one slab, their names from one string, and their periods
-	// from one backing array: after the header, the payload is four varints
-	// per interval and two per period.
+	// come from one slab and their periods from one backing array: after
+	// the header, the payload is four varints per interval and two per
+	// period.
 	maxPeriods := 2 * g.NumActors()
 	var maxSize, sumSize int64
-	slab := make([]lifetime.Interval, n)
+	pl.intervals = make([]lifetime.Interval, n)
 	periods := make([]lifetime.Period, 0, min(max(varints(d.data)-4*n, 0)/2, n*maxPeriods))
-	names, off := edgeNames(g, n), 0
-	lf.Intervals = make([]*lifetime.Interval, n)
-	for i := range lf.Intervals {
-		e := g.Edge(sdf.EdgeID(i))
-		iv := &slab[i]
-		end := off + len(g.Actor(e.Src).Name) + len("->") + len(g.Actor(e.Dst).Name)
-		iv.Name, off = names[off:end], end
+	for i := range pl.intervals {
+		iv := &pl.intervals[i]
 		iv.Size, iv.Start, iv.Dur = d.int64(), d.int64(), d.int64()
 		if np := d.count(maxPeriods); np > 0 {
 			lo := len(periods)
@@ -502,24 +586,40 @@ func decodeLife(g *sdf.Graph, data []byte) (Lifetimes, error) {
 			break
 		}
 		if err := iv.Validate(); err != nil {
-			return Lifetimes{}, fmt.Errorf("pass: stored lifetimes: %w", err)
+			return parsedLife{}, fmt.Errorf("pass: stored lifetimes: %w", err)
 		}
 		maxSize = max(maxSize, iv.Size)
 		var err error
 		if sumSize, err = num.CheckedAdd(sumSize, iv.Size); err != nil {
-			return Lifetimes{}, fmt.Errorf("pass: stored lifetime sizes: %w", err)
+			return parsedLife{}, fmt.Errorf("pass: stored lifetime sizes: %w", err)
 		}
-		lf.Intervals[i] = iv
 	}
 	if err := d.finish(); err != nil {
-		return Lifetimes{}, err
+		return parsedLife{}, err
 	}
-	if lf.PeriodLen <= 0 || lf.BufMem < 0 || maxSize > lf.MCO || lf.MCO > lf.MCP || lf.MCP > sumSize {
-		return Lifetimes{}, fmt.Errorf("pass: stored lifetime metrics out of bounds "+
+	if pl.periodLen <= 0 || pl.bufMem < 0 || maxSize > pl.mco || pl.mco > pl.mcp || pl.mcp > sumSize {
+		return parsedLife{}, fmt.Errorf("pass: stored lifetime metrics out of bounds "+
 			"(period %d, bufmem %d, mco %d, mcp %d; interval sizes max %d, sum %d)",
-			lf.PeriodLen, lf.BufMem, lf.MCO, lf.MCP, maxSize, sumSize)
+			pl.periodLen, pl.bufMem, pl.mco, pl.mcp, maxSize, sumSize)
 	}
-	return lf, nil
+	pl.periods = len(periods)
+	return pl, nil
+}
+
+// named returns pointers into a copy of the unnamed intervals ivs, one per
+// edge of g in edge order, each labelled "src->dst" from g. The copies
+// come from one slab and their names from one string.
+func named(g *sdf.Graph, ivs []lifetime.Interval) []*lifetime.Interval {
+	slab := slices.Clone(ivs)
+	out := make([]*lifetime.Interval, len(slab))
+	names, off := edgeNames(g, len(slab)), 0
+	for i := range slab {
+		e := g.Edge(sdf.EdgeID(i))
+		end := off + len(g.Actor(e.Src).Name) + len("->") + len(g.Actor(e.Dst).Name)
+		slab[i].Name, off = names[off:end], end
+		out[i] = &slab[i]
+	}
+	return out
 }
 
 // edgeNames returns the "src->dst" labels of the first n edges of g,
@@ -542,7 +642,7 @@ func edgeNames(g *sdf.Graph, n int) string {
 // encodeAlloc stores placements as (edge index, offset) pairs in placement
 // order: edge indices rather than interval copies, because downstream
 // consumers (the simulator's OffsetOf, assembly) compare interval POINTERS
-// against the Lifetimes artifact — the decode must hand back placements
+// against the Lifetimes artifact — bind must hand back placements
 // referencing the very intervals of the plan's in-memory Lifetimes artifact.
 func encodeAlloc(lf Lifetimes, al Allocation) ([]byte, error) {
 	idxOf := make(map[*lifetime.Interval]int, len(lf.Intervals))
@@ -562,9 +662,73 @@ func encodeAlloc(lf Lifetimes, al Allocation) ([]byte, error) {
 	return out, nil
 }
 
+// parsedAlloc is an allocation payload: the image size and, in placement
+// order, each placed interval's edge index and offset.
+type parsedAlloc struct {
+	total  int64
+	placed []placedEdge
+}
+
+type placedEdge struct {
+	edge   int
+	offset int64
+}
+
+// bind points the placements at the intervals of lf, the Lifetimes
+// artifact of the node's parent.
+func (pa parsedAlloc) bind(lf Lifetimes, strat alloc.Strategy) Allocation {
+	placements := make([]alloc.Placement, len(pa.placed))
+	for i, p := range pa.placed {
+		placements[i] = alloc.Placement{Interval: lf.Intervals[p.edge], Offset: p.offset}
+	}
+	return Allocation{Strategy: strat, Alloc: &alloc.Allocation{Placements: placements, Total: pa.total}}
+}
+
+func (pa parsedAlloc) size() int64 { return sliceSize + int64(len(pa.placed))*(intSize+8) }
+
+// parseAlloc parses one allocator leaf's payload against lf, the Lifetimes
+// artifact its key chains to; it reads only the interval sizes. The result
+// skips alloc.Verify: the allocation was verified when computed, the frame
+// checksum pins its integrity, and the chained key pins that these
+// intervals are the ones it was computed for. Every placement must still
+// lie inside the stored image, which executors and the C emitter index
+// without further checks.
+func parseAlloc(lf Lifetimes, data []byte) (parsedAlloc, error) {
+	d := &decoder{data: data}
+	total := d.int64()
+	if d.err == nil && total < 0 {
+		return parsedAlloc{}, fmt.Errorf("pass: stored allocation image of %d cells", total)
+	}
+	n := d.count(len(lf.Intervals))
+	if d.err == nil && n != len(lf.Intervals) {
+		return parsedAlloc{}, fmt.Errorf("pass: stored allocation places %d intervals, lifetimes has %d", n, len(lf.Intervals))
+	}
+	placed := make([]placedEdge, n)
+	seen := make([]bool, len(lf.Intervals))
+	for i := range placed {
+		idx := d.count(len(lf.Intervals) - 1)
+		off := d.int64()
+		if d.err != nil {
+			break
+		}
+		if seen[idx] {
+			return parsedAlloc{}, fmt.Errorf("pass: stored allocation places edge %d twice", idx)
+		}
+		if size := lf.Intervals[idx].Size; off < 0 || off > total-size {
+			return parsedAlloc{}, fmt.Errorf("pass: stored placement at %d..%d outside a %d-cell image", off, off+size, total)
+		}
+		seen[idx] = true
+		placed[i] = placedEdge{edge: idx, offset: off}
+	}
+	if err := d.finish(); err != nil {
+		return parsedAlloc{}, err
+	}
+	return parsedAlloc{total: total, placed: placed}, nil
+}
+
 // encodePartition stores the canonical (P, assign, phaseOf) encoding; the
 // executable phase lists and worker loads are derived deterministically at
-// decode (partition.Rebuild), which also re-validates the structural
+// parse (partition.Rebuild), which also re-validates the structural
 // invariants against the live graph.
 func encodePartition(part Partition) []byte {
 	p := part.Part
@@ -579,15 +743,16 @@ func encodePartition(part Partition) []byte {
 	return out
 }
 
-// maxPartitions bounds the decoded worker count; the service caps requests
+// maxPartitions bounds the parsed worker count; the service caps requests
 // far below this.
 const maxPartitions = 1 << 16
 
-// decodePartition decodes a partition payload for the node that asked for
+// parsePartition parses a partition payload for the node that asked for
 // partitions workers. A payload declaring any other worker count is
 // corrupt: executors start one worker per declared worker, so it must never
-// stand in for the node's own P.
-func decodePartition(g *sdf.Graph, rep Repetitions, ord Order, partitions int, data []byte) (Partition, error) {
+// stand in for the node's own P. A partition is name-free as it stands, so
+// it binds to any graph unchanged.
+func parsePartition(g *sdf.Graph, rep Repetitions, ord Order, partitions int, data []byte) (Partition, error) {
 	d := &decoder{data: data}
 	pw := d.count(maxPartitions)
 	if d.err == nil && pw != partitions {
@@ -615,9 +780,21 @@ func decodePartition(g *sdf.Graph, rep Repetitions, ord Order, partitions int, d
 	return Partition{Part: p}, nil
 }
 
+func (part Partition) size() int64 {
+	p := part.Part
+	n := int64(len(p.Assign)+len(p.PhaseOf)+len(p.Load))*intSize + 3*sliceSize
+	for _, ph := range p.Phases {
+		n += 2 * sliceSize
+		for _, w := range ph.Workers {
+			n += sliceSize + int64(len(w))*blockSize
+		}
+	}
+	return n
+}
+
 // encodeSegalloc stores the segment layout and the per-edge routing +
 // absolute offsets; the phase-axis intervals and buffer sizes are pure
-// arithmetic over (graph, q, partition) and are re-derived at decode
+// arithmetic over (graph, q, partition) and are re-derived at parse
 // (partition.RebuildSeg) rather than persisted — no first-fit re-run either
 // way, the stored offsets are authoritative.
 func encodeSegalloc(seg SegmentedAllocation) []byte {
@@ -637,12 +814,32 @@ func encodeSegalloc(seg SegmentedAllocation) []byte {
 	return out
 }
 
-func decodeSegalloc(g *sdf.Graph, rep Repetitions, part Partition, data []byte) (SegmentedAllocation, error) {
+// parsedSeg is a segmented allocation with its phase-axis intervals
+// unnamed: the buffers' layout labels them, so bind names them from the
+// live graph.
+type parsedSeg struct {
+	seg       partition.SegAlloc // Intervals nil
+	intervals []lifetime.Interval
+}
+
+func (ps parsedSeg) bind(g *sdf.Graph) SegmentedAllocation {
+	s := ps.seg
+	s.Intervals = named(g, ps.intervals)
+	return SegmentedAllocation{Seg: &s}
+}
+
+func (ps parsedSeg) size() int64 {
+	s := ps.seg
+	return 4*sliceSize + int64(len(ps.intervals))*intervalSize +
+		int64(len(s.EdgeSeg)+len(s.Offsets)+len(s.Sizes))*intSize + int64(len(s.Segments))*segmentSize
+}
+
+func parseSegalloc(g *sdf.Graph, rep Repetitions, part Partition, data []byte) (parsedSeg, error) {
 	d := &decoder{data: data}
 	total := d.int64()
 	ns := d.count(maxPartitions + 1)
 	if d.err == nil && ns != part.Part.P+1 {
-		return SegmentedAllocation{}, fmt.Errorf("pass: stored segalloc has %d segments for %d workers", ns, part.Part.P)
+		return parsedSeg{}, fmt.Errorf("pass: stored segalloc has %d segments for %d workers", ns, part.Part.P)
 	}
 	segments := make([]partition.Segment, ns)
 	for i := range segments {
@@ -654,7 +851,7 @@ func decodeSegalloc(g *sdf.Graph, rep Repetitions, part Partition, data []byte) 
 	}
 	ne := d.count(g.NumEdges())
 	if d.err == nil && ne != g.NumEdges() {
-		return SegmentedAllocation{}, fmt.Errorf("pass: stored segalloc covers %d edges, graph has %d", ne, g.NumEdges())
+		return parsedSeg{}, fmt.Errorf("pass: stored segalloc covers %d edges, graph has %d", ne, g.NumEdges())
 	}
 	edgeSeg := make([]int, ne)
 	offsets := make([]int64, ne)
@@ -663,50 +860,17 @@ func decodeSegalloc(g *sdf.Graph, rep Repetitions, part Partition, data []byte) 
 		offsets[i] = d.int64()
 	}
 	if err := d.finish(); err != nil {
-		return SegmentedAllocation{}, err
+		return parsedSeg{}, err
 	}
 	s, err := partition.RebuildSeg(g, rep.Q, part.Part, edgeSeg, offsets, segments, total)
 	if err != nil {
-		return SegmentedAllocation{}, err
+		return parsedSeg{}, err
 	}
-	return SegmentedAllocation{Seg: s}, nil
-}
-
-// decodeAlloc reconstructs one allocator leaf against the in-memory
-// Lifetimes artifact. The result skips alloc.Verify: the allocation was
-// verified when computed, the frame checksum pins its integrity, and the
-// chained key pins that these intervals are the ones it was computed for.
-// Every placement must still lie inside the stored image, which executors
-// and the C emitter index without further checks.
-func decodeAlloc(lf Lifetimes, strat alloc.Strategy, data []byte) (Allocation, error) {
-	d := &decoder{data: data}
-	total := d.int64()
-	if d.err == nil && total < 0 {
-		return Allocation{}, fmt.Errorf("pass: stored allocation image of %d cells", total)
+	ps := parsedSeg{seg: *s, intervals: make([]lifetime.Interval, len(s.Intervals))}
+	ps.seg.Intervals = nil
+	for i, iv := range s.Intervals {
+		ps.intervals[i] = *iv
+		ps.intervals[i].Name = ""
 	}
-	n := d.count(len(lf.Intervals))
-	if d.err == nil && n != len(lf.Intervals) {
-		return Allocation{}, fmt.Errorf("pass: stored allocation places %d intervals, lifetimes has %d", n, len(lf.Intervals))
-	}
-	placements := make([]alloc.Placement, n)
-	seen := make([]bool, len(lf.Intervals))
-	for i := range placements {
-		idx := d.count(len(lf.Intervals) - 1)
-		off := d.int64()
-		if d.err != nil {
-			break
-		}
-		if seen[idx] {
-			return Allocation{}, fmt.Errorf("pass: stored allocation places edge %d twice", idx)
-		}
-		if size := lf.Intervals[idx].Size; off < 0 || off > total-size {
-			return Allocation{}, fmt.Errorf("pass: stored placement at %d..%d outside a %d-cell image", off, off+size, total)
-		}
-		seen[idx] = true
-		placements[i] = alloc.Placement{Interval: lf.Intervals[idx], Offset: off}
-	}
-	if err := d.finish(); err != nil {
-		return Allocation{}, err
-	}
-	return Allocation{Strategy: strat, Alloc: &alloc.Allocation{Placements: placements, Total: total}}, nil
+	return ps, nil
 }

@@ -178,8 +178,9 @@ func (cn *clusterNode) ownedFraction() float64 {
 
 // fetchArtifact probes up to FetchPeers ranked alive peers for a cached
 // artifact before the caller recompiles. Transport errors retry with
-// backoff against the same peer; a miss (404) moves on immediately — a miss
-// is an answer. Bytes that pass the checksum but are not in wire form
+// backoff against the same peer (made on the first retry, so a peer that
+// answers at once costs no backoff); a miss (404) moves on immediately — a
+// miss is an answer. Bytes that pass the checksum but are not in wire form
 // (wireForm) count as a failed fetch from that peer. Returns the artifact
 // bytes and the serving peer.
 func (cn *clusterNode) fetchArtifact(ctx context.Context, digest string) ([]byte, string, bool) {
@@ -191,7 +192,7 @@ func (cn *clusterNode) fetchArtifact(ctx context.Context, digest string) ([]byte
 		if probed++; probed > cn.cfg.FetchPeers {
 			break
 		}
-		bo := cluster.NewBackoff(cn.cfg.RetryMin, cn.cfg.RetryMax, cn.cfg.Seed)
+		var bo *cluster.Backoff
 		for attempt := 0; attempt < cn.cfg.PeerAttempts; attempt++ {
 			pctx, cancel := context.WithTimeout(ctx, cn.cfg.PeerTimeout)
 			data, err := cn.fetch.Artifact(pctx, peer, digest)
@@ -211,6 +212,9 @@ func (cn *clusterNode) fetchArtifact(ctx context.Context, digest string) ([]byte
 			}
 			cn.peerReqs.With(peer, "error").Inc()
 			if attempt+1 < cn.cfg.PeerAttempts {
+				if bo == nil {
+					bo = cluster.NewBackoff(cn.cfg.RetryMin, cn.cfg.RetryMax, cn.cfg.Seed)
+				}
 				select {
 				case <-ctx.Done():
 					return nil, "", false

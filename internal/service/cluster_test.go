@@ -1,16 +1,22 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/sdfio"
+	"repro/internal/service/metrics"
 	"repro/internal/systems"
 )
 
@@ -641,5 +647,67 @@ func TestClusterRoutedCompileRelayAndFollower(t *testing.T) {
 	ownerTS.mustMetric(t, "sdfd_pipeline_runs_total", "1")
 	if kept, ok := router.srv.cache.get(digest); !ok || string(kept) != string(fromOwner.Artifact) {
 		t.Error("the router did not keep the grid entry's artifact")
+	}
+}
+
+// roundTripFunc answers peer calls in process, without a listener.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// allocBytes is the mean heap bytes one call of fn allocates over n calls.
+func allocBytes(n int, fn func()) uint64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestClusterFetchFirstTryBuildsNoBackoff pins that a peer fetch answered
+// on the first try builds no retry backoff: its seeded math/rand source is
+// larger than everything else fetchArtifact adds to the fetch itself.
+func TestClusterFetchFirstTryBuildsNoBackoff(t *testing.T) {
+	const self, peer, digest = "127.0.0.1:1", "127.0.0.1:2", "0123abcd"
+	body := []byte(`{"digest":"0123abcd"}`)
+	rt := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		h := http.Header{}
+		h.Set(cluster.DigestHeader, digest)
+		h.Set(cluster.SumHeader, cluster.Sum(body))
+		return &http.Response{StatusCode: http.StatusOK, Header: h,
+			Body: io.NopCloser(bytes.NewReader(body)), Request: r}, nil
+	})
+	cn := newClusterNode(ClusterConfig{Self: self, Peers: []string{peer},
+		HTTPClient: &http.Client{Transport: rt}}, metrics.NewRegistry())
+	ctx, stop := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { cn.mon.Run(ctx); close(done) }()
+	for !cn.mon.IsAlive(peer) {
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	<-done
+
+	fetch := func() {
+		if _, from, ok := cn.fetchArtifact(context.Background(), digest); !ok || from != peer {
+			t.Fatalf("fetchArtifact = %q, %v; want a hit from %s", from, ok, peer)
+		}
+	}
+	direct := func() {
+		pctx, cancel := context.WithTimeout(context.Background(), cn.cfg.PeerTimeout)
+		defer cancel()
+		if _, err := cn.fetch.Artifact(pctx, peer, digest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backoff := func() { cluster.NewBackoff(cn.cfg.RetryMin, cn.cfg.RetryMax, cn.cfg.Seed).Next() }
+	fetch()
+	const runs = 200
+	extra := int64(allocBytes(runs, fetch)) - int64(allocBytes(runs, direct))
+	if bo := int64(allocBytes(runs, backoff)); extra >= bo {
+		t.Errorf("a first-try fetch allocates %d B beyond the peer call; a backoff is %d B", extra, bo)
 	}
 }

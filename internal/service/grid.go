@@ -229,17 +229,35 @@ func (s *Server) keepRouted(res entryResult) {
 // the admission pool, so a saturated queue sheds the request.
 func (s *Server) admit(run func()) error { return s.pool.TrySubmit(run) }
 
+// newMiss normalizes one entry's options and names its digest: the miss
+// the entry becomes when the cache does not hold that digest.
+func newMiss(canonical string, entry CompileOptions) (*gridMiss, error) {
+	norm, err := normalize(entry)
+	if err != nil {
+		return nil, err
+	}
+	opts, err := coreOptions(norm)
+	if err != nil {
+		return nil, err
+	}
+	return &gridMiss{norm: norm, opts: opts, digest: Digest(canonical, norm)}, nil
+}
+
+// optionsError is the request error of options that do not normalize.
+func optionsError(err error) *APIError {
+	return &APIError{
+		Status: http.StatusBadRequest, Reason: "bad_request",
+		Message: fmt.Sprintf("options: %v", err),
+	}
+}
+
 // resolveGrid is the one path in the service that turns missed digests
-// into artifacts, behind POST /v1/compile (a one-entry grid), POST /v1/grid
-// and POST /v1/jobs/grid. It answers cache hits (verify skips the cache),
-// dedups the misses by digest and resolves them in rounds (resolveRound)
-// until none is left to join again. ctx bounds the waits and peer calls;
-// local plans run on the server's base context under CompileTimeout, so
-// they finish, warming the cache and their flights, after the caller stops
-// waiting. A plan that cannot start or a wait that outlives ctx ends the
-// resolution with the request's error. digests holds each entry's digest,
-// nil when an entry's options did not normalize; planned and naive sum
-// plan.Stats over the local plans.
+// into artifacts, behind POST /v1/compile (a one-entry grid, which
+// handleCompile hands to resolveMisses directly), POST /v1/grid and POST
+// /v1/jobs/grid. It answers cache hits (verify skips the cache), dedups
+// the misses by digest and resolves them with resolveMisses. digests holds
+// each entry's digest, nil when an entry's options did not normalize;
+// planned and naive sum plan.Stats over the local plans.
 func (s *Server) resolveGrid(ctx context.Context, g *sdf.Graph, canonical string, entries []CompileOptions,
 	verify, forwarded bool, h gridHooks) (digests []string, planned, naive int, apiErr *APIError) {
 	var (
@@ -248,40 +266,43 @@ func (s *Server) resolveGrid(ctx context.Context, g *sdf.Graph, canonical string
 	)
 	digests = make([]string, len(entries))
 	for i, entry := range entries {
-		norm, err := normalize(entry)
-		var opts pass.Options
-		if err == nil {
-			opts, err = coreOptions(norm)
-		}
+		e, err := newMiss(canonical, entry)
 		if err != nil {
-			h.report(i, failed(&APIError{
-				Status: http.StatusBadRequest, Reason: "bad_request",
-				Message: fmt.Sprintf("options: %v", err),
-			}))
+			h.report(i, failed(optionsError(err)))
 			digests = nil
 			continue
 		}
-		digest := Digest(canonical, norm)
 		if digests != nil {
-			digests[i] = digest
+			digests[i] = e.digest
 		}
 		if !verify {
-			if data, ok := s.cache.get(digest); ok {
+			if data, ok := s.cache.get(e.digest); ok {
 				s.cacheHits.Inc()
-				h.report(i, hit(digest, data, ""))
+				h.report(i, hit(e.digest, data, ""))
 				continue
 			}
 			s.cacheMisses.Inc()
 		}
-		m := missFor[digest]
+		m := missFor[e.digest]
 		if m == nil {
-			m = &gridMiss{norm: norm, opts: opts, digest: digest}
-			missFor[digest] = m
+			m = e
+			missFor[e.digest] = m
 			misses = append(misses, m)
 		}
 		m.entries = append(m.entries, i)
 	}
+	planned, naive, apiErr = s.resolveMisses(ctx, g, canonical, misses, verify, forwarded, h)
+	return digests, planned, naive, apiErr
+}
 
+// resolveMisses resolves deduplicated misses in rounds (resolveRound) until
+// none is left to join again. ctx bounds the waits and peer calls; local
+// plans run on the server's base context under CompileTimeout, so they
+// finish, warming the cache and their flights, after the caller stops
+// waiting. A plan that cannot start or a wait that outlives ctx ends the
+// resolution with the request's error.
+func (s *Server) resolveMisses(ctx context.Context, g *sdf.Graph, canonical string, misses []*gridMiss,
+	verify, forwarded bool, h gridHooks) (planned, naive int, apiErr *APIError) {
 	for len(misses) > 0 {
 		var p, n int
 		p, n, misses, apiErr = s.resolveRound(ctx, g, canonical, misses, verify, forwarded, h)
@@ -290,7 +311,7 @@ func (s *Server) resolveGrid(ctx context.Context, g *sdf.Graph, canonical string
 			break
 		}
 	}
-	return digests, planned, naive, apiErr
+	return planned, naive, apiErr
 }
 
 // resolveRound joins each miss's flight once: it waits on a flight another

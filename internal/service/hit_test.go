@@ -514,7 +514,7 @@ func FuzzCompileRequest(f *testing.F) {
 		rec := httptest.NewRecorder()
 		r := httptest.NewRequest(http.MethodPost, "/v1/compile", bytes.NewReader(body))
 		raw, readErr := s.readBody(rec, r)
-		g, canonical, _, digest, apiErr := s.parseCompileRequest(raw, readErr)
+		g, canonical, m, apiErr := s.parseCompileRequest(raw, readErr)
 		wantDigest, wantErr := parentFrontEnd(s, body)
 		if apiErr != nil {
 			if apiErr.Status != http.StatusBadRequest && apiErr.Status != http.StatusRequestEntityTooLarge {
@@ -525,8 +525,8 @@ func FuzzCompileRequest(f *testing.F) {
 			}
 			return
 		}
-		if wantErr != nil || digest != wantDigest {
-			t.Fatalf("accepted with digest %s, the earlier front end answered %s, %+v", digest, wantDigest, wantErr)
+		if wantErr != nil || m.digest != wantDigest {
+			t.Fatalf("accepted with digest %s, the earlier front end answered %s, %+v", m.digest, wantDigest, wantErr)
 		}
 		if again, err := sdfio.CanonicalString(g); err != nil || again != canonical {
 			t.Fatalf("canonical text is not the parsed graph's: %q vs %q (%v)", canonical, again, err)

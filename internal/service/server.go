@@ -533,25 +533,22 @@ func parseGraph(text string) (*sdf.Graph, string, *APIError) {
 }
 
 // parseCompileRequest decodes and validates a body read by readBody,
-// returning the parsed graph, its canonical text, normalized options, and
-// the content digest.
-func (s *Server) parseCompileRequest(body []byte, readErr error) (*sdf.Graph, string, CompileOptions, string, *APIError) {
+// returning the parsed graph, its canonical text, and the request as a
+// miss: its normalized options and content digest.
+func (s *Server) parseCompileRequest(body []byte, readErr error) (*sdf.Graph, string, *gridMiss, *APIError) {
 	var req CompileRequest
 	if apiErr := s.decodeBody(body, readErr, &req); apiErr != nil {
-		return nil, "", CompileOptions{}, "", apiErr
+		return nil, "", nil, apiErr
 	}
 	g, canonical, apiErr := parseGraph(req.Graph)
 	if apiErr != nil {
-		return nil, "", CompileOptions{}, "", apiErr
+		return nil, "", nil, apiErr
 	}
-	norm, err := normalize(req.Options)
+	m, err := newMiss(canonical, req.Options)
 	if err != nil {
-		return nil, "", CompileOptions{}, "", &APIError{
-			Status: http.StatusBadRequest, Reason: "bad_request",
-			Message: fmt.Sprintf("options: %v", err),
-		}
+		return nil, "", nil, optionsError(err)
 	}
-	return g, canonical, norm, Digest(canonical, norm), nil
+	return g, canonical, m, nil
 }
 
 // handleCompile serves POST /v1/compile. Hits are answered here, from the
@@ -579,11 +576,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	g, canonical, norm, digest, apiErr := s.parseCompileRequest(body, readErr)
+	g, canonical, m, apiErr := s.parseCompileRequest(body, readErr)
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
 	}
+	digest := m.digest
 	if readErr == nil {
 		s.memo.put(bk, []string{digest})
 	}
@@ -593,12 +591,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			writeCompile(w, &CompileResponse{Digest: digest, Cached: true, Artifact: data})
 			return
 		}
+		s.cacheMisses.Inc()
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	var res entryResult
-	_, _, _, apiErr = s.resolveGrid(ctx, g, canonical, []CompileOptions{norm}, verify, r.Header.Get(forwardedHeader) != "",
+	m.entries = []int{0}
+	_, _, apiErr = s.resolveMisses(ctx, g, canonical, []*gridMiss{m}, verify, r.Header.Get(forwardedHeader) != "",
 		gridHooks{
 			exec:   s.admit,
 			ran:    func([]pass.KindCount) { s.pipelineRuns.Inc() },

@@ -145,7 +145,17 @@ func TestCompileArtifactEndToEnd(t *testing.T) {
 	}
 	ts.mustMetric(t, "sdfd_pipeline_runs_total", "1")
 	ts.mustMetric(t, "sdfd_cache_hits_total", "1")
+	ts.mustMetric(t, "sdfd_cache_misses_total", "1")
 	ts.mustMetric(t, "sdfd_cache_entries", "1")
+
+	// A verifying compile skips the cache: it counts neither a hit nor a
+	// miss.
+	if _, err := ts.cl.Compile(req, true); err != nil {
+		t.Fatal(err)
+	}
+	ts.mustMetric(t, "sdfd_pipeline_runs_total", "2")
+	ts.mustMetric(t, "sdfd_cache_hits_total", "1")
+	ts.mustMetric(t, "sdfd_cache_misses_total", "1")
 }
 
 func TestConcurrent64AcrossExampleSystems(t *testing.T) {
