@@ -156,6 +156,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePartition$$' -fuzztime=$(FUZZTIME) ./internal/pass
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSegalloc$$' -fuzztime=$(FUZZTIME) ./internal/pass
 	$(GO) test -run='^$$' -fuzz='^FuzzAPGAN$$' -fuzztime=$(FUZZTIME) ./internal/apgan
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckedMul$$' -fuzztime=$(FUZZTIME) ./internal/num
 	$(GO) test -run='^$$' -fuzz='^FuzzParseFrame$$' -fuzztime=$(FUZZTIME) ./internal/nodestore
 	$(GO) test -run='^$$' -fuzz='^FuzzArtifactString$$' -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzCompileRequest$$' -fuzztime=$(FUZZTIME) ./internal/service

@@ -11,7 +11,10 @@
 // checkedmul analyzer enforces the convention at the source level.
 package num
 
-import "errors"
+import (
+	"errors"
+	"math/bits"
+)
 
 // ErrOverflow is the typed error every checked arithmetic helper returns
 // when a computation exceeds the int64 range. Callers wrap it with %w so
@@ -21,18 +24,19 @@ var ErrOverflow = errors.New("num: int64 overflow")
 
 // CheckedMul returns a*b, or ErrOverflow if the product does not fit in an
 // int64. It is exact for all operand signs, including math.MinInt64 edge
-// cases.
+// cases, and divides nothing: bits.Mul64 gives the unsigned 128-bit
+// product, whose high word, corrected for the operands' signs, is the
+// signed product's. The product fits exactly when that high word is the
+// sign extension of the low one.
 func CheckedMul(a, b int64) (int64, error) {
-	if a == 0 || b == 0 {
-		return 0, nil
-	}
-	r := a * b
-	// A quotient round-trip catches every overflow except the one case where
-	// the division itself is undefined: MinInt64 / -1.
-	if (a == -1 && b == minInt64) || (b == -1 && a == minInt64) || r/b != a {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	// A negative a adds 2^64*b to the unsigned product, a negative b adds
+	// 2^64*a: take them back out of the high word.
+	shi := int64(hi) - (a>>63)&b - (b>>63)&a
+	if shi != int64(lo)>>63 {
 		return 0, ErrOverflow
 	}
-	return r, nil
+	return int64(lo), nil
 }
 
 // CheckedAdd returns a+b, or ErrOverflow if the sum does not fit in an
@@ -44,8 +48,6 @@ func CheckedAdd(a, b int64) (int64, error) {
 	}
 	return r, nil
 }
-
-const minInt64 = -1 << 63
 
 // GCD returns the greatest common divisor of a and b, treating negatives by
 // absolute value. GCD(0, 0) is 0.

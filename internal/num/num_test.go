@@ -134,3 +134,26 @@ func TestCheckedMulMatchesBigInt(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCheckedMul holds CheckedMul to the exact big.Int product on arbitrary
+// pairs: the product when it fits in an int64, ErrOverflow otherwise.
+func FuzzCheckedMul(f *testing.F) {
+	seeds := []int64{0, 1, -1, 2, math.MaxInt64, math.MinInt64, 3037000500, -3037000500}
+	for _, a := range seeds {
+		for _, b := range seeds {
+			f.Add(a, b)
+		}
+	}
+	lo, hi := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
+	f.Fuzz(func(t *testing.T, a, b int64) {
+		want := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
+		got, err := CheckedMul(a, b)
+		if want.Cmp(lo) < 0 || want.Cmp(hi) > 0 {
+			if !errors.Is(err, ErrOverflow) {
+				t.Fatalf("CheckedMul(%d, %d) = %d, %v; want ErrOverflow", a, b, got, err)
+			}
+		} else if err != nil || got != want.Int64() {
+			t.Fatalf("CheckedMul(%d, %d) = %d, %v; want %s", a, b, got, err, want)
+		}
+	})
+}

@@ -72,44 +72,19 @@ func mulCheck(a, b int64) (int64, error) {
 func (g *Graph) Repetitions() (Repetitions, error) {
 	n := len(g.actors)
 	// Represent q(a) as qn[a]/qd[a] relative to the component root, then
-	// scale by the lcm of denominators.
-	qn := make([]int64, n)
-	qd := make([]int64, n)
-	comp := make([]int, n)
+	// scale by the lcm of denominators. The per-actor arrays come from two
+	// slabs: qn and qd, then comp, members and the DFS stack.
+	qs := make([]int64, 2*n)
+	qn, qd := qs[:n:n], qs[n:]
+	ids := make([]int, 3*n)
+	comp := ids[:n:n]
 	for i := range comp {
 		comp[i] = -1
 	}
-
-	// Undirected adjacency for component traversal, in CSR form: actor u's
-	// arcs are arcs[start[u]:start[u+1]], in edge order, the forward arc of
-	// an edge before its reverse. Filling from the back leaves start[u] at
-	// the first arc of u.
-	type arc struct {
-		to   ActorID
-		prod int64 // tokens per firing of 'from'
-		cons int64 // tokens per firing of 'to'
-	}
-	start := make([]int, n+1)
-	for _, e := range g.edges {
-		start[e.Src]++
-		start[e.Dst]++
-	}
-	for u := 1; u <= n; u++ {
-		start[u] += start[u-1]
-	}
-	arcs := make([]arc, 2*len(g.edges))
-	for i := len(g.edges) - 1; i >= 0; i-- {
-		e := &g.edges[i]
-		start[e.Dst]--
-		arcs[start[e.Dst]] = arc{to: e.Src, prod: e.Cons, cons: e.Prod}
-		start[e.Src]--
-		arcs[start[e.Src]] = arc{to: e.Dst, prod: e.Prod, cons: e.Cons}
-	}
-
 	// members lists the actors in discovery order, component after
 	// component; the DFS stack is reused across components.
-	members := make([]ActorID, 0, n)
-	stack := make([]ActorID, 0, n)
+	members := ids[n : n : 2*n]
+	stack := ids[2*n : 2*n]
 	for root := 0; root < n; root++ {
 		if comp[root] >= 0 {
 			continue
@@ -117,30 +92,45 @@ func (g *Graph) Repetitions() (Repetitions, error) {
 		cid := root
 		comp[root] = cid
 		qn[root], qd[root] = 1, 1
-		members = append(members, ActorID(root))
-		stack = append(stack[:0], ActorID(root))
+		members = append(members, root)
+		stack = append(stack[:0], root)
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, a := range arcs[start[u]:start[u+1]] {
+			// u's arcs in edge order: its out and in lists, each in edge
+			// order as AddEdge appends them, merged by edge ID, the forward
+			// arc of a self-loop before its reverse.
+			out, in := g.out[u], g.in[u]
+			for len(out) > 0 || len(in) > 0 {
+				var to ActorID
+				var prod, cons int64
+				if len(in) == 0 || len(out) > 0 && out[0] <= in[0] {
+					e := &g.edges[out[0]]
+					out = out[1:]
+					to, prod, cons = e.Dst, e.Prod, e.Cons
+				} else {
+					e := &g.edges[in[0]]
+					in = in[1:]
+					to, prod, cons = e.Src, e.Cons, e.Prod
+				}
 				// Balance: q(u)*prod = q(to)*cons => q(to) = q(u)*prod/cons.
-				tn, err := mulCheck(qn[u], a.prod)
+				tn, err := mulCheck(qn[u], prod)
 				if err != nil {
 					return nil, err
 				}
-				td, err := mulCheck(qd[u], a.cons)
+				td, err := mulCheck(qd[u], cons)
 				if err != nil {
 					return nil, err
 				}
-				if comp[a.to] < 0 {
+				if comp[to] < 0 {
 					gg := num.GCD(tn, td)
-					comp[a.to] = cid
-					qn[a.to], qd[a.to] = tn/gg, td/gg
-					members = append(members, a.to)
-					stack = append(stack, a.to)
-				} else if !sameRatio(qn[a.to], qd[a.to], tn, td) {
+					comp[to] = cid
+					qn[to], qd[to] = tn/gg, td/gg
+					members = append(members, int(to))
+					stack = append(stack, int(to))
+				} else if !sameRatio(qn[to], qd[to], tn, td) {
 					return nil, fmt.Errorf("%w: actors %s and %s", ErrInconsistent,
-						g.actors[u].Name, g.actors[a.to].Name)
+						g.actors[u].Name, g.actors[to].Name)
 				}
 			}
 		}
@@ -175,7 +165,7 @@ func sameRatio(an, ad, bn, bd int64) bool {
 // of the numerators. Neither depends on the order of cm, and every partial
 // lcm divides the final one, so it overflows exactly when the final one
 // does.
-func scaleComponent(q Repetitions, cm []ActorID, qn, qd []int64) error {
+func scaleComponent(q Repetitions, cm []int, qn, qd []int64) error {
 	var l int64 = 1
 	for _, a := range cm {
 		var err error

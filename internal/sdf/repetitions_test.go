@@ -11,7 +11,8 @@ import (
 
 // repetitionsRef is the balance solve over per-actor adjacency lists built
 // by one append per edge endpoint, scaling every component after the whole
-// traversal: the oracle for Repetitions' CSR form.
+// traversal: the oracle for Repetitions' walk of the merged out and in
+// lists.
 func repetitionsRef(g *Graph) (Repetitions, error) {
 	n := len(g.actors)
 	qn := make([]int64, n)

@@ -29,10 +29,40 @@ func PrecedenceEdge(g *Graph, q Repetitions, e EdgeID) bool {
 // IsAcyclic reports whether the precedence graph (edges filtered by
 // PrecedenceEdge) is acyclic. Whether every actor gets ordered does not
 // depend on tie breaking, so Kahn's algorithm pops its ready list as a
-// plain stack here.
+// plain stack here, evaluates each edge's precedence once and only counts
+// the actors it pops.
 func (g *Graph) IsAcyclic(q Repetitions) bool {
-	_, err := g.topoSort(q, nil)
-	return err == nil
+	n := len(g.actors)
+	prec := make([]bool, len(g.edges))
+	slab := make([]int, 2*n)
+	indeg, ready := slab[:n:n], slab[n:n]
+	for i := range g.edges {
+		if prec[i] = PrecedenceEdge(g, q, EdgeID(i)); prec[i] {
+			indeg[g.edges[i].Dst]++
+		}
+	}
+	for a, d := range indeg {
+		if d == 0 {
+			ready = append(ready, a)
+		}
+	}
+	popped := 0
+	for len(ready) > 0 {
+		a := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		popped++
+		for _, eid := range g.out[a] {
+			if !prec[eid] {
+				continue
+			}
+			dst := g.edges[eid].Dst
+			indeg[dst]--
+			if indeg[dst] == 0 {
+				ready = append(ready, int(dst))
+			}
+		}
+	}
+	return popped == n
 }
 
 // TopologicalSort returns a deterministic topological order of the actors
@@ -52,7 +82,7 @@ func (g *Graph) RandomTopologicalSort(q Repetitions, rng *rand.Rand) ([]ActorID,
 }
 
 // topoSort runs Kahn's algorithm, taking from the ready list the actor at
-// the index pick returns, or the last one when pick is nil.
+// the index pick returns.
 func (g *Graph) topoSort(q Repetitions, pick func(ready []ActorID) int) ([]ActorID, error) {
 	n := len(g.actors)
 	indeg := make([]int, n)
@@ -69,10 +99,7 @@ func (g *Graph) topoSort(q Repetitions, pick func(ready []ActorID) int) ([]Actor
 	}
 	order := make([]ActorID, 0, n)
 	for len(ready) > 0 {
-		i := len(ready) - 1
-		if pick != nil {
-			i = pick(ready)
-		}
+		i := pick(ready)
 		a := ready[i]
 		ready[i] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]

@@ -1,8 +1,8 @@
 package service
 
 import (
-	"fmt"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -13,52 +13,42 @@ import (
 // string escaping (HTML-safe <, >, &, U+2028 and U+2029 escaped, \ufffd for
 // invalid UTF-8, \u00XX for control bytes without a short escape). The
 // tests hold it to json.Marshal on every artifact they compile and on an
-// Artifact with every field set.
+// Artifact with every field set. It makes one walk, appending into a pooled
+// scratch buffer, and returns an exact-size copy: the only allocation of an
+// encoding once the pool holds a buffer large enough.
 
-// encodeArtifact returns the JSON encoding of a in one allocation: a first
-// walk only measures, a second writes into a buffer of exactly that size.
+// maxPooled bounds the scratch buffers the pool keeps. A 150-actor artifact
+// is about 18 KiB; a buffer grown past the bound, such as one that held a
+// large graph's generated C, is dropped after its encoding, not kept.
+const maxPooled = 64 << 10
+
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeArtifact returns the JSON encoding of a.
 func encodeArtifact(a *Artifact) []byte {
-	var m jsonWriter
-	m.artifact(a)
-	w := jsonWriter{b: make([]byte, m.n)}
+	buf := scratchPool.Get().(*[]byte)
+	w := jsonWriter{b: (*buf)[:0]}
 	w.artifact(a)
-	if w.n != len(w.b) {
-		panic(fmt.Sprintf("service: artifact encoding measured %d bytes, wrote %d", len(w.b), w.n))
+	out := make([]byte, len(w.b))
+	copy(out, w.b)
+	if cap(w.b) <= maxPooled {
+		*buf = w.b
 	}
-	return w.b
+	scratchPool.Put(buf)
+	return out
 }
 
-// jsonWriter writes JSON text into b at offset n or, while b is nil, only
-// advances n by the length it would write. Keys are written as literals
-// together with their separators. Writing in place, rather than appending,
-// stores no slice pointer per call, so the writes need no GC write barrier.
+// jsonWriter appends JSON text to b. Keys are written as literals together
+// with their separators.
 type jsonWriter struct {
 	b []byte
-	n int
 }
 
-func (w *jsonWriter) raw(s string) {
-	if w.b != nil {
-		copy(w.b[w.n:], s)
-	}
-	w.n += len(s)
-}
+func (w *jsonWriter) raw(s string) { w.b = append(w.b, s...) }
 
-func (w *jsonWriter) str(s string) {
-	if w.b == nil {
-		w.n += quotedLen(s)
-		return
-	}
-	w.n += len(appendQuoted(w.b[w.n:w.n], s))
-}
+func (w *jsonWriter) str(s string) { w.b = appendQuoted(w.b, s) }
 
-func (w *jsonWriter) int(v int64) {
-	if w.b == nil {
-		w.n += intLen(v)
-		return
-	}
-	w.n += len(strconv.AppendInt(w.b[w.n:w.n], v, 10))
-}
+func (w *jsonWriter) int(v int64) { w.b = strconv.AppendInt(w.b, v, 10) }
 
 // array writes s as a JSON array, or null for a nil slice as encoding/json
 // does.
@@ -236,19 +226,12 @@ func (w *jsonWriter) partition(p *ArtifactPartition) {
 	w.raw("}")
 }
 
-// asciiQuotedLen is the encoded length of each ASCII byte inside a JSON
-// string: 1 when it passes through, 2 for a short escape, 6 for \u00XX
-// (the other control bytes, and <, > and & escaped for HTML safety).
-var asciiQuotedLen = func() (t [utf8.RuneSelf]uint8) {
+// asciiSafe holds the ASCII bytes that pass through a JSON string as they
+// are: not the control bytes, the quote and the backslash, nor <, > and &,
+// which are escaped for HTML safety.
+var asciiSafe = func() (t [utf8.RuneSelf]bool) {
 	for c := range t {
-		switch {
-		case c == '"' || c == '\\' || c == '\b' || c == '\f' || c == '\n' || c == '\r' || c == '\t':
-			t[c] = 2
-		case c < 0x20 || c == '<' || c == '>' || c == '&':
-			t[c] = 6
-		default:
-			t[c] = 1
-		}
+		t[c] = c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 	}
 	return t
 }()
@@ -263,7 +246,7 @@ func appendQuoted(b []byte, s string) []byte {
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			if asciiQuotedLen[c] == 1 {
+			if asciiSafe[c] {
 				i++
 				continue
 			}
@@ -305,37 +288,4 @@ func appendQuoted(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
-}
-
-// quotedLen is len(appendQuoted(nil, s)).
-func quotedLen(s string) int {
-	n := 2
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			n += int(asciiQuotedLen[c])
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
-			n += len(`\ufffd`)
-		} else {
-			n += size
-		}
-		i += size
-	}
-	return n
-}
-
-// intLen is len(strconv.AppendInt(nil, v, 10)).
-func intLen(v int64) int {
-	n, u := 1, uint64(v)
-	if v < 0 {
-		n, u = 2, -u
-	}
-	for ; u >= 10; u /= 10 {
-		n++
-	}
-	return n
 }

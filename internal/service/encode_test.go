@@ -8,12 +8,18 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/randsdf"
 	"repro/internal/sdf"
 	"repro/internal/systems"
 )
+
+// raceEnabled is set by race_test.go in a -race build, where allocation
+// counts are not exact.
+var raceEnabled bool
 
 // marshalOracle is the encoding the artifact encoder must reproduce.
 func marshalOracle(t testing.TB, a *Artifact) []byte {
@@ -154,9 +160,15 @@ func TestArtifactBytesMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestEncodeArtifactAllocatesOnce: the measuring walk sizes the output
-// exactly, so encoding allocates the output buffer and nothing else.
+// TestEncodeArtifactAllocatesOnce: the encoder writes into a pooled scratch
+// buffer and copies the result out at its exact size, so once the pool
+// holds a buffer, encoding allocates the output and nothing else. The race
+// detector makes sync.Pool drop buffers at random, so the count is only
+// exact without it.
 func TestEncodeArtifactAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
 	_, res, err := CompileArtifact(systems.SatelliteReceiver(), CompileOptions{Partitions: 2, EmitC: true})
 	if err != nil {
 		t.Fatal(err)
@@ -166,18 +178,71 @@ func TestEncodeArtifactAllocatesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := buildArtifact(res, norm)
-	a.Graph = hardString // escapes must be measured exactly too
+	a.Graph = hardString // escapes must be copied out at their exact size too
 	var out []byte
 	if n := testing.AllocsPerRun(20, func() { out = encodeArtifact(a) }); n != 1 {
 		t.Fatalf("encodeArtifact allocates %v times, want 1", n)
 	}
 	if len(out) != cap(out) {
-		t.Fatalf("output length %d, capacity %d: the measuring walk is off", len(out), cap(out))
+		t.Fatalf("output length %d, capacity %d: the copy is not exact-size", len(out), cap(out))
+	}
+}
+
+// TestArtifactBytesConcurrent encodes different Table-1 results from eight
+// goroutines at once, 200 times each: every output must equal its serial
+// encoding byte for byte, so no pooled buffer is shared between encodings
+// or aliased by an output. Run it under -race.
+func TestArtifactBytesConcurrent(t *testing.T) {
+	type job struct {
+		res  *core.Result
+		opts CompileOptions
+		want []byte
+	}
+	systems := systems.Table1Systems()
+	var jobs []job
+	for i := 0; i < 8; i++ {
+		opts := CompileOptions{}
+		if i%2 == 1 {
+			opts = CompileOptions{Partitions: 2, EmitC: true}
+		}
+		norm, err := normalize(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, res, err := CompileArtifact(systems[i*len(systems)/8], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{res, norm, want})
+	}
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				got, err := ArtifactBytes(j.res, j.opts)
+				if err == nil && !bytes.Equal(got, j.want) {
+					err = fmt.Errorf("encoding %d differs from the serial one", k)
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("%s %+v: %v", jobs[i].res.Graph.Name, jobs[i].opts, err)
+		}
 	}
 }
 
 // FuzzArtifactString holds the encoder's string escaping to json.Marshal on
-// arbitrary bytes, and its length to the measuring walk's.
+// arbitrary bytes.
 func FuzzArtifactString(f *testing.F) {
 	f.Add(hardString)
 	f.Add("")
@@ -187,12 +252,8 @@ func FuzzArtifactString(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := appendQuoted(nil, s)
-		if !bytes.Equal(got, want) {
+		if got := appendQuoted(nil, s); !bytes.Equal(got, want) {
 			t.Fatalf("appendQuoted(%q) = %s, json.Marshal = %s", s, got, want)
-		}
-		if n := quotedLen(s); n != len(got) {
-			t.Fatalf("quotedLen(%q) = %d, encoding is %d bytes", s, n, len(got))
 		}
 	})
 }

@@ -2,10 +2,15 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"math/rand"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/nodestore"
+	"repro/internal/pass"
+	"repro/internal/randsdf"
+	"repro/internal/sdf"
 	"repro/internal/systems"
 )
 
@@ -114,5 +119,70 @@ func TestNodeStoreGridAndCompileShare(t *testing.T) {
 	want := gridResp.Results[1].Artifact
 	if !bytes.Equal([]byte(resp.Artifact), []byte(want)) {
 		t.Fatal("store-assisted compile bytes differ from the grid's artifact for the same options")
+	}
+}
+
+// renameAllocCeiling bounds the allocations of a rename that recalls every
+// stored pass from the node store's tier: NewPlan, Run and ArtifactBytes of
+// a 150-actor graph. It is the count the path makes, so a new allocation on
+// it fails the test below until the ceiling is raised on purpose.
+const renameAllocCeiling = 123
+
+// TestRenameAllocCeiling recompiles a renamed 150-actor randsdf graph after
+// a cold compile of the original has filled the store, checks that every
+// stored pass was loaded, and holds the recompile's allocation count to
+// renameAllocCeiling.
+func TestRenameAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	st, err := nodestore.Open(t.TempDir(), 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := normalize(CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := coreOptions(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func(g *sdf.Graph) *pass.Plan {
+		p, err := pass.NewPlan(g, []pass.Options{opts}, pass.PlanConfig{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := p.Run(context.Background())[0]
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		if _, err := ArtifactBytes(out.Result, norm); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	g := randsdf.Graph(rand.New(rand.NewSource(7)), randsdf.Config{Actors: 150})
+	compile(g)
+	renamed := sdf.New(g.Name)
+	for _, a := range g.Actors() {
+		name := a.Name
+		if a.ID == 3 {
+			name = "renamed"
+		}
+		renamed.AddActor(name)
+	}
+	for _, e := range g.Edges() {
+		renamed.SetWords(renamed.AddEdge(e.Src, e.Dst, e.Prod, e.Cons, e.Delay), e.Words)
+	}
+	for _, kc := range compile(renamed).Stats() {
+		if kc.Kind != pass.KindRepetitions && kc.Kind != pass.KindAssemble && kc.Loaded != kc.Nodes {
+			t.Fatalf("%s: %d of %d nodes loaded", kc.Kind, kc.Loaded, kc.Nodes)
+		}
+	}
+	n := testing.AllocsPerRun(50, func() { compile(renamed) })
+	t.Logf("%.0f allocations per rename", n)
+	if n > renameAllocCeiling {
+		t.Errorf("a rename allocates %.0f times, want at most %d", n, renameAllocCeiling)
 	}
 }
